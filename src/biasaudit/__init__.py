@@ -28,7 +28,7 @@ from .scoring import (DatasetAggregate, FailedScore, ScoreRecord,
 from .synth import (GenSpec, GroundTruth, MultiDatasetSpec, gen_mixed,
                     gen_multidataset, write_table_csv)
 from .tabular import (CauseSpec, CauseTerm, DesignMatrix, SchemaConfig,
-                      Subject, Table, build_design, concat_tables, load_csv,
+                      Table, build_design, concat_tables, load_csv,
                       standardize_column, stratified_split, summarize)
 
 __version__ = "0.1.0"

@@ -58,8 +58,10 @@ class FitTrace:
 class VariationalPosterior:
     """Gaussian variational distribution, mean-field or full-rank.
 
-    ``scales`` is the per-coordinate log-SD vector for the mean-field
-    family, or the lower-triangular covariance factor for full-rank.
+    Held as the flat vector :func:`fit` optimises: the mean, then the
+    log-scales (log-SD for mean-field, log of the factor diagonal for
+    full-rank), then, for full-rank only, the strict lower triangle of
+    the covariance factor.
     """
 
     def __init__(self, family: str, mean: np.ndarray,
@@ -67,74 +69,105 @@ class VariationalPosterior:
                  scale_tril: np.ndarray | None = None):
         if family not in (MEAN_FIELD, FULL_RANK):
             raise ValueError(f"unknown family {family!r}")
-        self.family = family
-        self.mean = np.asarray(mean, dtype=float)
-        d = self.mean.size
+        mean = np.asarray(mean, dtype=float)
+        d = mean.size
         if family == MEAN_FIELD:
             if log_sd is None or np.asarray(log_sd).shape != (d,):
                 raise ValueError("mean_field posterior needs a log_sd vector")
-            self.log_sd = np.asarray(log_sd, dtype=float)
-            self.scale_tril = None
+            self._tril = (np.zeros(0, dtype=int),) * 2
+            scales = [np.asarray(log_sd, dtype=float)]
         else:
             if scale_tril is None or np.asarray(scale_tril).shape != (d, d):
                 raise ValueError("full_rank posterior needs a d x d factor")
-            self.scale_tril = np.asarray(scale_tril, dtype=float)
-            if np.any(np.diag(self.scale_tril) <= 0):
+            scale_tril = np.asarray(scale_tril, dtype=float)
+            if np.any(np.diag(scale_tril) <= 0):
                 raise ValueError("factor diagonal must be positive")
-            self.log_sd = None
-        if not all(np.all(np.isfinite(p)) for p in self.parameters()):
+            if np.any(np.triu(scale_tril, k=1)):
+                raise ValueError("factor must be lower-triangular")
+            self._tril = np.tril_indices(d, k=-1)
+            scales = [np.log(np.diag(scale_tril)), scale_tril[self._tril]]
+        self.family = family
+        self.dim = d
+        self.flat = np.concatenate([mean, *scales])
+        if not np.all(np.isfinite(self.flat)):
             raise ValueError("posterior parameters must be finite")
 
     @property
-    def dim(self) -> int:
-        return self.mean.size
+    def mean(self) -> np.ndarray:
+        return self.flat[:self.dim]
 
-    def parameters(self):
-        if self.family == MEAN_FIELD:
-            return self.mean, self.log_sd
-        return self.mean, self.scale_tril
+    @property
+    def log_scale(self) -> np.ndarray:
+        return self.flat[self.dim:2 * self.dim]
 
+    @property
+    def scale_tril(self) -> np.ndarray:
+        """Lower-triangular covariance factor (diagonal for mean-field)."""
+        L = np.zeros((self.dim, self.dim))
+        L[self._tril] = self.flat[2 * self.dim:]
+        L[np.diag_indices(self.dim)] = np.exp(self.log_scale)
+        return L
+
+    # sd, covariance and log_prob never build a mean-field factor: its
+    # dimension grows with the number of rows
     def sd(self) -> np.ndarray:
         """Marginal standard deviations."""
         if self.family == MEAN_FIELD:
-            return np.exp(self.log_sd)
+            return np.exp(self.log_scale)
         return np.sqrt(np.sum(self.scale_tril ** 2, axis=1))
 
     def covariance(self) -> np.ndarray:
         if self.family == MEAN_FIELD:
-            return np.diag(np.exp(2.0 * self.log_sd))
-        return self.scale_tril @ self.scale_tril.T
+            return np.diag(np.exp(2.0 * self.log_scale))
+        L = self.scale_tril
+        return L @ L.T
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        eps = rng.standard_normal((size, self.dim))
-        return self._push(eps)
+        return self.push(rng.standard_normal((size, self.dim)))
 
-    def _push(self, eps: np.ndarray) -> np.ndarray:
+    def push(self, eps: np.ndarray) -> np.ndarray:
+        """Map standard-normal draws to draws from this distribution."""
         if self.family == MEAN_FIELD:
-            return self.mean + np.exp(self.log_sd) * eps
+            return self.mean + np.exp(self.log_scale) * eps
         return self.mean + eps @ self.scale_tril.T
+
+    def _half_logdet(self) -> float:
+        if self.family == MEAN_FIELD:
+            return float(np.sum(self.log_scale))
+        # log of the factor diagonal as scale_tril holds it: exp then log
+        # can differ from the stored log-scales in the last bit, and code
+        # lengths stay reproducible only if this sum keeps its bits
+        return float(np.sum(np.log(np.exp(self.log_scale))))
 
     def entropy(self) -> float:
         """Closed-form differential entropy in nats."""
-        d = self.dim
-        if self.family == MEAN_FIELD:
-            half_logdet = float(np.sum(self.log_sd))
-        else:
-            half_logdet = float(np.sum(np.log(np.diag(self.scale_tril))))
-        return 0.5 * d * (1.0 + LOG_2PI) + half_logdet
+        return 0.5 * self.dim * (1.0 + LOG_2PI) + self._half_logdet()
 
     def log_prob(self, theta: np.ndarray) -> np.ndarray:
-        theta = np.atleast_2d(np.asarray(theta, dtype=float))
-        r = theta - self.mean
+        r = (np.atleast_2d(np.asarray(theta, dtype=float)) - self.mean).T
         if self.family == MEAN_FIELD:
-            sd = np.exp(self.log_sd)
-            quad = np.sum((r / sd) ** 2, axis=1)
-            half_logdet = float(np.sum(self.log_sd))
+            u = r / np.exp(self.log_scale)[:, None]
         else:
-            u = np.linalg.solve(self.scale_tril, r.T)
-            quad = np.sum(u * u, axis=0)
-            half_logdet = float(np.sum(np.log(np.diag(self.scale_tril))))
-        return -0.5 * (self.dim * LOG_2PI + quad) - half_logdet
+            u = np.linalg.solve(self.scale_tril, r)
+        quad = np.sum(u * u, axis=0)
+        return -0.5 * (self.dim * LOG_2PI + quad) - self._half_logdet()
+
+    def elbo_grad(self, eps: np.ndarray, grads: np.ndarray) -> np.ndarray:
+        """Reparameterized ELBO gradient wrt the flat parameter vector.
+
+        The +1 terms are the derivative of the closed-form entropy wrt
+        the log-scale coordinates.
+        """
+        d = self.dim
+        out = np.empty_like(self.flat)
+        out[:d] = grads.mean(axis=0)
+        if self.family == MEAN_FIELD:
+            out[d:2 * d] = (grads * eps).mean(axis=0) * np.exp(self.log_scale) + 1.0
+        else:
+            cross = grads.T @ eps / eps.shape[0]  # E[g_i eps_j]
+            out[d:2 * d] = np.diag(cross) * np.exp(self.log_scale) + 1.0
+            out[2 * d:] = cross[self._tril]
+        return out
 
 
 def gaussian_kl(mean_q, cov_q, mean_p, cov_p) -> float:
@@ -151,65 +184,6 @@ def gaussian_kl(mean_q, cov_q, mean_p, cov_p) -> float:
     logdet_p = 2.0 * float(np.sum(np.log(np.diag(chol_p))))
     logdet_q = float(np.linalg.slogdet(cov_q)[1])
     return 0.5 * (trace + quad - d + logdet_p - logdet_q)
-
-
-class _Params:
-    """Unconstrained parameter vector for one variational family."""
-
-    def __init__(self, family: str, d: int):
-        self.family = family
-        self.d = d
-        if family == MEAN_FIELD:
-            self.flat = np.zeros(2 * d)
-        else:
-            self.tril_rows, self.tril_cols = np.tril_indices(d, k=-1)
-            self.flat = np.zeros(2 * d + self.tril_rows.size)
-
-    @property
-    def mean(self) -> np.ndarray:
-        return self.flat[:self.d]
-
-    @property
-    def log_scale(self) -> np.ndarray:
-        # log-SD (mean_field) or log of the factor diagonal (full_rank)
-        return self.flat[self.d:2 * self.d]
-
-    def scale_tril(self) -> np.ndarray:
-        L = np.zeros((self.d, self.d))
-        L[self.tril_rows, self.tril_cols] = self.flat[2 * self.d:]
-        L[np.diag_indices(self.d)] = np.exp(self.log_scale)
-        return L
-
-    def posterior(self) -> VariationalPosterior:
-        if self.family == MEAN_FIELD:
-            return VariationalPosterior(MEAN_FIELD, self.mean.copy(),
-                                        log_sd=self.log_scale.copy())
-        return VariationalPosterior(FULL_RANK, self.mean.copy(),
-                                    scale_tril=self.scale_tril())
-
-    def entropy(self) -> float:
-        return 0.5 * self.d * (1.0 + LOG_2PI) + float(np.sum(self.log_scale))
-
-    def push(self, eps: np.ndarray) -> np.ndarray:
-        if self.family == MEAN_FIELD:
-            return self.mean + np.exp(self.log_scale) * eps
-        return self.mean + eps @ self.scale_tril().T
-
-    def elbo_grad(self, eps: np.ndarray, grads: np.ndarray) -> np.ndarray:
-        """Reparameterized ELBO gradient wrt the flat parameter vector.
-
-        The +1 terms are the derivative of the closed-form entropy wrt
-        the log-scale coordinates.
-        """
-        out = np.empty_like(self.flat)
-        out[:self.d] = grads.mean(axis=0)
-        if self.family == MEAN_FIELD:
-            out[self.d:2 * self.d] = (grads * eps).mean(axis=0) * np.exp(self.log_scale) + 1.0
-        else:
-            cross = grads.T @ eps / eps.shape[0]  # E[g_i eps_j]
-            out[self.d:2 * self.d] = np.diag(cross) * np.exp(self.log_scale) + 1.0
-            out[2 * self.d:] = cross[self.tril_rows, self.tril_cols]
-        return out
 
 
 class _Adam:
@@ -246,8 +220,10 @@ def fit(log_joint, d: int, config: FitConfig,
         raise ValueError("log_joint is not finite at the zero vector")
 
     rng = np.random.default_rng(config.seed)
-    params = _Params(family, d)
-    adam = _Adam(params.flat.size, config.learning_rate)
+    # the standard normal; fit returns this object, optimised in place
+    scale = {"log_sd": np.zeros(d)} if family == MEAN_FIELD else {"scale_tril": np.eye(d)}
+    q = VariationalPosterior(family, np.zeros(d), **scale)
+    adam = _Adam(q.flat.size, config.learning_rate)
     window = config.convergence_window
 
     raw = np.full(config.max_iterations, np.nan)
@@ -259,14 +235,14 @@ def fit(log_joint, d: int, config: FitConfig,
     t = 0
     for t in range(config.max_iterations):
         eps = rng.standard_normal((config.mc_samples_per_step, d))
-        theta = params.push(eps)
+        theta = q.push(eps)
         values, grads = log_joint(theta)
-        elbo_t = float(np.mean(values)) + params.entropy()
+        elbo_t = float(np.mean(values)) + q.entropy()
         step_ok = np.isfinite(elbo_t) and np.all(np.isfinite(grads))
 
         if step_ok:
             nonfinite_streak = 0
-            params.flat += adam.ascent_step(params.elbo_grad(eps, grads))
+            q.flat += adam.ascent_step(q.elbo_grad(eps, grads))
             raw[t] = elbo_t
             window_sum += elbo_t
             window_count += 1
@@ -297,7 +273,7 @@ def fit(log_joint, d: int, config: FitConfig,
 
     iterations_run = t + 1
     trace = FitTrace(smoothed[:iterations_run].copy(), converged, iterations_run)
-    return params.posterior(), trace
+    return q, trace
 
 
 def estimate_elbo(posterior: VariationalPosterior, log_joint,

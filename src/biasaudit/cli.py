@@ -15,14 +15,15 @@ import hashlib
 import json
 import logging
 import sys
-from dataclasses import asdict
+from contextlib import contextmanager
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import click
 
 from .advi import FitConfig, FULL_RANK, MEAN_FIELD
-from .errors import BiasAuditError, EmptyTableError, SchemaError
-from .forest import RFConfig, name_that_dataset
+from .errors import BiasAuditError, SchemaError
+from .forest import DEFAULT_FRACTIONS, RFConfig, name_that_dataset
 from .models import CausalModelSpec, ConfoundedModelSpec
 from .scoring import (FailedScore, ScoringConfig, aggregate_by_dataset,
                       score_all)
@@ -34,8 +35,8 @@ log = logging.getLogger("biasaudit")
 EXIT_USAGE = 2
 EXIT_FAILURE = 3
 
-_SCHEMA_KEYS = ("id_column", "dataset_column", "age_column", "sex_column",
-                "diagnosis_column", "healthy_label")
+FAMILIES = {"mean-field": MEAN_FIELD, "full-rank": FULL_RANK}
+METHODS = ("advi", "closed-form")
 
 
 def read_config_file(path) -> dict[str, str]:
@@ -61,28 +62,109 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"not a boolean: {raw!r}")
 
 
-def resolve(ctx: click.Context, file_values: dict, key: str, cast=str, default=None):
-    """Flag if explicitly given, else config-file value, else default."""
-    flag_value = ctx.params.get(key)
-    source = ctx.get_parameter_source(key)
-    explicit = source in (click.core.ParameterSource.COMMANDLINE,
-                          click.core.ParameterSource.ENVIRONMENT)
-    if explicit and flag_value is not None:
-        return flag_value
-    if key in file_values:
-        raw = file_values[key]
-        return _parse_bool(raw) if cast is bool else cast(raw)
-    if flag_value is not None:
-        return flag_value
-    return default
+def _choice(allowed):
+    def parse(raw: str) -> str:
+        if raw not in allowed:
+            raise ValueError(f"expected one of {', '.join(allowed)}, got {raw!r}")
+        return raw
+    return parse
 
 
-def schema_from_config(file_values: dict) -> SchemaConfig:
-    kwargs = {k: file_values[k] for k in _SCHEMA_KEYS if k in file_values}
-    if "feature_prefixes" in file_values:
-        kwargs["feature_prefixes"] = tuple(
-            p.strip() for p in file_values["feature_prefixes"].split(",") if p.strip())
-    return SchemaConfig(**kwargs)
+def _comma_list(cast):
+    return lambda raw: tuple(cast(item.strip()) for item in raw.split(",") if item.strip())
+
+
+_ALL = ("validate", "score", "classify")
+_RUNS = ("score", "classify")
+_SCORE = ("score",)
+_CLASSIFY = ("classify",)
+
+# Every config key, once: (parser of its config-file text, default, the
+# commands that read it).  A flag of the same name (dashes for
+# underscores) overrides the file; a key only other commands read is
+# ignored, so one file can drive both score and classify.
+KEYS = {
+    "input": (str, None, _ALL),
+    "out": (str, ".", _RUNS),
+    "seed": (int, 0, _RUNS),
+    "jobs": (int, 1, _RUNS),
+    "controls_only": (_parse_bool, True, _RUNS),
+    "k": (int, ConfoundedModelSpec.k, _SCORE),
+    "family": (_choice(FAMILIES), "full-rank", _SCORE),
+    "method": (_choice(METHODS), "advi", _SCORE),
+    "causes": (str, "age,age:square,sex", _SCORE),
+    "targets": (str, None, _SCORE),  # None: every feature that is not a cause
+    "sigma_x": (float, CausalModelSpec.sigma_x, _SCORE),
+    "sigma_w": (float, CausalModelSpec.sigma_w, _SCORE),  # both models' loadings
+    "sigma_y": (float, CausalModelSpec.sigma_y, _SCORE),
+    "sigma_z": (float, ConfoundedModelSpec.sigma_z, _SCORE),
+    "sigma_obs": (float, ConfoundedModelSpec.sigma_obs, _SCORE),
+    "mc_samples": (int, FitConfig.mc_samples_per_step, _SCORE),
+    "learning_rate": (float, FitConfig.learning_rate, _SCORE),
+    "max_iterations": (int, FitConfig.max_iterations, _SCORE),
+    "convergence_window": (int, FitConfig.convergence_window, _SCORE),
+    "relative_tolerance": (float, FitConfig.relative_tolerance, _SCORE),
+    "final_elbo_samples": (int, FitConfig.final_elbo_samples, _SCORE),
+    "repetitions": (int, 50, _CLASSIFY),
+    "trees": (int, RFConfig.n_trees, _CLASSIFY),
+    "fractions": (_comma_list(float), DEFAULT_FRACTIONS, _CLASSIFY),
+    # the CSV schema: one key per SchemaConfig field
+    "id_column": (str, SchemaConfig.id_column, _ALL),
+    "dataset_column": (str, SchemaConfig.dataset_column, _ALL),
+    "age_column": (str, SchemaConfig.age_column, _ALL),
+    "sex_column": (str, SchemaConfig.sex_column, _ALL),
+    "diagnosis_column": (str, SchemaConfig.diagnosis_column, _ALL),
+    "feature_prefixes": (_comma_list(str), SchemaConfig.feature_prefixes, _ALL),
+    "healthy_label": (str, SchemaConfig.healthy_label, _ALL),
+}
+
+
+def resolve_config(command: str, config_path, flags: dict) -> dict:
+    """Every key ``command`` reads: the flag if given, else the config
+    file's value, else the default.  A file key in no row of
+    :data:`KEYS`, or a value its parser refuses, is a :class:`SchemaError`.
+    """
+    file_values = read_config_file(config_path) if config_path else {}
+    unknown = [key for key in file_values if key not in KEYS]
+    if unknown:
+        raise SchemaError(f"{config_path}: unknown config key "
+                          + ", ".join(repr(key) for key in unknown))
+    resolved = {}
+    for name, (parse, default, commands) in KEYS.items():
+        if command not in commands:
+            continue
+        if flags.get(name) is not None:
+            resolved[name] = flags[name]
+        elif name in file_values:
+            try:
+                resolved[name] = parse(file_values[name])
+            except ValueError as exc:
+                raise SchemaError(f"{config_path}: {name}: {exc}") from None
+        else:
+            resolved[name] = default
+    return resolved
+
+
+@contextmanager
+def _usage_errors():
+    """Turn bad input or configuration into one ``error:`` line and exit 2."""
+    try:
+        yield
+    except (BiasAuditError, ValueError, OSError) as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(EXIT_USAGE)
+
+
+def _load_table(cfg: dict):
+    """Load the configured input CSV; every error names the file."""
+    path = cfg["input"]
+    if path is None:
+        raise SchemaError("no input file given")
+    schema = SchemaConfig(**{f.name: cfg[f.name] for f in fields(SchemaConfig)})
+    try:
+        return load_csv(path, schema)
+    except ValueError as exc:  # undecodable bytes, duplicate subject ids
+        raise SchemaError(f"{path}: {exc}") from None
 
 
 def fingerprint(resolved: dict) -> str:
@@ -99,6 +181,28 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
                              for v in row])
 
 
+def _options(*options):
+    """Several click options as one decorator, for flags commands share."""
+    def apply(command):
+        for option in reversed(options):
+            command = option(command)
+        return command
+    return apply
+
+
+_input_options = _options(
+    click.option("--input", type=click.Path(), help="Input CSV file."),
+    click.option("--config", "config_path", type=click.Path(),
+                 help="Flat key=value config file."))
+_run_options = _options(
+    _input_options,
+    click.option("--out", type=click.Path(), help="Output directory."),
+    click.option("--seed", type=int, help="Master seed."),
+    click.option("--jobs", type=int, help="Parallel workers."),
+    click.option("--controls-only/--with-disease", "controls_only", default=None,
+                 help="Restrict to healthy rows (default) or keep all."))
+
+
 @click.group()
 def main():
     """Quantify confounding bias and detect dataset bias in tabular data."""
@@ -107,21 +211,11 @@ def main():
 
 
 @main.command()
-@click.option("--input", "input_path", type=click.Path(), help="CSV file to validate.")
-@click.option("--config", "config_path", type=click.Path(), help="Flat key=value config file.")
-def validate(input_path, config_path):
+@_input_options
+def validate(config_path, **flags):
     """Ingest a CSV file and print a per-dataset summary."""
-    ctx = click.get_current_context()
-    file_values = read_config_file(config_path) if config_path else {}
-    input_path = resolve(ctx, file_values, "input_path", default=file_values.get("input"))
-    if input_path is None:
-        click.echo("error: no input file given", err=True)
-        sys.exit(EXIT_USAGE)
-    try:
-        table, report = load_csv(input_path, schema_from_config(file_values))
-    except (SchemaError, EmptyTableError, OSError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_USAGE)
+    with _usage_errors():
+        table, report = _load_table(resolve_config("validate", config_path, flags))
     click.echo(f"{'dataset':<16}{'N':>6}{'age_mean':>10}{'age_sd':>8}"
                f"{'males_%':>9}{'diseased':>10}")
     for row in summarize(table):
@@ -132,105 +226,62 @@ def validate(input_path, config_path):
         click.echo(f"  rejected {reason}", err=True)
 
 
-def _float_key(file_values, key, default):
-    return float(file_values.get(key, default))
-
-
-def _int_key(file_values, key, default):
-    return int(file_values.get(key, default))
-
-
 @main.command()
-@click.option("--input", "input_path", type=click.Path(), help="CSV file to score.")
-@click.option("--config", "config_path", type=click.Path(), help="Flat key=value config file.")
-@click.option("--out", "out_dir", type=click.Path(), help="Output directory.")
-@click.option("--seed", type=int, default=None, help="Master seed.")
-@click.option("--jobs", type=int, default=None, help="Parallel workers.")
-@click.option("--controls-only/--with-disease", "controls_only", default=None,
-              help="Restrict scoring to healthy rows (default) or keep all.")
-@click.option("--k", type=int, default=None, help="Latent confounder dimension.")
-@click.option("--family", type=click.Choice(["mean-field", "full-rank"]), default=None,
+@_run_options
+@click.option("--k", type=int, help="Latent confounder dimension.")
+@click.option("--family", type=click.Choice(list(FAMILIES)),
               help="Variational family for the causal model fit.")
-@click.option("--method", type=click.Choice(["advi", "closed-form"]), default=None,
-              help="Causal-model estimator.")
-@click.option("--causes", type=str, default=None,
-              help="Cause terms, e.g. 'age,age:square,sex'.")
-@click.option("--targets", type=str, default=None,
+@click.option("--method", type=click.Choice(METHODS), help="Causal-model estimator.")
+@click.option("--causes", help="Cause terms, e.g. 'age,age:square,sex'.")
+@click.option("--targets",
               help="Comma-separated target columns (default: all features not used as causes).")
-def score(input_path, config_path, out_dir, seed, jobs, controls_only, k,
-          family, method, causes, targets):
+def score(config_path, **flags):
     """Score every (dataset, target) pair and write the reports."""
-    ctx = click.get_current_context()
-    file_values = read_config_file(config_path) if config_path else {}
-    input_path = resolve(ctx, file_values, "input_path", default=file_values.get("input"))
-    out_dir = resolve(ctx, file_values, "out_dir", default=file_values.get("out", "."))
-    seed = resolve(ctx, file_values, "seed", cast=int, default=0)
-    jobs = resolve(ctx, file_values, "jobs", cast=int, default=1)
-    controls_only = resolve(ctx, file_values, "controls_only", cast=bool, default=True)
-    k = resolve(ctx, file_values, "k", cast=int, default=1)
-    family = resolve(ctx, file_values, "family", default="full-rank")
-    method = resolve(ctx, file_values, "method", default="advi")
-    causes = resolve(ctx, file_values, "causes", default="age,age:square,sex")
-    targets = resolve(ctx, file_values, "targets", default=None)
-    if input_path is None:
-        click.echo("error: no input file given", err=True)
-        sys.exit(EXIT_USAGE)
-
-    try:
-        table, _ = load_csv(input_path, schema_from_config(file_values))
-        cause_spec = CauseSpec.parse(causes)
-    except (SchemaError, EmptyTableError, OSError, ValueError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_USAGE)
-
-    cause_columns = {t.column for t in cause_spec.terms}
-    if targets:
-        target_list = tuple(t.strip() for t in targets.split(",") if t.strip())
-    else:
-        target_list = tuple(c for c in table.feature_names if c not in cause_columns)
-    if not target_list:
-        click.echo("error: no target columns", err=True)
-        sys.exit(EXIT_USAGE)
-
-    fit_config = FitConfig(
-        mc_samples_per_step=_int_key(file_values, "mc_samples", 8),
-        learning_rate=_float_key(file_values, "learning_rate", 0.01),
-        max_iterations=_int_key(file_values, "max_iterations", 20_000),
-        convergence_window=_int_key(file_values, "convergence_window", 200),
-        relative_tolerance=_float_key(file_values, "relative_tolerance", 1e-4),
-        final_elbo_samples=_int_key(file_values, "final_elbo_samples", 2_000),
-    )
-    config = ScoringConfig(
-        cause_spec=cause_spec,
-        targets=target_list,
-        causal_model=CausalModelSpec(
-            sigma_x=_float_key(file_values, "sigma_x", 1.0),
-            sigma_w=_float_key(file_values, "sigma_w", 1.0),
-            sigma_y=_float_key(file_values, "sigma_y", 1.0)),
-        confounded_model=ConfoundedModelSpec(
-            k=k,
-            sigma_z=_float_key(file_values, "sigma_z", 1.0),
-            sigma_w=_float_key(file_values, "sigma_w", 1.0),
-            sigma_obs=_float_key(file_values, "sigma_obs", 1.0)),
-        fit_config=fit_config,
-        master_seed=seed,
-        controls_only=controls_only,
-        causal_method=method.replace("-", "_"),
-        causal_family=FULL_RANK if family == "full-rank" else MEAN_FIELD,
-        jobs=jobs,
-    )
+    with _usage_errors():
+        cfg = resolve_config("score", config_path, flags)
+        table, _ = _load_table(cfg)
+        cause_spec = CauseSpec.parse(cfg["causes"])
+        cause_columns = {t.column for t in cause_spec.terms}
+        missing = sorted(cause_columns - {"age", "sex", *table.feature_names})
+        if missing:  # fail here, not once per fit
+            raise SchemaError(f"{cfg['input']}: no cause column "
+                              + ", ".join(repr(column) for column in missing))
+        if cfg["targets"]:
+            target_list = tuple(t.strip() for t in cfg["targets"].split(",") if t.strip())
+        else:
+            target_list = tuple(c for c in table.feature_names if c not in cause_columns)
+        fit_config = FitConfig(
+            mc_samples_per_step=cfg["mc_samples"],
+            learning_rate=cfg["learning_rate"],
+            max_iterations=cfg["max_iterations"],
+            convergence_window=cfg["convergence_window"],
+            relative_tolerance=cfg["relative_tolerance"],
+            final_elbo_samples=cfg["final_elbo_samples"],
+        )
+        config = ScoringConfig(
+            cause_spec=cause_spec,
+            targets=target_list,
+            causal_model=CausalModelSpec(
+                sigma_x=cfg["sigma_x"], sigma_w=cfg["sigma_w"], sigma_y=cfg["sigma_y"]),
+            confounded_model=ConfoundedModelSpec(
+                k=cfg["k"], sigma_z=cfg["sigma_z"], sigma_w=cfg["sigma_w"],
+                sigma_obs=cfg["sigma_obs"]),
+            fit_config=fit_config,
+            master_seed=cfg["seed"],
+            controls_only=cfg["controls_only"],
+            causal_method=cfg["method"].replace("-", "_"),
+            causal_family=FAMILIES[cfg["family"]],
+            jobs=cfg["jobs"],
+        )
 
     resolved = {
-        "command": "score", "input": str(input_path), "out": str(out_dir),
-        "seed": seed, "jobs": jobs, "controls_only": controls_only,
-        "k": k, "family": family, "method": method, "causes": causes,
-        "targets": ",".join(target_list),
+        "command": "score", "input": str(cfg["input"]), "out": str(cfg["out"]),
+        "seed": cfg["seed"], "jobs": cfg["jobs"], "controls_only": cfg["controls_only"],
+        "k": cfg["k"], "family": cfg["family"], "method": cfg["method"],
+        "causes": cfg["causes"], "targets": ",".join(target_list),
         "fit": asdict(fit_config) | {"seed": "per-record"},
-        "sigma": {"x": config.causal_model.sigma_x,
-                  "w": config.causal_model.sigma_w,
-                  "y": config.causal_model.sigma_y,
-                  "z": config.confounded_model.sigma_z,
-                  "obs": config.confounded_model.sigma_obs},
+        "sigma": {"x": cfg["sigma_x"], "w": cfg["sigma_w"], "y": cfg["sigma_y"],
+                  "z": cfg["sigma_z"], "obs": cfg["sigma_obs"]},
     }
     fp = fingerprint(resolved)
 
@@ -241,7 +292,7 @@ def score(input_path, config_path, out_dir, seed, jobs, controls_only, k,
         click.echo("error: every (dataset, target) fit failed", err=True)
         sys.exit(EXIT_FAILURE)
 
-    out = Path(out_dir)
+    out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     payload = {
         "fingerprint": fp,
@@ -281,63 +332,29 @@ def score(input_path, config_path, out_dir, seed, jobs, controls_only, k,
 
 
 @main.command()
-@click.option("--input", "input_path", type=click.Path(), help="CSV file to classify.")
-@click.option("--config", "config_path", type=click.Path(), help="Flat key=value config file.")
-@click.option("--out", "out_dir", type=click.Path(), help="Output directory.")
-@click.option("--seed", type=int, default=None, help="Master seed.")
-@click.option("--jobs", type=int, default=None, help="Parallel workers.")
-@click.option("--controls-only/--with-disease", "controls_only", default=None)
-@click.option("--repetitions", type=int, default=None, help="Repetitions per fraction.")
-@click.option("--trees", type=int, default=None, help="Trees per forest.")
-def classify(input_path, config_path, out_dir, seed, jobs, controls_only,
-             repetitions, trees):
+@_run_options
+@click.option("--repetitions", type=int, help="Repetitions per fraction.")
+@click.option("--trees", type=int, help="Trees per forest.")
+def classify(config_path, **flags):
     """Run the dataset-membership experiment and write curve/confusion reports."""
-    ctx = click.get_current_context()
-    file_values = read_config_file(config_path) if config_path else {}
-    input_path = resolve(ctx, file_values, "input_path", default=file_values.get("input"))
-    out_dir = resolve(ctx, file_values, "out_dir", default=file_values.get("out", "."))
-    seed = resolve(ctx, file_values, "seed", cast=int, default=0)
-    jobs = resolve(ctx, file_values, "jobs", cast=int, default=1)
-    controls_only = resolve(ctx, file_values, "controls_only", cast=bool, default=True)
-    repetitions = resolve(ctx, file_values, "repetitions", cast=int, default=50)
-    trees = resolve(ctx, file_values, "trees", cast=int, default=100)
-    if input_path is None:
-        click.echo("error: no input file given", err=True)
-        sys.exit(EXIT_USAGE)
-
-    try:
-        table, _ = load_csv(input_path, schema_from_config(file_values))
-    except (SchemaError, EmptyTableError, OSError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_USAGE)
-
-    if "fractions" in file_values:
-        fractions = tuple(float(f) for f in file_values["fractions"].split(","))
-    else:
-        fractions = (0.001, 0.005, 0.01, 0.05, 0.1, 0.3, 0.5, 0.7)
-
-    feature_sets = _default_feature_sets(table.feature_names)
-    if not feature_sets:
-        click.echo("error: no feature columns to classify with", err=True)
-        sys.exit(EXIT_USAGE)
-    rf_config = RFConfig(n_trees=trees)
-    try:
+    with _usage_errors():
+        cfg = resolve_config("classify", config_path, flags)
+        table, _ = _load_table(cfg)
+        feature_sets = _default_feature_sets(table.feature_names)
+        rf_config = RFConfig(n_trees=cfg["trees"])
         results = name_that_dataset(
-            table, feature_sets, fractions=fractions, repetitions=repetitions,
-            seed=seed, rf_config=rf_config,
-            controls_only=controls_only, jobs=jobs)
-    except (BiasAuditError, ValueError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_USAGE)
+            table, feature_sets, fractions=cfg["fractions"],
+            repetitions=cfg["repetitions"], seed=cfg["seed"], rf_config=rf_config,
+            controls_only=cfg["controls_only"], jobs=cfg["jobs"])
 
     resolved = {
-        "command": "classify", "input": str(input_path), "out": str(out_dir),
-        "seed": seed, "jobs": jobs, "controls_only": controls_only,
-        "repetitions": repetitions, "fractions": list(fractions),
+        "command": "classify", "input": str(cfg["input"]), "out": str(cfg["out"]),
+        "seed": cfg["seed"], "jobs": cfg["jobs"], "controls_only": cfg["controls_only"],
+        "repetitions": cfg["repetitions"], "fractions": list(cfg["fractions"]),
         "forest": rf_config.fingerprint(),
         "feature_sets": {name: list(cols) for name, cols in feature_sets.items()},
     }
-    out = Path(out_dir)
+    out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     (out / "classify.json").write_text(
         json.dumps({"fingerprint": fingerprint(resolved), "config": resolved},
@@ -397,7 +414,7 @@ def simulate(out_dir, name, kind, alpha, n, m, k, noise_sd, n_datasets, shift, s
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / f"{name}.csv"
     sidecar_path = out / f"{name}.truth.json"
-    try:
+    with _usage_errors():
         if kind == "mixed":
             spec = GenSpec(n=n, m=m, k=k, alpha=alpha, noise_sd=noise_sd,
                            seed=seed, dataset=name)
@@ -428,9 +445,6 @@ def simulate(out_dir, name, kind, alpha, n, m, k, noise_sd, n_datasets, shift, s
                 "feature_names": list(spec.feature_names),
                 "seed": seed,
             }
-    except ValueError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_USAGE)
     write_table_csv(table, csv_path)
     sidecar_path.write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n",
                             encoding="utf-8")

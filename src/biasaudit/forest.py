@@ -329,6 +329,8 @@ def name_that_dataset(table: Table, feature_sets: dict[str, list[str]],
     """
     if len(table.labels()) < 2:
         raise ValueError("need at least 2 dataset labels")
+    if repetitions < 1:
+        raise ValueError(f"repetitions must be >= 1, got {repetitions}")
     if controls_only:
         table = table.filter_controls()
     class_labels = tuple(table.labels())

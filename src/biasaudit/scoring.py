@@ -189,7 +189,6 @@ class DatasetAggregate:
     dataset: str
     mean_delta: float
     sd_delta: float
-    mean_delta_per_sample: float
     n_targets: int
     n_failed: int
 
@@ -216,12 +215,10 @@ def aggregate_by_dataset(records) -> list[DatasetAggregate]:
             log.warning("dataset %s has no successful scores; excluded", dataset)
             continue
         deltas = np.array([r.delta for r in recs])
-        per_sample = np.array([r.delta_per_sample for r in recs])
         out.append(DatasetAggregate(
             dataset=dataset,
             mean_delta=float(np.mean(deltas)),
             sd_delta=float(np.std(deltas)),
-            mean_delta_per_sample=float(np.mean(per_sample)),
             n_targets=len(recs),
             n_failed=failures.get(dataset, 0),
         ))

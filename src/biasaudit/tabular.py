@@ -34,18 +34,6 @@ class SchemaConfig:
 
 
 @dataclass(frozen=True)
-class Subject:
-    """One validated row: identity, covariates and the feature vector."""
-
-    id: str
-    age: float
-    sex: int
-    features: np.ndarray
-    dataset: str
-    diagnosis: str | None = None
-
-
-@dataclass(frozen=True)
 class RejectionReport:
     n_rejected: int
     reasons: tuple[str, ...]
@@ -54,9 +42,8 @@ class RejectionReport:
 class Table:
     """Immutable column-oriented table of validated subjects.
 
-    Rows are addressable as :class:`Subject` views; numeric payloads are
-    stored as read-only numpy arrays so tables can be shared across
-    threads.
+    Numeric payloads are stored as read-only numpy arrays so tables can
+    be shared across threads.
     """
 
     def __init__(self, ids, dataset_labels, ages, sexes, features,
@@ -98,16 +85,6 @@ class Table:
     def labels(self) -> list[str]:
         """Distinct dataset labels in sorted order."""
         return sorted(set(self.dataset_labels))
-
-    def subject(self, i: int) -> Subject:
-        return Subject(
-            id=self.ids[i],
-            age=float(self.ages[i]),
-            sex=int(self.sexes[i]),
-            features=self.features[i],
-            dataset=str(self.dataset_labels[i]),
-            diagnosis=None if self.diagnosis_labels is None else self.diagnosis_labels[i],
-        )
 
     def __len__(self) -> int:
         return self.n_rows

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -274,3 +275,108 @@ class TestSimulate:
                 == (tmp_path / "b" / "same.csv").read_bytes())
         assert ((tmp_path / "a" / "same.truth.json").read_bytes()
                 == (tmp_path / "b" / "same.truth.json").read_bytes())
+
+
+TWO_DATASET_CSV = VALID_CSV + (
+    "s4,B,35,F,control,1.2,2.2\n"
+    "s5,B,45,M,control,1.7,2.7\n"
+    "s6,B,55,0,control,2.2,3.2\n"
+)
+DUPLICATE_ID_CSV = VALID_CSV + "s1,B,35,F,control,1.2,2.2\n"
+
+# (command and flags, config file text or None, a word the error line must name);
+# "{csv}", "{dup}", "{latin1}" and "{missing}" stand for files the test writes (or not)
+MALFORMED = {
+    "validate_duplicate_ids": (["validate", "--input", "{dup}"], None, "dup.csv"),
+    "classify_duplicate_ids": (["classify", "--input", "{dup}"], None, "dup.csv"),
+    "score_duplicate_ids": (["score", "--input", "{dup}"], None, "dup.csv"),
+    "validate_non_utf8": (["validate", "--input", "{latin1}"], None, "latin1.csv"),
+    "classify_non_utf8": (["classify", "--input", "{latin1}"], None, "latin1.csv"),
+    "int_key": (["score", "--input", "{csv}"], "max_iterations = abc", "max_iterations"),
+    "negative_learning_rate": (["score", "--input", "{csv}"], "learning_rate = -1",
+                               "learning_rate"),
+    "bad_fraction": (["classify", "--input", "{csv}"], "fractions = 0.1,x", "fractions"),
+    "bad_bool": (["score", "--input", "{csv}"], "controls_only = maybe", "controls_only"),
+    "zero_k": (["score", "--input", "{csv}", "--k", "0"], None, "k must"),
+    "zero_trees": (["classify", "--input", "{csv}", "--trees", "0"], None, "n_trees"),
+    "zero_repetitions": (["classify", "--input", "{csv}", "--repetitions", "0"], None,
+                         "repetitions"),
+    "missing_config_file": (["score", "--input", "{csv}", "--config", "{missing}"], None,
+                            "missing.cfg"),
+    "malformed_config_line": (["classify", "--input", "{csv}"], "just some words",
+                              "run.cfg"),
+    "unknown_key": (["score", "--input", "{csv}"], "max_iteratoins = 50", "max_iteratoins"),
+    "unknown_key_validate": (["validate", "--input", "{csv}"], "sead = 1", "sead"),
+    "family_choice": (["score", "--input", "{csv}"], "family = full_rank", "family"),
+    "method_choice": (["score", "--input", "{csv}"], "method = closed_form", "method"),
+    "misspelled_cause": (["score", "--input", "{csv}", "--causes", "age,vol_xx"], None,
+                         "vol_xx"),
+}
+
+
+@pytest.mark.parametrize("args, config, names", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_input_exits_2_naming_the_culprit(runner, tmp_path, args, config, names):
+    paths = {"csv": tmp_path / "ok.csv", "dup": tmp_path / "dup.csv",
+             "latin1": tmp_path / "latin1.csv", "missing": tmp_path / "missing.cfg"}
+    paths["csv"].write_text(TWO_DATASET_CSV, encoding="utf-8")
+    paths["dup"].write_text(DUPLICATE_ID_CSV, encoding="utf-8")
+    paths["latin1"].write_bytes(VALID_CSV.replace("s3,", "s\xe9,").encode("latin-1"))
+    args = [arg.format(**paths) for arg in args]
+    if config is not None:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config + "\n", encoding="utf-8")
+        args += ["--config", str(cfg)]
+    result = invoke(runner, args)
+    assert result.exit_code == 2
+    errors = [line for line in result.output.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and names in errors[0], result.output
+    assert "Traceback" not in result.output
+
+
+def test_config_file_keys_of_the_other_command_are_ignored(runner, tmp_path):
+    csv_path = tmp_path / "ok.csv"
+    csv_path.write_text(VALID_CSV, encoding="utf-8")
+    cfg = tmp_path / "both.cfg"
+    cfg.write_text(f"input = {csv_path}\nrepetitions = 3\nmax_iterations = 10\n",
+                   encoding="utf-8")
+    result = invoke(runner, ["validate", "--config", str(cfg)])
+    assert result.exit_code == 0
+
+
+def test_report_config_and_fingerprint_are_pinned(runner, tmp_path, monkeypatch):
+    """The resolved config blocks, and so the fingerprints, that reports carry."""
+    monkeypatch.chdir(tmp_path)
+    invoke(runner, ["simulate", "--out", ".", "--name", "sim", "--n", "40", "--m", "1",
+                    "--seed", "1"])
+    Path("score.cfg").write_text("max_iterations = 400\nsigma_y = 0.5\n", encoding="utf-8")
+    result = invoke(runner, ["score", "--input", "sim.csv", "--out", "run", "--config",
+                             "score.cfg", "--seed", "3", "--causes", "vol_x1",
+                             "--targets", "vol_y", "--method", "closed-form"])
+    assert result.exit_code == 0
+    payload = json.loads(Path("run/scores.json").read_text())
+    assert payload["config"] == {
+        "causes": "vol_x1", "command": "score", "controls_only": True,
+        "family": "full-rank",
+        "fit": {"convergence_window": 200, "final_elbo_samples": 2000,
+                "learning_rate": 0.01, "max_iterations": 400, "mc_samples_per_step": 8,
+                "relative_tolerance": 0.0001, "seed": "per-record"},
+        "input": "sim.csv", "jobs": 1, "k": 1, "method": "closed-form", "out": "run",
+        "seed": 3, "sigma": {"obs": 1.0, "w": 1.0, "x": 1.0, "y": 0.5, "z": 1.0},
+        "targets": "vol_y"}
+    assert payload["fingerprint"] == "c14365d2a703b4c6"
+
+    invoke(runner, ["simulate", "--kind", "multidataset", "--n-datasets", "2", "--n", "40",
+                    "--shift", "2.0", "--out", ".", "--name", "multi", "--seed", "4"])
+    result = invoke(runner, ["classify", "--input", "multi.csv", "--out", "cls", "--seed",
+                             "1", "--repetitions", "1", "--trees", "3", "--with-disease"])
+    assert result.exit_code == 0
+    payload = json.loads(Path("cls/classify.json").read_text())
+    assert payload["config"] == {
+        "command": "classify", "controls_only": False,
+        "feature_sets": {"age_sex": ["age", "sex"], "thickness": ["thick_f1", "thick_f2"],
+                         "volume": ["vol_f1", "vol_f2"],
+                         "volume_thickness": ["vol_f1", "vol_f2", "thick_f1", "thick_f2"]},
+        "forest": "trees=3,gini,sqrt-features,depth=none,min_leaf=1,bootstrap=True",
+        "fractions": [0.001, 0.005, 0.01, 0.05, 0.1, 0.3, 0.5, 0.7],
+        "input": "multi.csv", "jobs": 1, "out": "cls", "repetitions": 1, "seed": 1}
+    assert payload["fingerprint"] == "88c005ea49470dd2"
