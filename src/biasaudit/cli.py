@@ -41,8 +41,12 @@ METHODS = ("advi", "closed-form")
 
 def read_config_file(path) -> dict[str, str]:
     """Parse a flat ``key = value`` config file; '#' starts a comment."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: {exc}") from None
     values = {}
-    for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for line_no, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -167,6 +171,13 @@ def _load_table(cfg: dict):
         raise SchemaError(f"{path}: {exc}") from None
 
 
+def _make_out_dir(path) -> Path:
+    """Create ``--out``; called before any work, so a bad path exits 2."""
+    out = Path(path)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
 def fingerprint(resolved: dict) -> str:
     canon = json.dumps(resolved, sort_keys=True, default=str)
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
@@ -273,6 +284,7 @@ def score(config_path, **flags):
             causal_family=FAMILIES[cfg["family"]],
             jobs=cfg["jobs"],
         )
+        out = _make_out_dir(cfg["out"])
 
     resolved = {
         "command": "score", "input": str(cfg["input"]), "out": str(cfg["out"]),
@@ -292,8 +304,6 @@ def score(config_path, **flags):
         click.echo("error: every (dataset, target) fit failed", err=True)
         sys.exit(EXIT_FAILURE)
 
-    out = Path(cfg["out"])
-    out.mkdir(parents=True, exist_ok=True)
     payload = {
         "fingerprint": fp,
         "config": resolved,
@@ -342,6 +352,7 @@ def classify(config_path, **flags):
         table, _ = _load_table(cfg)
         feature_sets = _default_feature_sets(table.feature_names)
         rf_config = RFConfig(n_trees=cfg["trees"])
+        out = _make_out_dir(cfg["out"])
         results = name_that_dataset(
             table, feature_sets, fractions=cfg["fractions"],
             repetitions=cfg["repetitions"], seed=cfg["seed"], rf_config=rf_config,
@@ -354,8 +365,6 @@ def classify(config_path, **flags):
         "forest": rf_config.fingerprint(),
         "feature_sets": {name: list(cols) for name, cols in feature_sets.items()},
     }
-    out = Path(cfg["out"])
-    out.mkdir(parents=True, exist_ok=True)
     (out / "classify.json").write_text(
         json.dumps({"fingerprint": fingerprint(resolved), "config": resolved},
                    indent=2, sort_keys=True) + "\n", encoding="utf-8")
@@ -410,11 +419,10 @@ def _default_feature_sets(feature_names) -> dict[str, list[str]]:
 @click.option("--seed", type=int, default=0, help="Generator seed.")
 def simulate(out_dir, name, kind, alpha, n, m, k, noise_sd, n_datasets, shift, seed):
     """Generate a synthetic dataset plus a ground-truth sidecar."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    csv_path = out / f"{name}.csv"
-    sidecar_path = out / f"{name}.truth.json"
     with _usage_errors():
+        out = _make_out_dir(out_dir)
+        csv_path = out / f"{name}.csv"
+        sidecar_path = out / f"{name}.truth.json"
         if kind == "mixed":
             spec = GenSpec(n=n, m=m, k=k, alpha=alpha, noise_sd=noise_sd,
                            seed=seed, dataset=name)

@@ -70,6 +70,8 @@ class ScoringConfig:
     def __post_init__(self):
         if not self.targets:
             raise ValueError("need at least one target column")
+        if self.jobs < 1:
+            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
 
 
 def score_target(table: Table, cause_spec: CauseSpec, target: str,

@@ -380,3 +380,61 @@ def test_report_config_and_fingerprint_are_pinned(runner, tmp_path, monkeypatch)
         "fractions": [0.001, 0.005, 0.01, 0.05, 0.1, 0.3, 0.5, 0.7],
         "input": "multi.csv", "jobs": 1, "out": "cls", "repetitions": 1, "seed": 1}
     assert payload["fingerprint"] == "88c005ea49470dd2"
+
+
+# what each command would start with once its input is checked
+FIRST_WORK = {"score": "score_all", "classify": "name_that_dataset", "simulate": "gen_mixed"}
+
+
+@pytest.mark.parametrize("command", FIRST_WORK)
+def test_bad_out_exits_2_before_any_work(runner, tmp_path, monkeypatch, command):
+    def work_started(*args, **kwargs):
+        raise AssertionError(f"{command} started work before checking --out")
+
+    monkeypatch.setattr(f"biasaudit.cli.{FIRST_WORK[command]}", work_started)
+    csv_path = tmp_path / "ok.csv"
+    csv_path.write_text(TWO_DATASET_CSV, encoding="utf-8")
+    (tmp_path / "afile").write_text("a regular file\n", encoding="utf-8")
+    out = str(tmp_path / "afile" / "sub")
+    args = [command, "--out", out]
+    if command != "simulate":
+        args += ["--input", str(csv_path)]
+    result = invoke(runner, args)
+    assert result.exit_code == 2
+    errors = [line for line in result.output.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and out in errors[0], result.output
+    assert "Traceback" not in result.output
+
+
+def test_non_utf8_config_file_is_named(runner, tmp_path):
+    csv_path = tmp_path / "ok.csv"
+    csv_path.write_text(VALID_CSV, encoding="utf-8")
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"input = " + str(csv_path).encode() + b"\n# caf\xe9\n")
+    result = invoke(runner, ["validate", "--config", str(cfg)])
+    assert result.exit_code == 2
+    errors = [line for line in result.output.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and errors[0].startswith(f"error: {cfg}:"), result.output
+    assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("command, flags, config", [
+    ("score", ["--jobs", "0"], None),
+    ("score", [], "jobs = 0"),
+    ("classify", ["--jobs", "0"], None),
+    ("classify", ["--jobs", "-3"], None),
+    ("classify", [], "jobs = 0"),
+])
+def test_jobs_below_one_is_a_usage_error(runner, tmp_path, command, flags, config):
+    csv_path = tmp_path / "ok.csv"
+    csv_path.write_text(TWO_DATASET_CSV, encoding="utf-8")
+    args = [command, "--input", str(csv_path), "--out", str(tmp_path / "out"), *flags]
+    if config is not None:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config + "\n", encoding="utf-8")
+        args += ["--config", str(cfg)]
+    result = invoke(runner, args)
+    assert result.exit_code == 2
+    errors = [line for line in result.output.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and "jobs" in errors[0], result.output
+    assert "Traceback" not in result.output

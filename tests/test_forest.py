@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from biasaudit.forest import (RFConfig, _gini_best_split, name_that_dataset,
-                              predict, train_forest, train_tree)
+from biasaudit.forest import (RFConfig, _gini_best_split, _segment_splits,
+                              name_that_dataset, predict, train_forest,
+                              train_tree)
+from biasaudit.seeding import derive_seed
 from biasaudit.synth import MultiDatasetSpec, gen_multidataset
 
 QUICK_RF = RFConfig(n_trees=20)
@@ -241,3 +243,170 @@ class TestNameThatDataset:
             repetitions=1, seed=11, rf_config=RFConfig(n_trees=2))
         fractions_curve = [p.train_fraction for p in results["vol"].curve.points]
         assert fractions_curve == [0.5]
+
+
+def _reference_gini_best_split(values, y_onehot, min_leaf):
+    """Best threshold for one feature; returns (gini, threshold) or None.
+
+    Scans every boundary between distinct sorted values using prefix
+    class counts, so the whole scan is O(n * classes) after the sort.
+    """
+    order = np.argsort(values, kind="stable")
+    sv = values[order]
+    n = sv.size
+    cum = np.cumsum(y_onehot[order], axis=0)
+    total = cum[-1]
+    sizes_left = np.arange(1, n)
+    boundary = sv[1:] > sv[:-1]
+    if min_leaf > 1:
+        boundary &= (sizes_left >= min_leaf) & (n - sizes_left >= min_leaf)
+    if not np.any(boundary):
+        return None
+    left = cum[:-1]
+    right = total[None, :] - left
+    sizes_right = n - sizes_left
+    gini_left = 1.0 - np.sum(left ** 2, axis=1) / sizes_left ** 2
+    gini_right = 1.0 - np.sum(right ** 2, axis=1) / sizes_right ** 2
+    weighted = (sizes_left * gini_left + sizes_right * gini_right) / n
+    weighted[~boundary] = np.inf
+    best = int(np.argmin(weighted))
+    return float(weighted[best]), float(0.5 * (sv[best] + sv[best + 1]))
+
+
+def _reference_train_tree(X, labels, config, seed, class_labels=None):
+    """The per-node grower, visiting nodes breadth first.
+
+    Node by node it runs the one-feature scan above over a random
+    feature order, stopping once ceil(sqrt(m)) features are rated and
+    one of them splits.  Each depth draws one uniform key row per open
+    node, as the level-synchronous grower does, so both must build the
+    same tree.
+    """
+    X = np.asarray(X, dtype=float)
+    labels = np.asarray(labels)
+    if class_labels is None:
+        class_labels = sorted(set(labels.tolist()))
+    code_of = {c: i for i, c in enumerate(class_labels)}
+    y = np.array([code_of[v] for v in labels.tolist()], dtype=int)
+    n_classes = len(class_labels)
+    y_onehot = np.zeros((y.size, n_classes))
+    y_onehot[np.arange(y.size), y] = 1.0
+
+    rng = np.random.default_rng(seed)
+    m = X.shape[1]
+    n_candidates = int(np.ceil(np.sqrt(m)))
+
+    feature, threshold, left, right, leaf_counts = [], [], [], [], []
+
+    def new_node():
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        leaf_counts.append(np.zeros(n_classes, dtype=int))
+        return len(feature) - 1
+
+    level = [(new_node(), np.arange(X.shape[0]))]
+    depth = 0
+    while level:
+        open_nodes = []
+        for node, idx in level:
+            counts = np.bincount(y[idx], minlength=n_classes)
+            pure = np.max(counts) == idx.size
+            depth_capped = config.max_depth is not None and depth >= config.max_depth
+            if not pure and not depth_capped and idx.size >= 2 * config.min_samples_leaf:
+                open_nodes.append((node, idx, counts))
+            else:
+                leaf_counts[node] = counts
+        keys = rng.random((len(open_nodes), m)) if open_nodes else []
+        level = []
+        for (node, idx, counts), key in zip(open_nodes, keys):
+            onehot = y_onehot[idx]
+            perm = np.argsort(key, kind="stable")
+            best = (np.inf, None, None)
+            tried = 0
+            for f in perm:
+                result = _reference_gini_best_split(X[idx, f], onehot,
+                                                    config.min_samples_leaf)
+                tried += 1
+                if result is not None and result[0] < best[0]:
+                    best = (result[0], int(f), result[1])
+                if tried >= n_candidates and best[1] is not None:
+                    break
+            if best[1] is None:
+                leaf_counts[node] = counts
+                continue
+            _, f, thr = best
+            go_left = X[idx, f] <= thr
+            feature[node] = f
+            threshold[node] = thr
+            left[node] = new_node()
+            right[node] = new_node()
+            level.append((left[node], idx[go_left]))
+            level.append((right[node], idx[~go_left]))
+        depth += 1
+    return feature, threshold, left, right, np.vstack(leaf_counts)
+
+
+def _oracle_data(seed, n_rows, m, n_classes):
+    """Continuous, heavily tied and (from m = 4) constant columns."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n_rows, m))
+    X[:, 1::2] = np.round(X[:, 1::2])  # few distinct values: many ties
+    if m >= 4:
+        X[:, 2] = 1.5
+    labels = rng.integers(0, n_classes, size=n_rows)
+    X[:, 0] += 0.7 * labels  # some signal, so splits are not all noise
+    return X, np.array([f"c{v:02d}" for v in labels])
+
+
+def _assert_same_tree(tree, want):
+    feature, threshold, left, right, leaf_counts = want
+    np.testing.assert_array_equal(tree.feature, feature)
+    np.testing.assert_array_equal(tree.threshold, threshold)
+    np.testing.assert_array_equal(tree.left, left)
+    np.testing.assert_array_equal(tree.right, right)
+    np.testing.assert_array_equal(tree.leaf_counts, leaf_counts)
+
+
+class TestLevelGrowerOracle:
+    @pytest.mark.parametrize("m", [1, 2, 4, 9])
+    @pytest.mark.parametrize("min_leaf", [1, 3])
+    @pytest.mark.parametrize("max_depth", [None, 3])
+    @pytest.mark.parametrize("n_classes", [2, 15])
+    def test_tree_equals_per_node_reference(self, m, min_leaf, max_depth, n_classes):
+        X, labels = _oracle_data(100 * m + 10 * min_leaf + n_classes, 150, m, n_classes)
+        config = RFConfig(max_depth=max_depth, min_samples_leaf=min_leaf)
+        for seed in (0, 1):
+            tree = train_tree(X, labels, config, seed)
+            _assert_same_tree(tree, _reference_train_tree(X, labels, config, seed))
+
+    def test_forest_trees_equal_trees_grown_alone(self):
+        X, labels = _oracle_data(7, 120, 4, 5)
+        config = RFConfig(n_trees=6)
+        classes = sorted(set(labels.tolist()))
+        forest = train_forest(X, labels, config, seed=21)
+        for t, tree in enumerate(forest.trees):
+            rows = np.random.default_rng(derive_seed(21, "bootstrap", t)).integers(
+                0, X.shape[0], size=X.shape[0])
+            alone = train_tree(X[rows], labels[rows], config,
+                               derive_seed(21, "tree", t), class_labels=classes)
+            _assert_same_tree(tree, (alone.feature, alone.threshold, alone.left,
+                                     alone.right, alone.leaf_counts))
+
+    @pytest.mark.parametrize("min_leaf", [1, 2, 4])
+    def test_segmented_scan_equals_one_feature_scan(self, rng, min_leaf):
+        sizes = rng.integers(1, 40, size=30)
+        x = np.round(rng.standard_normal(sizes.sum()), 1)
+        x[: sizes[0]] = 0.0  # one constant segment
+        y = rng.integers(0, 6, size=sizes.sum())
+        gini, threshold = _segment_splits(x, y, sizes, min_leaf)
+        start = 0
+        for s, size in enumerate(sizes):
+            part = slice(start, start + size)
+            want = _reference_gini_best_split(x[part], np.eye(6)[y[part]], min_leaf)
+            if want is None:
+                assert gini[s] == np.inf
+            else:
+                assert (gini[s], threshold[s]) == want
+            start += size
