@@ -40,8 +40,11 @@ class FitConfig:
 
     def __post_init__(self):
         if min(self.mc_samples_per_step, self.max_iterations,
-               self.convergence_window, self.final_elbo_samples) < 1:
+               self.convergence_window) < 1:
             raise ValueError("all counts must be positive")
+        if self.final_elbo_samples < 100:
+            raise ValueError(
+                f"final_elbo_samples must be >= 100, got {self.final_elbo_samples}")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
         if not 0.0 < self.relative_tolerance < 1.0:
@@ -91,6 +94,14 @@ class VariationalPosterior:
         self.flat = np.concatenate([mean, *scales])
         if not np.all(np.isfinite(self.flat)):
             raise ValueError("posterior parameters must be finite")
+
+    @classmethod
+    def isotropic(cls, family: str, mean: np.ndarray, sd: float) -> "VariationalPosterior":
+        """``N(mean, sd^2 I)``, held as ``family``."""
+        d = np.size(mean)
+        if family == MEAN_FIELD:
+            return cls(family, mean, log_sd=np.full(d, np.log(sd)))
+        return cls(family, mean, scale_tril=sd * np.eye(d))
 
     @property
     def mean(self) -> np.ndarray:
@@ -203,9 +214,12 @@ class _Adam:
 
 
 def fit(log_joint, d: int, config: FitConfig,
-        family: str = FULL_RANK) -> tuple[VariationalPosterior, FitTrace]:
+        family: str = FULL_RANK,
+        start: VariationalPosterior | None = None) -> tuple[VariationalPosterior, FitTrace]:
     """Maximize the ELBO of a Gaussian family against ``log_joint``.
 
+    The fit starts from ``start``, which it optimises in place and
+    returns, or by default from the standard normal of ``family``.
     Deterministic given ``config.seed``.  Convergence is declared when
     two consecutive non-overlapping windows of per-step ELBO estimates
     have averages within ``config.relative_tolerance`` (relative) of
@@ -215,14 +229,17 @@ def fit(log_joint, d: int, config: FitConfig,
     ``converged=False``, leaving the decision to the caller.  Fifty
     consecutive non-finite steps raise :class:`DivergenceError`.
     """
-    value0, grad0 = log_joint(np.zeros((1, d)))
+    if start is None:
+        start = VariationalPosterior.isotropic(family, np.zeros(d), 1.0)
+    elif start.family != family or start.dim != d:
+        raise ValueError(f"start is a {start.dim}-dim {start.family} posterior, "
+                         f"expected a {d}-dim {family} one")
+    q = start
+    value0, grad0 = log_joint(q.mean[None, :])
     if not (np.all(np.isfinite(value0)) and np.all(np.isfinite(grad0))):
-        raise ValueError("log_joint is not finite at the zero vector")
+        raise ValueError("log_joint is not finite at the starting mean")
 
     rng = np.random.default_rng(config.seed)
-    # the standard normal; fit returns this object, optimised in place
-    scale = {"log_sd": np.zeros(d)} if family == MEAN_FIELD else {"scale_tril": np.eye(d)}
-    q = VariationalPosterior(family, np.zeros(d), **scale)
     adam = _Adam(q.flat.size, config.learning_rate)
     window = config.convergence_window
 

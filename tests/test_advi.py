@@ -172,3 +172,17 @@ class TestGaussianKl:
         # KL(N(1,1) || N(0,2)) = 0.5*(1/2 + 1/2 - 1 + log 2)
         want = 0.5 * (0.5 + 0.5 - 1.0 + np.log(2.0))
         assert gaussian_kl([1.0], [[1.0]], [0.0], [[2.0]]) == pytest.approx(want)
+
+
+def test_fit_optimises_the_given_start_and_checks_it():
+    target = gaussian_target([3.0, -1.0], np.diag([0.01, 0.01]))
+    config = quick_fit_config(seed=12, max_iterations=300)
+    start = VariationalPosterior(MEAN_FIELD, np.array([3.0, -1.0]),
+                                 log_sd=np.full(2, np.log(0.1)))
+    posterior, _ = fit(target, 2, config, family=MEAN_FIELD, start=start)
+    assert posterior is start
+    np.testing.assert_allclose(posterior.mean, [3.0, -1.0], atol=0.05)
+    np.testing.assert_allclose(posterior.sd(), [0.1, 0.1], rtol=0.2)
+    for family, d in ((FULL_RANK, 2), (MEAN_FIELD, 3)):
+        with pytest.raises(ValueError, match="start"):
+            fit(target, d, config, family=family, start=start)

@@ -438,3 +438,20 @@ def test_jobs_below_one_is_a_usage_error(runner, tmp_path, command, flags, confi
     errors = [line for line in result.output.splitlines() if line.startswith("error:")]
     assert len(errors) == 1 and "jobs" in errors[0], result.output
     assert "Traceback" not in result.output
+
+
+def test_final_elbo_samples_below_100_exits_2_before_any_fit(runner, tmp_path, monkeypatch):
+    def fit_started(*args, **kwargs):
+        raise AssertionError("score started fitting before checking final_elbo_samples")
+
+    monkeypatch.setattr("biasaudit.cli.score_all", fit_started)
+    csv_path = tmp_path / "ok.csv"
+    csv_path.write_text(TWO_DATASET_CSV, encoding="utf-8")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("final_elbo_samples = 50\n", encoding="utf-8")
+    result = invoke(runner, ["score", "--input", str(csv_path), "--out", str(tmp_path / "out"),
+                             "--config", str(cfg)])
+    assert result.exit_code == 2
+    errors = [line for line in result.output.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and "final_elbo_samples" in errors[0], result.output
+    assert "Traceback" not in result.output
