@@ -25,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import advi
-from .advi import FitConfig, FULL_RANK, MEAN_FIELD, VariationalPosterior
+from .advi import (FitConfig, FULL_RANK, MEAN_FIELD, VariationalPosterior,
+                   require_positive_finite)
 from .errors import QuadratureError
 from .gaussmath import (LOG_2PI, SpdMatrix, grid_quadrature_2d, mvn_logpdf,
                         normal_logpdf)
@@ -42,8 +43,7 @@ class CausalModelSpec:
     sigma_y: float = 1.0  # observation noise SD of the target
 
     def __post_init__(self):
-        if min(self.sigma_x, self.sigma_w, self.sigma_y) <= 0:
-            raise ValueError("all model SDs must be positive")
+        require_positive_finite(self, "sigma_x", "sigma_w", "sigma_y")
 
 
 @dataclass(frozen=True)
@@ -58,8 +58,7 @@ class ConfoundedModelSpec:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("latent dimension k must be >= 1")
-        if min(self.sigma_z, self.sigma_w, self.sigma_obs) <= 0:
-            raise ValueError("all model SDs must be positive")
+        require_positive_finite(self, "sigma_z", "sigma_w", "sigma_obs")
 
 
 class JointVector:
@@ -110,33 +109,36 @@ def _values(X) -> np.ndarray:
 # causal model
 # ---------------------------------------------------------------------------
 
+def _regression_terms(X, y, spec: CausalModelSpec):
+    """``P = I / sigma_w^2 + X^T X / sigma_y^2``, ``b = X^T y / sigma_y^2`` and ``y^T y``."""
+    Xv = _values(X)
+    y = np.asarray(y, dtype=float)
+    if y.shape != (Xv.shape[0],):
+        raise ValueError("y length does not match design rows")
+    var_w, var_y = spec.sigma_w ** 2, spec.sigma_y ** 2
+    return (np.eye(Xv.shape[1]) / var_w + (Xv.T @ Xv) / var_y,
+            (Xv.T @ y) / var_y, float(y @ y))
+
+
 def make_causal_target(X, y, spec: CausalModelSpec):
     """Batched log joint over the regression weights, with gradients.
 
-    Returns ``(target, d)`` where ``target`` maps an (S, m) batch of
-    weight vectors to per-sample log joints and gradients.  The residual
-    sum of squares is ``y^T y - 2 w^T X^T y + w^T X^T X w``, so a sample
-    costs O(m^2) at any number of rows.
+    Returns ``(target, d)`` where ``target`` maps an (S, m) batch of weight
+    vectors to per-sample log joints and gradients.  With ``P`` and ``b`` of
+    :func:`_regression_terms` the log joint is ``const + w^T b - w^T P w / 2``
+    and its gradient ``b - P w``: O(m^2) per sample at any number of rows.
     """
-    Xv = _values(X)
-    y = np.asarray(y, dtype=float)
-    n, m = Xv.shape
-    if y.shape != (n,):
-        raise ValueError("y length does not match design rows")
+    n, m = np.shape(_values(X))
+    P, b, yty = _regression_terms(X, y, spec)
     var_w, var_y = spec.sigma_w ** 2, spec.sigma_y ** 2
     const = (-0.5 * m * math.log(2.0 * math.pi * var_w)
-             - 0.5 * n * math.log(2.0 * math.pi * var_y))
-    xtx, xty, yty = Xv.T @ Xv, Xv.T @ y, float(y @ y)
+             - 0.5 * n * math.log(2.0 * math.pi * var_y)
+             - 0.5 * yty / var_y)
 
     def target(weights: np.ndarray):
         weights = np.atleast_2d(weights)
-        xtx_w = weights @ xtx
-        rss = yty - 2.0 * (weights @ xty) + np.sum(weights * xtx_w, axis=1)
-        values = (const
-                  - 0.5 * np.sum(weights ** 2, axis=1) / var_w
-                  - 0.5 * rss / var_y)
-        grads = -weights / var_w + (xty - xtx_w) / var_y
-        return values, grads
+        Pw = weights @ P
+        return const + weights @ b - 0.5 * np.add.reduce(weights * Pw, axis=1), b - Pw
 
     return target, m
 
@@ -154,21 +156,18 @@ def causal_evidence_closed_form(X, y, spec: CausalModelSpec) -> float:
     The regression weights integrate out of the Gaussian model exactly,
     leaving a zero-mean Gaussian over the n observed targets with
     covariance ``C = sigma_w^2 X X^T + sigma_y^2 I``.  C is never built:
-    with ``A = I / sigma_w^2 + X^T X / sigma_y^2`` (m x m) and
-    ``b = X^T y / sigma_y^2``, the determinant lemma gives
-    ``log|C| = n log sigma_y^2 + m log sigma_w^2 + log|A|`` and Woodbury
-    gives ``y^T C^-1 y = y^T y / sigma_y^2 - b^T A^-1 b``.
+    with the m x m ``P`` and ``b`` of :func:`_regression_terms`, the
+    determinant lemma gives ``log|C| = n log sigma_y^2 + m log sigma_w^2 +
+    log|P|`` and Woodbury gives ``y^T C^-1 y = y^T y / sigma_y^2 - b^T P^-1 b``.
     """
-    Xv = _values(X)
-    y = np.asarray(y, dtype=float)
-    n, m = Xv.shape
+    n, m = np.shape(_values(X))
     if n < 1:
         raise ValueError("need at least one row")
+    P, b, yty = _regression_terms(X, y, spec)
     var_w, var_y = spec.sigma_w ** 2, spec.sigma_y ** 2
-    A = SpdMatrix(np.eye(m) / var_w + (Xv.T @ Xv) / var_y)
-    b = (Xv.T @ y) / var_y
-    log_det = n * math.log(var_y) + m * math.log(var_w) + A.log_det()
-    quad = float(y @ y) / var_y - A.mahalanobis_sq(b)
+    P = SpdMatrix(P)
+    log_det = n * math.log(var_y) + m * math.log(var_w) + P.log_det()
+    quad = yty / var_y - P.mahalanobis_sq(b)
     return -0.5 * (n * LOG_2PI + log_det + quad)
 
 
@@ -291,8 +290,11 @@ def make_collapsed_target(V: JointVector, spec: ConfoundedModelSpec):
         log p(V, W) = log p(W) - n/2 ((m+1) log 2 pi + log|C|) - tr(C^-1 S) / 2
 
     and the gradient is ``-W / sigma_w^2 + sigma_z^2 W C^-1 (S - n C) C^-1``.
-    A sample costs O((m+1)^3) at any number of rows.  The flat parameter
-    vector is the k x (m+1) loading matrix, row by row.
+    Both go through the k x k ``M = sigma_obs^2 I + sigma_z^2 W W^T``: ``log|C| =
+    (m+1-k) log sigma_obs^2 + log|M|`` (Sylvester), ``B = W C^-1 = M^-1 W``
+    (push-through) and ``C^-1 = (I - sigma_z^2 W^T B) / sigma_obs^2`` (Woodbury).
+    A sample costs O(k (m+1)^2 + k^3) at any n.  The flat parameter vector is
+    the k x (m+1) loading matrix, row by row.
     """
     data = V.values
     n, width = data.shape
@@ -300,21 +302,28 @@ def make_collapsed_target(V: JointVector, spec: ConfoundedModelSpec):
     var_z, var_w, var_obs = spec.sigma_z ** 2, spec.sigma_w ** 2, spec.sigma_obs ** 2
     S = data.T @ data
     const = (-0.5 * k * width * math.log(2.0 * math.pi * var_w)
-             - 0.5 * n * width * LOG_2PI)
-    noise = var_obs * np.eye(width)
+             - 0.5 * n * width * LOG_2PI
+             - 0.5 * (n * (width - k) * math.log(var_obs) + float(np.trace(S)) / var_obs))
+    noise = var_obs * np.eye(k)
 
     def target(theta: np.ndarray):
         theta = np.atleast_2d(theta)
         s = theta.shape[0]
         W = theta.reshape(s, k, width)
-        C = var_z * (W.transpose(0, 2, 1) @ W) + noise
-        C_inv = np.linalg.inv(C)
-        log_det = np.linalg.slogdet(C)[1]
+        M = var_z * (W @ W.transpose(0, 2, 1)) + noise
+        if k == 1:  # no LAPACK call for a 1 x 1 matrix
+            M_inv, log_det_M = 1.0 / M, np.log(M[:, 0, 0])
+        else:
+            M_inv, log_det_M = np.linalg.inv(M), np.linalg.slogdet(M)[1]
+        B = M_inv @ W
+        BS = B @ S
+        BSW_t = BS @ W.transpose(0, 2, 1)
         values = (const
-                  - 0.5 * np.sum(theta ** 2, axis=1) / var_w
-                  - 0.5 * n * log_det
-                  - 0.5 * np.sum(C_inv * S, axis=(1, 2)))
-        grad_w = -W / var_w + var_z * (W @ (C_inv @ (S - n * C) @ C_inv))
+                  - (0.5 / var_w) * np.add.reduce(theta * theta, axis=1)
+                  - (0.5 * n) * log_det_M
+                  + (0.5 * var_z / var_obs) * np.trace(BSW_t, axis1=1, axis2=2))
+        grad_w = ((var_z / var_obs) * (BS - var_z * (BSW_t @ B))
+                  - (n * var_z) * B - W / var_w)
         return values, grad_w.reshape(s, k * width)
 
     return target, k * width
@@ -342,7 +351,6 @@ def _ppca_start(V: JointVector, spec: ConfoundedModelSpec,
 
 
 def confounded_code_length(V: JointVector, spec: ConfoundedModelSpec,
-                           method: str = "advi",
                            family: str = MEAN_FIELD,
                            fit_config: FitConfig | None = None) -> CodeLength:
     """Description length of the joint data under the confounded model.
@@ -352,8 +360,6 @@ def confounded_code_length(V: JointVector, spec: ConfoundedModelSpec,
     (:func:`make_collapsed_target`); the loadings have no closed form.
     The fit starts at the PPCA maximum-likelihood loadings.
     """
-    if method != "advi":
-        raise ValueError(f"unknown method {method!r} (only 'advi' is available)")
     m = V.width - 1
     if V.n < m + 2:
         raise ValueError(f"need at least m+2={m + 2} rows, have {V.n}")
@@ -363,7 +369,7 @@ def confounded_code_length(V: JointVector, spec: ConfoundedModelSpec,
                                 start=_ppca_start(V, spec, family))
     elbo, se = advi.estimate_elbo(posterior, target, config.final_elbo_samples,
                                   derive_seed(config.seed, "final-elbo"))
-    return CodeLength(nats=-elbo, method=method, family=family,
+    return CodeLength(nats=-elbo, method="advi", family=family,
                       converged=trace.converged, elbo_se=se,
                       iterations=trace.iterations_run)
 
@@ -385,20 +391,22 @@ def confounded_evidence_quadrature(V: JointVector, spec: ConfoundedModelSpec,
         raise ValueError("quadrature oracle requires k=1 and m=1")
     half_width = 8.0 * spec.sigma_w
 
-    def log_integrand(w1: float, w2: float) -> float:
-        W = np.array([[w1, w2]])
-        prior = float(np.sum(normal_logpdf(W, spec.sigma_w)))
-        return ppca_evidence_fixed_W(V, W, spec) + prior
+    def log_integrand(w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
+        # every row's log density under N(0, C), C = sigma_z^2 w w^T + sigma_obs^2 I, summed
+        w = np.stack([w1, w2], axis=-1)[..., None]
+        C = spec.sigma_z ** 2 * (w @ np.swapaxes(w, -1, -2)) + spec.sigma_obs ** 2 * np.eye(2)
+        quad = np.einsum("ri,...ij,rj->...", V.values, np.linalg.inv(C), V.values)
+        return (normal_logpdf(w1, spec.sigma_w) + normal_logpdf(w2, spec.sigma_w)
+                - 0.5 * (V.n * (2.0 * LOG_2PI + np.linalg.slogdet(C)[1]) + quad))
 
     # a coarse sweep locates the peak so the fine pass can renormalize
     coarse = np.linspace(-half_width, half_width, 33)
-    shift = max(log_integrand(a, b) for a in coarse for b in coarse)
+    shift = float(np.max(log_integrand(*np.meshgrid(coarse, coarse, indexing="ij"))))
     if not np.isfinite(shift):
         raise QuadratureError("non-finite integrand during coarse sweep")
 
-    vectorized = np.vectorize(lambda a, b: math.exp(log_integrand(a, b) - shift))
     integral = grid_quadrature_2d(
-        vectorized,
+        lambda a, b: np.exp(log_integrand(a, b) - shift),
         ((-half_width, half_width), (-half_width, half_width)),
         nodes_per_axis,
     )

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from biasaudit.advi import (FULL_RANK, MEAN_FIELD, FitConfig,
+from biasaudit.advi import (FULL_RANK, MEAN_FIELD, FitConfig, FitTrace,
                             VariationalPosterior, estimate_elbo, fit,
                             gaussian_kl)
 from biasaudit.errors import DivergenceError, EstimationError
+from biasaudit.models import (CausalModelSpec, ConfoundedModelSpec, JointVector,
+                              _ppca_start, make_causal_target, make_collapsed_target)
 
 from conftest import LOG_2PI, gaussian_target, quick_fit_config
 
@@ -186,3 +188,200 @@ def test_fit_optimises_the_given_start_and_checks_it():
     for family, d in ((FULL_RANK, 2), (MEAN_FIELD, 3)):
         with pytest.raises(ValueError, match="start"):
             fit(target, d, config, family=family, start=start)
+
+
+# ---------------------------------------------------------------------------
+# The fit loop as it stood before its steps were done in place, kept as the
+# reference the production loop must match bit for bit.  The loop is
+# verbatim; the posterior's old push/elbo_grad methods and the Adam class it
+# called are written out as helpers.
+# ---------------------------------------------------------------------------
+
+class _ReferenceAdam:
+    def __init__(self, size: int, lr: float, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
+        self.t = 0
+
+    def ascent_step(self, grad: np.ndarray) -> np.ndarray:
+        self.t += 1
+        self.m = self.beta1 * self.m + (1 - self.beta1) * grad
+        self.v = self.beta2 * self.v + (1 - self.beta2) * grad ** 2
+        m_hat = self.m / (1 - self.beta1 ** self.t)
+        v_hat = self.v / (1 - self.beta2 ** self.t)
+        return self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+
+
+def _reference_push(q, eps):
+    if q.family == MEAN_FIELD:
+        return q.mean + np.exp(q.log_scale) * eps
+    return q.mean + eps @ q.scale_tril.T
+
+
+def _reference_elbo_grad(q, eps, grads):
+    d = q.dim
+    out = np.empty_like(q.flat)
+    out[:d] = grads.mean(axis=0)
+    if q.family == MEAN_FIELD:
+        out[d:2 * d] = (grads * eps).mean(axis=0) * np.exp(q.log_scale) + 1.0
+    else:
+        cross = grads.T @ eps / eps.shape[0]  # E[g_i eps_j]
+        out[d:2 * d] = np.diag(cross) * np.exp(q.log_scale) + 1.0
+        out[2 * d:] = cross[np.tril_indices(d, k=-1)]
+    return out
+
+
+def _reference_fit(log_joint, d, config, family=FULL_RANK, start=None):
+    if start is None:
+        start = VariationalPosterior.isotropic(family, np.zeros(d), 1.0)
+    q = start
+    value0, grad0 = log_joint(q.mean[None, :])
+    if not (np.all(np.isfinite(value0)) and np.all(np.isfinite(grad0))):
+        raise ValueError("log_joint is not finite at the starting mean")
+
+    rng = np.random.default_rng(config.seed)
+    adam = _ReferenceAdam(q.flat.size, config.learning_rate)
+    window = config.convergence_window
+
+    raw = np.full(config.max_iterations, np.nan)
+    smoothed = np.full(config.max_iterations, np.nan)
+    converged = False
+    nonfinite_streak = 0
+    window_sum, window_count = 0.0, 0  # running stats over the last `window` raws
+
+    t = 0
+    for t in range(config.max_iterations):
+        eps = rng.standard_normal((config.mc_samples_per_step, d))
+        theta = _reference_push(q, eps)
+        values, grads = log_joint(theta)
+        elbo_t = float(np.mean(values)) + q.entropy()
+        step_ok = np.isfinite(elbo_t) and np.all(np.isfinite(grads))
+
+        if step_ok:
+            nonfinite_streak = 0
+            q.flat += adam.ascent_step(_reference_elbo_grad(q, eps, grads))
+            raw[t] = elbo_t
+            window_sum += elbo_t
+            window_count += 1
+        else:
+            nonfinite_streak += 1
+
+        if t >= window and np.isfinite(raw[t - window]):
+            window_sum -= raw[t - window]
+            window_count -= 1
+        smoothed[t] = window_sum / window_count if window_count else np.nan
+
+        if nonfinite_streak >= 50:
+            trace = FitTrace(smoothed[:t + 1].copy(), False, t + 1)
+            raise DivergenceError(
+                f"{50} consecutive non-finite ELBO steps", trace)
+
+        done = t + 1
+        if done >= 2 * window and done % window == 0:
+            prev_window = raw[done - 2 * window:done - window]
+            recent_window = raw[done - window:done]
+            if np.any(np.isfinite(prev_window)) and np.any(np.isfinite(recent_window)):
+                prev = float(np.nanmean(prev_window))
+                recent = float(np.nanmean(recent_window))
+                change = abs(recent - prev)
+                if change / max(abs(prev), 1e-12) < config.relative_tolerance:
+                    converged = True
+                    break
+
+    iterations_run = t + 1
+    trace = FitTrace(smoothed[:iterations_run].copy(), converged, iterations_run)
+    return q, trace
+
+
+def _patchy(target):
+    """``target``, but with a NaN value on calls 2-6 and every 7th call after,
+    and a NaN gradient entry (values finite) on every 11th call."""
+    calls = {"n": 0}
+
+    def patched(theta):
+        calls["n"] += 1
+        values, grads = target(theta)
+        if 2 <= calls["n"] <= 6 or calls["n"] % 7 == 0:
+            values = np.where(np.arange(values.size) == 0, np.nan, values)
+        if calls["n"] % 11 == 0:
+            grads = np.where(np.arange(grads.size).reshape(grads.shape) == 1, np.nan, grads)
+        return values, grads
+
+    return patched
+
+
+def _loop_cases():
+    """(name, target factory, dimension, start factory or None) per case."""
+    rng = np.random.default_rng(71)
+    X = rng.standard_normal((60, 3))
+    y = X @ np.array([0.7, -0.4, 0.2]) + rng.standard_normal(60)
+    causal, _ = make_causal_target(X, y, CausalModelSpec(sigma_w=0.8, sigma_y=1.3))
+    V = JointVector(np.outer(rng.standard_normal(40), [1.0, -0.5, 0.8])
+                    + 0.5 * rng.standard_normal((40, 3)))
+    collapsed, d_co = make_collapsed_target(V, ConfoundedModelSpec(k=2))
+    normalized = gaussian_target([1.0, -2.0, 0.5],
+                                 [[1.0, 0.6, 0.1], [0.6, 2.0, -0.3], [0.1, -0.3, 0.5]])
+
+    def gauss(theta):
+        # an ELBO away from 0, so the default relative tolerance can stop it
+        values, grads = normalized(theta)
+        return values - 30.0, grads
+
+    return [
+        ("gaussian", lambda: gauss, 3, None),
+        ("patchy", lambda: _patchy(gauss), 3, None),
+        ("causal", lambda: causal, 3, None),
+        ("collapsed_ppca_start", lambda: collapsed, d_co,
+         lambda family: _ppca_start(V, ConfoundedModelSpec(k=2), family)),
+        ("gaussian_start", lambda: gauss, 3,
+         lambda family: VariationalPosterior.isotropic(family, np.array([0.5, 0.0, -1.0]), 0.3)),
+    ]
+
+
+LOOP_CASES = _loop_cases()
+
+
+class TestLoopMatchesReference:
+    @pytest.mark.parametrize("case", LOOP_CASES, ids=[c[0] for c in LOOP_CASES])
+    @pytest.mark.parametrize("family", [FULL_RANK, MEAN_FIELD])
+    @pytest.mark.parametrize("config", [
+        # 6 draws a step: a division by it is inexact, unlike one by 8
+        FitConfig(seed=31, max_iterations=700, relative_tolerance=1e-12, mc_samples_per_step=6),
+        FitConfig(seed=32),
+    ], ids=["fixed_budget", "default_tolerance"])
+    def test_bit_identical_to_reference_loop(self, case, family, config):
+        _, make_target, d, make_start = case
+        start = (lambda: make_start(family)) if make_start else (lambda: None)
+        want, want_trace = _reference_fit(make_target(), d, config, family, start())
+        got, got_trace = fit(make_target(), d, config, family, start())
+        assert got.flat.tobytes() == want.flat.tobytes()
+        assert got_trace.elbo_history.tobytes() == want_trace.elbo_history.tobytes()
+        assert got_trace.iterations_run == want_trace.iterations_run
+        assert got_trace.converged == want_trace.converged
+
+    @pytest.mark.parametrize("family", [FULL_RANK, MEAN_FIELD])
+    def test_same_divergence_as_reference_loop(self, family):
+        def exploding():
+            calls = {"n": 0}
+            gauss = gaussian_target([0.0, 0.0], np.eye(2))
+
+            def target(theta):
+                calls["n"] += 1
+                values, grads = gauss(theta)
+                if calls["n"] > 120 or calls["n"] % 5 == 0:
+                    values = np.full_like(values, np.inf)
+                return values, grads
+
+            return target
+
+        config = FitConfig(seed=33, convergence_window=20)
+        with pytest.raises(DivergenceError) as want:
+            _reference_fit(exploding(), 2, config, family)
+        with pytest.raises(DivergenceError) as got:
+            fit(exploding(), 2, config, family)
+        assert str(got.value) == str(want.value)
+        assert got.value.trace.iterations_run == want.value.trace.iterations_run == 168
+        assert (got.value.trace.elbo_history.tobytes()
+                == want.value.trace.elbo_history.tobytes())
+        assert got.value.trace.converged is want.value.trace.converged is False

@@ -455,3 +455,24 @@ def test_final_elbo_samples_below_100_exits_2_before_any_fit(runner, tmp_path, m
     errors = [line for line in result.output.splitlines() if line.startswith("error:")]
     assert len(errors) == 1 and "final_elbo_samples" in errors[0], result.output
     assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("key, value", [
+    ("learning_rate", "nan"), ("sigma_x", "inf"), ("sigma_w", "nan"),
+    ("sigma_y", "inf"), ("sigma_z", "inf"), ("sigma_obs", "nan"),
+])
+def test_non_finite_float_exits_2_before_any_fit(runner, tmp_path, monkeypatch, key, value):
+    def fit_started(*args, **kwargs):
+        raise AssertionError(f"score started fitting before checking {key}")
+
+    monkeypatch.setattr("biasaudit.cli.score_all", fit_started)
+    csv_path = tmp_path / "ok.csv"
+    csv_path.write_text(TWO_DATASET_CSV, encoding="utf-8")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {value}\n", encoding="utf-8")
+    result = invoke(runner, ["score", "--input", str(csv_path), "--out", str(tmp_path / "out"),
+                             "--config", str(cfg)])
+    assert result.exit_code == 2
+    errors = [line for line in result.output.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and key in errors[0], result.output
+    assert "Traceback" not in result.output

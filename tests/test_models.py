@@ -6,7 +6,8 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 
 from biasaudit.advi import FitConfig
-from biasaudit.gaussmath import SpdMatrix, mvn_logpdf, normal_logpdf
+from biasaudit.gaussmath import (SpdMatrix, grid_quadrature_2d, mvn_logpdf,
+                                 normal_logpdf)
 from biasaudit.models import (CausalModelSpec, ConfoundedModelSpec,
                               JointVector, causal_code_length,
                               causal_evidence_closed_form, causal_log_joint,
@@ -254,6 +255,32 @@ class TestConfoundedCodeLength:
         with pytest.raises(ValueError):
             confounded_evidence_quadrature(V, CSPEC)
 
+    @pytest.mark.parametrize("factor", [False, True])
+    def test_quadrature_equals_per_point_evaluation(self, rng, factor):
+        spec = ConfoundedModelSpec(k=1, sigma_z=0.7, sigma_w=1.3, sigma_obs=0.8)
+        data = rng.standard_normal((10, 2))
+        if factor:
+            data = np.outer(rng.standard_normal(10), [1.2, -0.9]) + 0.5 * data
+        V = JointVector(data)
+        want = _per_point_quadrature(V, spec, 32)
+        assert confounded_evidence_quadrature(V, spec, 32) == pytest.approx(want, abs=1e-10)
+
+
+def _per_point_quadrature(V: JointVector, spec: ConfoundedModelSpec, nodes_per_axis: int):
+    """The quadrature oracle evaluated one loading point at a time."""
+    half_width = 8.0 * spec.sigma_w
+
+    def log_integrand(w1, w2):
+        W = np.array([[w1, w2]])
+        prior = float(np.sum(normal_logpdf(W, spec.sigma_w)))
+        return ppca_evidence_fixed_W(V, W, spec) + prior
+
+    coarse = np.linspace(-half_width, half_width, 33)
+    shift = max(log_integrand(a, b) for a in coarse for b in coarse)
+    vectorized = np.vectorize(lambda a, b: math.exp(log_integrand(a, b) - shift))
+    integral = grid_quadrature_2d(vectorized, ((-half_width, half_width),) * 2, nodes_per_axis)
+    return shift + math.log(integral)
+
 
 class TestBatchedTargets:
     def test_causal_target_batch_consistency(self, rng):
@@ -286,7 +313,7 @@ class TestBatchedTargets:
 class TestSufficientStatisticTargets:
     """The n-free score path against the row-wise formulas it replaces."""
 
-    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("width", [2, 4])
     def test_collapsed_target_equals_ppca_evidence_plus_prior(self, rng, k, width):
         spec = ConfoundedModelSpec(k=k, sigma_z=0.7, sigma_w=1.3, sigma_obs=0.8)
@@ -302,7 +329,7 @@ class TestSufficientStatisticTargets:
                     + float(np.sum(normal_logpdf(W, spec.sigma_w))))
             assert values[s] == pytest.approx(want, abs=1e-9)
 
-    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("width", [2, 4])
     def test_collapsed_gradient_matches_finite_differences(self, rng, k, width):
         spec = ConfoundedModelSpec(k=k, sigma_z=0.7, sigma_w=1.3, sigma_obs=0.8)
@@ -319,20 +346,21 @@ class TestSufficientStatisticTargets:
 
     def test_causal_target_equals_rowwise_residuals(self, rng):
         spec = CausalModelSpec(sigma_x=1.0, sigma_w=0.6, sigma_y=1.7)
-        X = rng.standard_normal((40, 3))
-        y = X @ np.array([0.5, -1.0, 0.2]) + rng.standard_normal(40)
-        target, _ = make_causal_target(X, y, spec)
-        batch = 2.0 * rng.standard_normal((5, 3))
-        values, grads = target(batch)
-        for s, w in enumerate(batch):
-            resid = y - X @ w
-            want = (-0.5 * 3 * math.log(2 * math.pi * spec.sigma_w ** 2)
-                    - 0.5 * 40 * math.log(2 * math.pi * spec.sigma_y ** 2)
-                    - 0.5 * np.sum(w ** 2) / spec.sigma_w ** 2
-                    - 0.5 * np.sum(resid ** 2) / spec.sigma_y ** 2)
-            want_grad = -w / spec.sigma_w ** 2 + X.T @ resid / spec.sigma_y ** 2
-            assert values[s] == pytest.approx(want, rel=1e-12)
-            np.testing.assert_allclose(grads[s], want_grad, rtol=1e-10, atol=1e-10)
+        for n, m in [(40, 3), (1, 1), (25, 5)]:
+            X = rng.standard_normal((n, m))
+            y = X @ rng.standard_normal(m) + rng.standard_normal(n)
+            target, _ = make_causal_target(X, y, spec)
+            batch = 2.0 * rng.standard_normal((5, m))
+            values, grads = target(batch)
+            for s, w in enumerate(batch):
+                resid = y - X @ w
+                want = (-0.5 * m * math.log(2 * math.pi * spec.sigma_w ** 2)
+                        - 0.5 * n * math.log(2 * math.pi * spec.sigma_y ** 2)
+                        - 0.5 * np.sum(w ** 2) / spec.sigma_w ** 2
+                        - 0.5 * np.sum(resid ** 2) / spec.sigma_y ** 2)
+                want_grad = -w / spec.sigma_w ** 2 + X.T @ resid / spec.sigma_y ** 2
+                assert values[s] == pytest.approx(want, rel=1e-12)
+                np.testing.assert_allclose(grads[s], want_grad, rtol=1e-10, atol=1e-10)
 
     @pytest.mark.parametrize("n", [1, 9, 300])
     def test_closed_form_equals_n_by_n_gaussian(self, rng, n):
