@@ -13,9 +13,9 @@ from .errors import (BiasAuditError, DegenerateColumnError, DivergenceError,
                      EmptyTableError, EstimationError, FactorizationError,
                      QuadratureError, SchemaError, SplitError)
 from .forest import (ConfusionMatrix, DecisionTree, Forest, LearningCurve,
-                     LearningCurvePoint, RFConfig, name_that_dataset, predict,
+                     LearningCurvePoint, RFConfig, name_that_dataset,
                      train_forest, train_tree)
-from .gaussmath import SpdMatrix, chol_logdet, grid_quadrature_2d, mvn_logpdf
+from .gaussmath import SpdMatrix, grid_quadrature_2d, mvn_logpdf
 from .models import (CausalModelSpec, CodeLength, ConfoundedModelSpec,
                      JointVector, causal_code_length,
                      causal_evidence_closed_form, causal_log_joint,

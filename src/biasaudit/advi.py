@@ -62,7 +62,6 @@ class FitConfig:
 
 @dataclass
 class FitTrace:
-    elbo_history: np.ndarray  # per-iteration window-smoothed ELBO
     converged: bool
     iterations_run: int
 
@@ -132,17 +131,11 @@ class VariationalPosterior:
         L.flat[::self.dim + 1] = scale
         return L
 
-    # sd, covariance and log_prob never build a mean-field factor: its
-    # dimension grows with the number of rows
     def sd(self) -> np.ndarray:
         """Marginal standard deviations."""
-        if self.family == MEAN_FIELD:
-            return np.exp(self.log_scale)
         return np.sqrt(np.sum(self.scale_tril ** 2, axis=1))
 
     def covariance(self) -> np.ndarray:
-        if self.family == MEAN_FIELD:
-            return np.diag(np.exp(2.0 * self.log_scale))
         L = self.scale_tril
         return L @ L.T
 
@@ -166,10 +159,7 @@ class VariationalPosterior:
 
     def log_prob(self, theta: np.ndarray) -> np.ndarray:
         r = (np.atleast_2d(np.asarray(theta, dtype=float)) - self.mean).T
-        if self.family == MEAN_FIELD:
-            u = r / np.exp(self.log_scale)[:, None]
-        else:
-            u = np.linalg.solve(self.scale_tril, r)
+        u = np.linalg.solve(self.scale_tril, r)
         quad = np.sum(u * u, axis=0)
         return -0.5 * (self.dim * LOG_2PI + quad) - self._half_logdet()
 
@@ -224,10 +214,8 @@ def fit(log_joint, d: int, config: FitConfig,
     factor = np.zeros((d, d)) if full_rank else None
 
     raw = np.full(config.max_iterations, np.nan)
-    smoothed = np.full(config.max_iterations, np.nan)
     converged = False
     nonfinite_streak = adam_steps = 0
-    window_sum, window_count = 0.0, 0  # running stats over the last `window` raws
 
     t = 0
     for t in range(config.max_iterations):
@@ -255,18 +243,11 @@ def fit(log_joint, d: int, config: FitConfig,
             step = lr * (moment1 / (1 - _ADAM_BETA1 ** adam_steps))
             q.flat += step / (np.sqrt(moment2 / (1 - _ADAM_BETA2 ** adam_steps)) + _ADAM_EPS)
             raw[t] = elbo_t
-            window_sum += elbo_t
-            window_count += 1
         else:
             nonfinite_streak += 1
 
-        if t >= window and math.isfinite(raw[t - window]):
-            window_sum -= raw[t - window]
-            window_count -= 1
-        smoothed[t] = window_sum / window_count if window_count else np.nan
-
         if nonfinite_streak >= _DIVERGENCE_PATIENCE:
-            trace = FitTrace(smoothed[:t + 1].copy(), False, t + 1)
+            trace = FitTrace(False, t + 1)
             raise DivergenceError(
                 f"{_DIVERGENCE_PATIENCE} consecutive non-finite ELBO steps", trace)
 
@@ -282,7 +263,7 @@ def fit(log_joint, d: int, config: FitConfig,
                     converged = True
                     break
 
-    return q, FitTrace(smoothed[:t + 1].copy(), converged, t + 1)
+    return q, FitTrace(converged, t + 1)
 
 
 def estimate_elbo(posterior: VariationalPosterior, log_joint,

@@ -301,7 +301,7 @@ def _grow_trees(X, y, samples, seeds, config: RFConfig, class_labels):
         node_id = np.column_stack([left[split], right[split]]).ravel()
         depth += 1
 
-    # one array per field for the whole chunk, each tree a slice of it
+    # one array per field for the whole forest, each tree a slice of it
     offsets = np.cumsum(n_nodes) - n_nodes
     feature, left, right = (np.empty(n_nodes.sum(), dtype=int) for _ in range(3))
     threshold = np.empty(n_nodes.sum())
@@ -350,27 +350,33 @@ def train_tree(X, labels, config: RFConfig, seed: int,
 @dataclass(frozen=True)
 class Forest:
     trees: tuple[DecisionTree, ...]
-    feature_names: tuple[str, ...]
     class_labels: tuple
-    config_fingerprint: str
 
     def predict_codes(self, X: np.ndarray) -> np.ndarray:
         """Majority-vote class codes; ties go to the lowest class index."""
-        votes = self.vote_counts(X)
+        X = np.asarray(X, dtype=float)
+        votes = np.zeros((X.shape[0], len(self.class_labels)), dtype=int)
+        for tree in self.trees:
+            votes[np.arange(X.shape[0]), tree.predict_codes(X)] += 1
         return np.argmax(votes, axis=1)
 
-    def vote_counts(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        counts = np.zeros((X.shape[0], len(self.class_labels)), dtype=int)
-        for tree in self.trees:
-            codes = tree.predict_codes(X)
-            counts[np.arange(X.shape[0]), codes] += 1
-        return counts
 
+def train_forest(X, labels, config: RFConfig, seed: int, class_labels=None) -> Forest:
+    """Train a forest of bootstrap-resampled trees.
 
-def _train_tree_range(args):
-    X, y, config, seed, class_labels, tree_ids = args
-    n = X.shape[0]
+    All trees grow together, level by level: each depth rates every
+    open node of every tree in one segmented Gini scan (see
+    :func:`_grow_trees`).  Tree ``t`` draws its bootstrap rows from
+    ``derive_seed(seed, "bootstrap", t)`` and its per-depth feature
+    orders from ``derive_seed(seed, "tree", t)``, so each tree equals
+    the same tree grown alone.
+    """
+    X = np.asarray(X, dtype=float)
+    labels = np.asarray(labels)
+    if class_labels is None:
+        class_labels = sorted(set(labels.tolist()))
+    y = _class_codes(labels, class_labels)
+    n, tree_ids = X.shape[0], range(config.n_trees)
     samples = []
     for t in tree_ids:
         if config.bootstrap:
@@ -378,53 +384,9 @@ def _train_tree_range(args):
             samples.append(rng.integers(0, n, size=n))
         else:
             samples.append(np.arange(n))
-    return _grow_trees(X, y, samples, [derive_seed(seed, "tree", t) for t in tree_ids],
-                       config, class_labels)
-
-
-def train_forest(X, labels, config: RFConfig, seed: int,
-                 feature_names=None, class_labels=None, jobs: int = 1) -> Forest:
-    """Train a forest of bootstrap-resampled trees.
-
-    The trees of a chunk grow together, level by level: each depth
-    rates every open node of every tree in one segmented Gini scan
-    (see :func:`_grow_trees`).  Tree ``t`` draws its bootstrap rows from
-    ``derive_seed(seed, "bootstrap", t)`` and its per-depth feature
-    orders from ``derive_seed(seed, "tree", t)``, so each tree equals
-    the same tree grown alone and the result is identical no matter how
-    trees are scheduled; ``jobs > 1`` spreads chunks of trees over
-    worker processes.
-    """
-    X = np.asarray(X, dtype=float)
-    labels = np.asarray(labels)
-    if class_labels is None:
-        class_labels = sorted(set(labels.tolist()))
-    if feature_names is None:
-        feature_names = tuple(f"f{i}" for i in range(X.shape[1]))
-    y = _class_codes(labels, class_labels)
-    chunks = [ids.tolist() for ids in np.array_split(np.arange(config.n_trees),
-                                                     min(max(jobs, 1), config.n_trees))]
-    tasks = [(X, y, config, seed, class_labels, ids) for ids in chunks if ids]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunked = list(pool.map(_train_tree_range, tasks))
-    else:
-        chunked = [_train_tree_range(t) for t in tasks]
-    trees = [tree for chunk in chunked for tree in chunk]
-    return Forest(trees=tuple(trees), feature_names=tuple(feature_names),
-                  class_labels=tuple(class_labels),
-                  config_fingerprint=config.fingerprint())
-
-
-def predict(forest: Forest, x: np.ndarray):
-    """Predict one row: (label, vote distribution over class labels)."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (len(forest.feature_names),):
-        raise ValueError(f"expected {len(forest.feature_names)} features, "
-                         f"got shape {x.shape}")
-    counts = forest.vote_counts(x[None, :])[0]
-    shares = counts / counts.sum()
-    return forest.class_labels[int(np.argmax(counts))], shares
+    trees = _grow_trees(X, y, samples, [derive_seed(seed, "tree", t) for t in tree_ids],
+                        config, class_labels)
+    return Forest(trees=tuple(trees), class_labels=tuple(class_labels))
 
 
 @dataclass(frozen=True)
@@ -433,9 +395,6 @@ class ConfusionMatrix:
 
     counts: np.ndarray
     class_labels: tuple
-
-    def accuracy(self) -> float:
-        return float(np.trace(self.counts) / np.sum(self.counts))
 
 
 @dataclass(frozen=True)
@@ -448,7 +407,6 @@ class LearningCurvePoint:
 
 @dataclass(frozen=True)
 class LearningCurve:
-    feature_set: str
     points: tuple[LearningCurvePoint, ...]
 
 
@@ -471,10 +429,9 @@ def _run_repetition(args):
     train_X = np.column_stack([train.column(c) for c in columns])
     test_X = np.column_stack([test.column(c) for c in columns])
     forest = train_forest(train_X, train.dataset_labels, rf_config,
-                          derive_seed(rep_seed, "forest"),
-                          feature_names=columns, class_labels=class_labels)
+                          derive_seed(rep_seed, "forest"), class_labels=class_labels)
     pred = forest.predict_codes(test_X)
-    true = np.array([class_labels.index(v) for v in test.dataset_labels.tolist()])
+    true = _class_codes(test.dataset_labels, class_labels)
     confusion = None
     if want_confusion:
         confusion = np.zeros((len(class_labels), len(class_labels)), dtype=int)
@@ -503,6 +460,9 @@ def name_that_dataset(table: Table, feature_sets: dict[str, list[str]],
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
+    if (not fractions or len(set(fractions)) < len(fractions)
+            or not all(0.0 < f < 1.0 for f in fractions)):
+        raise ValueError(f"fractions must be distinct values in (0, 1), got {list(fractions)}")
     if controls_only:
         table = table.filter_controls()
     class_labels = tuple(table.labels())
@@ -550,7 +510,7 @@ def name_that_dataset(table: Table, feature_sets: dict[str, list[str]],
                 repetitions=repetitions,
             ))
         results[fs_name] = FeatureSetResult(
-            curve=LearningCurve(feature_set=fs_name, points=tuple(points)),
+            curve=LearningCurve(points=tuple(points)),
             confusion=ConfusionMatrix(counts=confusion, class_labels=class_labels),
         )
     return results

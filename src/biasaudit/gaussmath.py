@@ -64,11 +64,6 @@ class SpdMatrix:
         return out if np.asarray(residuals).ndim > 1 else float(out[0])
 
 
-def chol_logdet(cov: SpdMatrix) -> float:
-    """Log determinant via the cached Cholesky factor."""
-    return cov.log_det()
-
-
 def mvn_logpdf(x: np.ndarray, mean: np.ndarray, cov: SpdMatrix) -> float:
     """log N(x; mean, cov) in nats.
 

@@ -197,12 +197,19 @@ def causal_code_length(X, y, spec: CausalModelSpec,
                           method=method)
     if method != "advi":
         raise ValueError(f"unknown method {method!r}")
-    config = fit_config or FitConfig()
     target, d = make_causal_target(Xv, y, spec)
-    posterior, trace = advi.fit(target, d, config, family=family)
+    return _fitted_code_length(target, d, prefix, family, fit_config)
+
+
+def _fitted_code_length(target, d: int, prefix: float, family: str,
+                        fit_config: FitConfig | None,
+                        start: VariationalPosterior | None = None) -> CodeLength:
+    """``prefix`` nats minus the final ELBO of a ``family`` fit to ``target``."""
+    config = fit_config or FitConfig()
+    posterior, trace = advi.fit(target, d, config, family=family, start=start)
     elbo, se = advi.estimate_elbo(posterior, target, config.final_elbo_samples,
                                   derive_seed(config.seed, "final-elbo"))
-    return CodeLength(nats=prefix - elbo, method=method, family=family,
+    return CodeLength(nats=prefix - elbo, method="advi", family=family,
                       converged=trace.converged, elbo_se=se,
                       iterations=trace.iterations_run)
 
@@ -363,15 +370,9 @@ def confounded_code_length(V: JointVector, spec: ConfoundedModelSpec,
     m = V.width - 1
     if V.n < m + 2:
         raise ValueError(f"need at least m+2={m + 2} rows, have {V.n}")
-    config = fit_config or FitConfig()
     target, d = make_collapsed_target(V, spec)
-    posterior, trace = advi.fit(target, d, config, family=family,
-                                start=_ppca_start(V, spec, family))
-    elbo, se = advi.estimate_elbo(posterior, target, config.final_elbo_samples,
-                                  derive_seed(config.seed, "final-elbo"))
-    return CodeLength(nats=-elbo, method="advi", family=family,
-                      converged=trace.converged, elbo_se=se,
-                      iterations=trace.iterations_run)
+    return _fitted_code_length(target, d, 0.0, family, fit_config,
+                               start=_ppca_start(V, spec, family))
 
 
 def confounded_evidence_quadrature(V: JointVector, spec: ConfoundedModelSpec,

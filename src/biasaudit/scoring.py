@@ -64,12 +64,13 @@ class ScoringConfig:
     controls_only: bool = True
     causal_method: str = "advi"          # advi | closed_form
     causal_family: str = FULL_RANK
-    confounded_family: str = MEAN_FIELD
     jobs: int = 1
 
     def __post_init__(self):
         if not self.targets:
             raise ValueError("need at least one target column")
+        if len(set(self.targets)) < len(self.targets):
+            raise ValueError(f"targets must be distinct, got {','.join(self.targets)}")
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
 
@@ -80,11 +81,11 @@ def score_target(table: Table, cause_spec: CauseSpec, target: str,
                  fit_config: FitConfig, seed: int,
                  controls_only: bool = True,
                  causal_method: str = "advi",
-                 causal_family: str = FULL_RANK,
-                 confounded_family: str = MEAN_FIELD) -> ScoreRecord:
+                 causal_family: str = FULL_RANK) -> ScoreRecord:
     """Score one target column of a single-dataset table.
 
     Both code lengths see exactly the same standardized rows.  The
+    confounded fit is always mean-field over the loadings.  The
     table must carry a single dataset label; multi-dataset tables go
     through :func:`score_all`.
     """
@@ -107,7 +108,7 @@ def score_target(table: Table, cause_spec: CauseSpec, target: str,
         X, y, causal_model, method=causal_method, family=causal_family,
         fit_config=replace(fit_config, seed=derive_seed(seed, "causal")))
     confounded = confounded_code_length(
-        joint, confounded_model, family=confounded_family,
+        joint, confounded_model, family=MEAN_FIELD,
         fit_config=replace(fit_config, seed=derive_seed(seed, "confounded")))
 
     return ScoreRecord(
@@ -153,8 +154,7 @@ def _score_one(args):
             config.fit_config, seed,
             controls_only=config.controls_only,
             causal_method=config.causal_method,
-            causal_family=config.causal_family,
-            confounded_family=config.confounded_family)
+            causal_family=config.causal_family)
     except (BiasAuditError, ValueError, KeyError) as exc:
         dataset = table.labels()[0]
         log.warning("scoring failed for (%s, %s): %s", dataset, target, exc)
@@ -192,20 +192,17 @@ class DatasetAggregate:
     mean_delta: float
     sd_delta: float
     n_targets: int
-    n_failed: int
 
 
 def aggregate_by_dataset(records) -> list[DatasetAggregate]:
     """Mean and SD of the score across targets, per dataset.
 
-    Failed records are excluded from the statistics but counted;
-    datasets with no successful record are dropped with a warning.
+    Failed records are excluded from the statistics; datasets with no
+    successful record are dropped with a warning.
     """
     by_dataset: dict[str, list] = {}
-    failures: dict[str, int] = {}
     for rec in records:
         if isinstance(rec, FailedScore):
-            failures[rec.dataset] = failures.get(rec.dataset, 0) + 1
             by_dataset.setdefault(rec.dataset, [])
         else:
             by_dataset.setdefault(rec.dataset, []).append(rec)
@@ -222,6 +219,5 @@ def aggregate_by_dataset(records) -> list[DatasetAggregate]:
             mean_delta=float(np.mean(deltas)),
             sd_delta=float(np.std(deltas)),
             n_targets=len(recs),
-            n_failed=failures.get(dataset, 0),
         ))
     return out

@@ -9,7 +9,7 @@ rejected and reported, never imputed.
 
 import csv
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -85,9 +85,6 @@ class Table:
     def labels(self) -> list[str]:
         """Distinct dataset labels in sorted order."""
         return sorted(set(self.dataset_labels))
-
-    def __len__(self) -> int:
-        return self.n_rows
 
     def diseased_mask(self) -> np.ndarray:
         """True for rows carrying a diagnosis other than the healthy label."""
@@ -280,17 +277,12 @@ class CauseTerm:
         if self.transform not in ("identity", "square"):
             raise ValueError(f"unknown transform {self.transform!r}")
 
-    @property
-    def name(self) -> str:
-        return self.column if self.transform == "identity" else f"{self.column}_sq"
-
 
 @dataclass(frozen=True)
 class CauseSpec:
     """Ordered presumed-cause terms, e.g. age, age squared, sex."""
 
     terms: tuple[CauseTerm, ...]
-    standardize: bool = True
 
     def __post_init__(self):
         if not self.terms:
@@ -300,7 +292,7 @@ class CauseSpec:
             raise ValueError("duplicate (column, transform) pairs in cause spec")
 
     @classmethod
-    def parse(cls, text: str, standardize: bool = True) -> "CauseSpec":
+    def parse(cls, text: str) -> "CauseSpec":
         """Parse ``"age,age:square,sex"`` style term lists."""
         terms = []
         for item in text.split(","):
@@ -309,7 +301,7 @@ class CauseSpec:
                 continue
             column, _, transform = item.partition(":")
             terms.append(CauseTerm(column, transform or "identity"))
-        return cls(terms=tuple(terms), standardize=standardize)
+        return cls(terms=tuple(terms))
 
     @property
     def n_terms(self) -> int:
@@ -318,11 +310,9 @@ class CauseSpec:
 
 @dataclass(frozen=True)
 class DesignMatrix:
-    """n x m cause matrix with per-column standardization parameters."""
+    """n x m cause matrix, each column standardized."""
 
     values: np.ndarray
-    column_names: tuple[str, ...]
-    standardization: tuple[tuple[float, float], ...]  # (mean, sd) per column
 
     @property
     def n(self) -> int:
@@ -338,29 +328,20 @@ def build_design(table: Table, spec: CauseSpec) -> DesignMatrix:
 
     Transforms are applied to the raw column first (so "square" squares
     raw ages, not standardized ones), then each derived column is
-    standardized independently when the spec asks for it.
+    standardized independently.
     """
     n = table.n_rows
     if n < spec.n_terms + 2:
         raise ValueError(f"need at least m+2={spec.n_terms + 2} rows, have {n}")
-    cols, params = [], []
+    cols = []
     for term in spec.terms:
         raw = np.asarray(table.column(term.column), dtype=float)
         if term.transform == "square":
             raw = raw ** 2
-        if spec.standardize:
-            col, mean, sd = standardize_column(raw)
-        else:
-            col, mean, sd = raw.copy(), 0.0, 1.0
-        cols.append(col)
-        params.append((mean, sd))
+        cols.append(standardize_column(raw)[0])
     values = np.column_stack(cols)
     values.flags.writeable = False
-    return DesignMatrix(
-        values=values,
-        column_names=tuple(t.name for t in spec.terms),
-        standardization=tuple(params),
-    )
+    return DesignMatrix(values=values)
 
 
 def stratified_split(table: Table, train_fraction: float, seed: int) -> tuple[Table, Table]:

@@ -296,6 +296,13 @@ MALFORMED = {
     "negative_learning_rate": (["score", "--input", "{csv}"], "learning_rate = -1",
                                "learning_rate"),
     "bad_fraction": (["classify", "--input", "{csv}"], "fractions = 0.1,x", "fractions"),
+    "empty_fractions": (["classify", "--input", "{csv}"], "fractions = ,", "fractions"),
+    "repeated_fraction": (["classify", "--input", "{csv}"], "fractions = 0.5,0.5",
+                          "fractions"),
+    "fraction_above_one": (["classify", "--input", "{csv}"], "fractions = 0.1,1.5",
+                           "fractions"),
+    "repeated_target": (["score", "--input", "{csv}", "--targets", "vol_a,vol_a"], None,
+                        "targets"),
     "bad_bool": (["score", "--input", "{csv}"], "controls_only = maybe", "controls_only"),
     "zero_k": (["score", "--input", "{csv}", "--k", "0"], None, "k must"),
     "zero_trees": (["classify", "--input", "{csv}", "--trees", "0"], None, "n_trees"),

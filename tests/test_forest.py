@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from biasaudit.forest import (RFConfig, _gini_best_split, _segment_splits,
-                              name_that_dataset, predict, train_forest,
-                              train_tree)
+from biasaudit.forest import (Forest, RFConfig, _gini_best_split, _segment_splits,
+                              name_that_dataset, train_forest, train_tree)
 from biasaudit.seeding import derive_seed
 from biasaudit.synth import MultiDatasetSpec, gen_multidataset
 
@@ -108,17 +107,6 @@ class TestForest:
         probe = rng.standard_normal((20, 4))
         np.testing.assert_array_equal(a.predict_codes(probe), b.predict_codes(probe))
 
-    def test_parallel_equals_serial(self, rng):
-        X, labels = blob_data(rng, n_per_class=30)
-        serial = train_forest(X, labels, RFConfig(n_trees=8), seed=10, jobs=1)
-        parallel = train_forest(X, labels, RFConfig(n_trees=8), seed=10, jobs=3)
-        probe = rng.standard_normal((25, 4))
-        np.testing.assert_array_equal(serial.predict_codes(probe),
-                                      parallel.predict_codes(probe))
-        for a, b in zip(serial.trees, parallel.trees):
-            np.testing.assert_array_equal(a.threshold, b.threshold)
-            np.testing.assert_array_equal(a.feature, b.feature)
-
     def test_monotone_feature_transform_keeps_predictions(self, rng):
         X, labels = blob_data(rng, n_per_class=50, shift=1.0)
         base = train_forest(X, labels, QUICK_RF, seed=6)
@@ -133,33 +121,20 @@ class TestPredict:
     def test_unanimous_vote(self, rng):
         X, labels = blob_data(rng, n_per_class=40)
         forest = train_forest(X, labels, QUICK_RF, seed=7)
-        label, shares = predict(forest, np.full(4, -2.0))
-        assert label == "a"
-        assert shares[0] == pytest.approx(1.0)
+        probe = np.full((1, 4), -2.0)
+        assert forest.class_labels == ("a", "b")
+        assert forest.predict_codes(probe).tolist() == [0]
+        assert all(tree.predict_codes(probe).tolist() == [0] for tree in forest.trees)
 
     def test_tie_breaks_to_lowest_class_index(self):
         # two stumps with opposite votes at the origin
         X = np.array([[-1.0], [1.0]])
         t1 = train_tree(X, np.array(["a", "b"]), RFConfig(), seed=0)
         t2 = train_tree(X, np.array(["b", "a"]), RFConfig(), seed=0)
-        from biasaudit.forest import Forest
-        forest = Forest(trees=(t1, t2), feature_names=("f0",),
-                        class_labels=("a", "b"), config_fingerprint="test")
-        label, shares = predict(forest, np.array([-1.0]))
-        assert label == "a"
-        assert shares.tolist() == [0.5, 0.5]
-
-    def test_vote_shares_sum_to_one(self, rng):
-        X, labels = blob_data(rng, n_per_class=30)
-        forest = train_forest(X, labels, QUICK_RF, seed=8)
-        _, shares = predict(forest, rng.standard_normal(4))
-        assert abs(shares.sum() - 1.0) < 1e-12
-
-    def test_dimension_mismatch(self, rng):
-        X, labels = blob_data(rng, n_per_class=10)
-        forest = train_forest(X, labels, RFConfig(n_trees=2), seed=9)
-        with pytest.raises(ValueError):
-            predict(forest, np.zeros(7))
+        probe = np.array([[-1.0]])
+        assert [t1.predict_codes(probe)[0], t2.predict_codes(probe)[0]] == [0, 1]
+        forest = Forest(trees=(t1, t2), class_labels=("a", "b"))
+        assert forest.predict_codes(probe).tolist() == [0]
 
 
 class TestNameThatDataset:

@@ -154,13 +154,13 @@ class TestAggregate:
                                      make_record("A", "t2", -2.0)])
         assert aggs[0].mean_delta == 0.0
 
-    def test_failed_records_counted_not_averaged(self):
+    def test_failed_records_not_averaged(self):
         records = [make_record("A", "t1", 1.0),
                    FailedScore("A", "t2", "boom"),
                    FailedScore("B", "t1", "boom")]
         aggs = aggregate_by_dataset(records)
         assert len(aggs) == 1  # B excluded entirely
-        assert aggs[0].n_targets == 1 and aggs[0].n_failed == 1
+        assert aggs[0].n_targets == 1 and aggs[0].mean_delta == 1.0
 
     def test_causal_dataset_ranks_above_confounded(self):
         table = two_dataset_table(seed=10, n=200)
