@@ -12,7 +12,6 @@ from?") trains forests over a grid of training fractions and reports
 learning curves plus a confusion matrix at the largest fraction.
 """
 
-import logging
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -20,9 +19,7 @@ import numpy as np
 
 from .errors import SplitError
 from .seeding import derive_seed
-from .tabular import Table, stratified_split
-
-log = logging.getLogger(__name__)
+from .tabular import Table, stratified_split, stratify
 
 
 @dataclass(frozen=True)
@@ -63,20 +60,34 @@ class DecisionTree:
         self.class_labels = tuple(class_labels)
         self._leaf_pred = np.argmax(self.leaf_counts, axis=1)
 
+        # walk tables: entry 2i + go of ``_child`` is where node i sends a
+        # row, go = (x <= threshold), so NaN goes right; a leaf reads
+        # feature 0 and sends a row back to itself whatever the test says
+        leaf = self.feature < 0
+        nodes = np.arange(self.n_nodes)
+        self._walk_feature = np.where(leaf, 0, self.feature)
+        self._child = np.column_stack([np.where(leaf, nodes, self.right),
+                                       np.where(leaf, nodes, self.left)]).ravel()
+        # the most splits on any root-to-leaf path
+        self.depth, level = 0, np.zeros(1, dtype=int)
+        while (level := level[~leaf[level]]).size:
+            self.depth += 1
+            level = np.concatenate([self.left[level], self.right[level]])
+
     @property
     def n_nodes(self) -> int:
         return self.feature.size
 
     def predict_codes(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        node = np.zeros(X.shape[0], dtype=int)
-        active = self.feature[node] >= 0
-        while np.any(active):
-            idx = np.flatnonzero(active)
-            cur = node[idx]
-            go_left = X[idx, self.feature[cur]] <= self.threshold[cur]
-            node[idx] = np.where(go_left, self.left[cur], self.right[cur])
-            active[idx] = self.feature[node[idx]] >= 0
+        """Class code of each row: ``depth`` steps of every row at once."""
+        X = np.ascontiguousarray(X, dtype=float)
+        flat = X.ravel()
+        row_start = np.arange(X.shape[0]) * X.shape[1]
+        node = np.zeros(X.shape[0], dtype=np.intp)
+        feature, threshold, child = self._walk_feature, self.threshold, self._child
+        for _ in range(self.depth):
+            go_left = flat[row_start + feature[node]] <= threshold[node]
+            node = child[2 * node + go_left]
         return self._leaf_pred[node]
 
 
@@ -354,11 +365,13 @@ class Forest:
 
     def predict_codes(self, X: np.ndarray) -> np.ndarray:
         """Majority-vote class codes; ties go to the lowest class index."""
-        X = np.asarray(X, dtype=float)
-        votes = np.zeros((X.shape[0], len(self.class_labels)), dtype=int)
+        X = np.ascontiguousarray(X, dtype=float)
+        n, n_classes = X.shape[0], len(self.class_labels)
+        votes = np.zeros(n * n_classes, dtype=int)
+        row_start = np.arange(n) * n_classes
         for tree in self.trees:
-            votes[np.arange(X.shape[0]), tree.predict_codes(X)] += 1
-        return np.argmax(votes, axis=1)
+            votes[row_start + tree.predict_codes(X)] += 1
+        return np.argmax(votes.reshape(n, n_classes), axis=1)
 
 
 def train_forest(X, labels, config: RFConfig, seed: int, class_labels=None) -> Forest:
@@ -422,10 +435,7 @@ DEFAULT_FRACTIONS = (0.001, 0.005, 0.01, 0.05, 0.1, 0.3, 0.5, 0.7)
 def _run_repetition(args):
     """One (feature set, fraction, repetition) cell of the experiment."""
     table, columns, class_labels, fraction, rep_seed, rf_config, want_confusion = args
-    try:
-        train, test = stratified_split(table, fraction, rep_seed)
-    except SplitError as exc:
-        return None, None, str(exc)
+    train, test = stratified_split(table, fraction, rep_seed)
     train_X = np.column_stack([train.column(c) for c in columns])
     test_X = np.column_stack([test.column(c) for c in columns])
     forest = train_forest(train_X, train.dataset_labels, rf_config,
@@ -436,7 +446,7 @@ def _run_repetition(args):
     if want_confusion:
         confusion = np.zeros((len(class_labels), len(class_labels)), dtype=int)
         np.add.at(confusion, (true, pred), 1)
-    return float(np.mean(pred == true)), confusion, None
+    return float(np.mean(pred == true)), confusion
 
 
 def name_that_dataset(table: Table, feature_sets: dict[str, list[str]],
@@ -450,9 +460,12 @@ def name_that_dataset(table: Table, feature_sets: dict[str, list[str]],
     with dataset-stratified sampling, a forest is trained on the train
     rows and scored on the held-out rows.  Accuracy near 1/|datasets|
     means the datasets are exchangeable; anything above it is evidence
-    of dataset bias.  Fractions too small to stratify are skipped with
-    a warning.  Repetition seeds derive from (seed, feature set,
-    fraction, repetition), so ``jobs > 1`` changes only the wall time.
+    of dataset bias.  A largest fraction that cannot be stratified
+    raises ValueError before any forest is trained; every smaller
+    fraction then splits too, since a fraction's train counts never
+    exceed a larger one's.  Repetition seeds derive from (seed, feature
+    set, fraction, repetition), so ``jobs > 1`` changes only the wall
+    time.
     """
     if len(table.labels()) < 2:
         raise ValueError("need at least 2 dataset labels")
@@ -467,6 +480,11 @@ def name_that_dataset(table: Table, feature_sets: dict[str, list[str]],
         table = table.filter_controls()
     class_labels = tuple(table.labels())
     max_fraction = max(fractions)
+    try:
+        stratify(table, max_fraction)
+    except SplitError as exc:
+        raise ValueError(f"fractions: the largest fraction, {max_fraction}, "
+                         f"cannot be split: {exc}") from None
 
     cells = []
     tasks = []
@@ -491,17 +509,10 @@ def name_that_dataset(table: Table, feature_sets: dict[str, list[str]],
         for fraction in sorted(fractions):
             accuracies = []
             for rep in range(repetitions):
-                accuracy, rep_confusion, error = by_cell[(fs_name, fraction, rep)]
-                if error is not None:
-                    log.warning("skipping fraction %s for %s: %s",
-                                fraction, fs_name, error)
-                    accuracies = None
-                    break
+                accuracy, rep_confusion = by_cell[(fs_name, fraction, rep)]
                 accuracies.append(accuracy)
                 if rep_confusion is not None:
                     confusion += rep_confusion
-            if accuracies is None:
-                continue
             acc = np.array(accuracies)
             points.append(LearningCurvePoint(
                 train_fraction=float(fraction),

@@ -68,7 +68,7 @@ class ScoringConfig:
 
     def __post_init__(self):
         if not self.targets:
-            raise ValueError("need at least one target column")
+            raise ValueError("targets must name at least one column")
         if len(set(self.targets)) < len(self.targets):
             raise ValueError(f"targets must be distinct, got {','.join(self.targets)}")
         if self.jobs < 1:

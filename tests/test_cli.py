@@ -284,8 +284,13 @@ TWO_DATASET_CSV = VALID_CSV + (
 )
 DUPLICATE_ID_CSV = VALID_CSV + "s1,B,35,F,control,1.2,2.2\n"
 
+# 2 datasets x 10 rows: at fraction 0.99 every row trains and none is left to test
+TWENTY_ROW_CSV = VALID_CSV.split("\n", 1)[0] + "\n" + "".join(
+    f"r{i},{'AB'[i % 2]},{30 + i},M,control,{i},{i % 3}\n" for i in range(20))
+
 # (command and flags, config file text or None, a word the error line must name);
-# "{csv}", "{dup}", "{latin1}" and "{missing}" stand for files the test writes (or not)
+# "{csv}", "{dup}", "{latin1}", "{twenty}" and "{missing}" stand for files the test
+# writes (or not)
 MALFORMED = {
     "validate_duplicate_ids": (["validate", "--input", "{dup}"], None, "dup.csv"),
     "classify_duplicate_ids": (["classify", "--input", "{dup}"], None, "dup.csv"),
@@ -303,6 +308,9 @@ MALFORMED = {
                            "fractions"),
     "repeated_target": (["score", "--input", "{csv}", "--targets", "vol_a,vol_a"], None,
                         "targets"),
+    "empty_targets": (["score", "--input", "{csv}", "--targets", ","], None, "targets"),
+    "unsplittable_largest_fraction": (["classify", "--input", "{twenty}"],
+                                      "fractions = 0.1,0.99", "fractions"),
     "bad_bool": (["score", "--input", "{csv}"], "controls_only = maybe", "controls_only"),
     "zero_k": (["score", "--input", "{csv}", "--k", "0"], None, "k must"),
     "zero_trees": (["classify", "--input", "{csv}", "--trees", "0"], None, "n_trees"),
@@ -324,8 +332,10 @@ MALFORMED = {
 @pytest.mark.parametrize("args, config, names", MALFORMED.values(), ids=MALFORMED.keys())
 def test_malformed_input_exits_2_naming_the_culprit(runner, tmp_path, args, config, names):
     paths = {"csv": tmp_path / "ok.csv", "dup": tmp_path / "dup.csv",
-             "latin1": tmp_path / "latin1.csv", "missing": tmp_path / "missing.cfg"}
+             "latin1": tmp_path / "latin1.csv", "twenty": tmp_path / "twenty.csv",
+             "missing": tmp_path / "missing.cfg"}
     paths["csv"].write_text(TWO_DATASET_CSV, encoding="utf-8")
+    paths["twenty"].write_text(TWENTY_ROW_CSV, encoding="utf-8")
     paths["dup"].write_text(DUPLICATE_ID_CSV, encoding="utf-8")
     paths["latin1"].write_bytes(VALID_CSV.replace("s3,", "s\xe9,").encode("latin-1"))
     args = [arg.format(**paths) for arg in args]

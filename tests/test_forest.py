@@ -209,15 +209,19 @@ class TestNameThatDataset:
             np.testing.assert_array_equal(serial[fs].confusion.counts,
                                           parallel[fs].confusion.counts)
 
-    def test_tiny_fraction_skipped_with_warning(self, caplog):
+    def test_unsplittable_largest_fraction_rejected_before_training(self, monkeypatch):
         table = gen_multidataset(MultiDatasetSpec(
             n_per_dataset=10, shifts=(0.0, 1.0), seed=10))
-        # fraction so large every row trains: test set empty -> skipped
-        results = name_that_dataset(
-            table, {"vol": ["vol_f1"]}, fractions=(0.96, 0.5),
-            repetitions=1, seed=11, rf_config=RFConfig(n_trees=2))
-        fractions_curve = [p.train_fraction for p in results["vol"].curve.points]
-        assert fractions_curve == [0.5]
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("a forest was trained")
+
+        monkeypatch.setattr("biasaudit.forest.train_forest", no_training)
+        # fraction so large every row trains: the test set, and so the
+        # confusion matrix, would be empty
+        with pytest.raises(ValueError, match="fractions.*0.96"):
+            name_that_dataset(table, {"vol": ["vol_f1"]}, fractions=(0.96, 0.5),
+                              repetitions=1, seed=11, rf_config=RFConfig(n_trees=2))
 
 
 def _reference_gini_best_split(values, y_onehot, min_leaf):
@@ -385,3 +389,63 @@ class TestLevelGrowerOracle:
             else:
                 assert (gini[s], threshold[s]) == want
             start += size
+
+
+def _reference_predict_codes(tree, X):
+    """The compaction walk: only rows still at an internal node step on."""
+    X = np.asarray(X, dtype=float)
+    node = np.zeros(X.shape[0], dtype=int)
+    active = tree.feature[node] >= 0
+    while np.any(active):
+        idx = np.flatnonzero(active)
+        cur = node[idx]
+        go_left = X[idx, tree.feature[cur]] <= tree.threshold[cur]
+        node[idx] = np.where(go_left, tree.left[cur], tree.right[cur])
+        active[idx] = tree.feature[node[idx]] >= 0
+    return tree._leaf_pred[node]
+
+
+def _walk_probes(tree, X, rng):
+    """X, rows lying exactly on each split's threshold, and rows with NaN and +-inf."""
+    internal = np.flatnonzero(tree.feature >= 0)
+    on_threshold = X[rng.integers(0, X.shape[0], size=internal.size)].copy()
+    on_threshold[np.arange(internal.size), tree.feature[internal]] = tree.threshold[internal]
+    special = X[rng.integers(0, X.shape[0], size=60)].copy()
+    special[rng.random(special.shape) < 0.4] = np.nan
+    special[:20][rng.random((20, X.shape[1])) < 0.5] = np.inf
+    special[20:40][rng.random((20, X.shape[1])) < 0.5] = -np.inf
+    return np.vstack([X, on_threshold, special])
+
+
+class TestFixedDepthWalkOracle:
+    @pytest.mark.parametrize("m", [1, 2, 4, 9])
+    @pytest.mark.parametrize("min_leaf", [1, 3])
+    @pytest.mark.parametrize("max_depth", [None, 3])
+    @pytest.mark.parametrize("n_classes", [2, 15])
+    def test_walk_equals_compaction_walk(self, m, min_leaf, max_depth, n_classes):
+        X, labels = _oracle_data(100 * m + 10 * min_leaf + n_classes, 150, m, n_classes)
+        config = RFConfig(max_depth=max_depth, min_samples_leaf=min_leaf)
+        rng = np.random.default_rng(m + n_classes)
+        for seed in (0, 1):
+            tree = train_tree(X, labels, config, seed)
+            probes = _walk_probes(tree, X, rng)
+            np.testing.assert_array_equal(tree.predict_codes(probes),
+                                          _reference_predict_codes(tree, probes))
+
+    def test_root_only_leaf(self):
+        tree = train_tree(np.arange(6.0).reshape(3, 2), np.array(["x"] * 3), RFConfig(),
+                          seed=0)
+        assert tree.depth == 0
+        probes = np.array([[0.0, 1.0], [np.nan, np.inf], [-np.inf, 5.0]])
+        np.testing.assert_array_equal(tree.predict_codes(probes), [0, 0, 0])
+        np.testing.assert_array_equal(tree.predict_codes(probes),
+                                      _reference_predict_codes(tree, probes))
+
+    def test_forest_votes_equal_compaction_walk_votes(self, rng):
+        X, labels = _oracle_data(3, 200, 4, 6)
+        forest = train_forest(X, labels, RFConfig(n_trees=9), seed=8)
+        probes = _walk_probes(forest.trees[0], X, rng)
+        votes = np.zeros((probes.shape[0], 6), dtype=int)
+        for tree in forest.trees:
+            votes[np.arange(probes.shape[0]), _reference_predict_codes(tree, probes)] += 1
+        np.testing.assert_array_equal(forest.predict_codes(probes), np.argmax(votes, axis=1))

@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from biasaudit import tabular
 from biasaudit.errors import (DegenerateColumnError, EmptyTableError,
                               SchemaError, SplitError)
-from biasaudit.tabular import (CauseSpec, CauseTerm, SchemaConfig, Table,
+from biasaudit.tabular import (BLOCK_RECORDS, CauseSpec, CauseTerm, SchemaConfig, Table,
                                build_design, concat_tables, load_csv,
                                standardize_column, stratified_split, summarize)
 
@@ -73,6 +74,20 @@ class TestLoadCsv:
         with pytest.raises(EmptyTableError):
             load_csv(path)
 
+    def test_rejections_name_the_file_line_a_record_starts_on(self, tmp_path):
+        path = write_csv(tmp_path,
+                         "s1,A,30,M,control,1.0,2.0\n"        # line 2
+                         "\n"                                 # line 3: blank
+                         "s2,A,NA,F,control,1.5,2.5\n"        # line 4
+                         "s3,A,40,F,control,1.5,2.5\n"        # line 5
+                         's4,A,50,F,"two\nlines",oops,2.0\n'  # lines 6-7
+                         "s5,A,45,F\n")                       # line 8: short
+        table, report = load_csv(path)
+        assert table.ids == ("s1", "s3")
+        assert report.reasons == ("line 4: non-numeric age 'NA'",
+                                  "line 6: non-numeric value in 'vol_a'",
+                                  "line 8: non-numeric value in 'vol_a'")
+
     def test_custom_schema_columns(self, tmp_path):
         path = tmp_path / "odd.csv"
         path.write_text("pid,study,years,gender,feat_x\n"
@@ -82,6 +97,85 @@ class TestLoadCsv:
                               feature_prefixes=("feat_",))
         table, _ = load_csv(path, schema)
         assert table.feature_names == ("feat_x",)
+
+
+def _messy_csv(tmp_path, block_records, n_blocks):
+    """``n_blocks`` parse blocks of ``block_records`` and a part; every other block is clean.
+
+    Clean blocks hold blank lines, multi-line quoted fields and numbers
+    with padding or ``_``.  Each of the others holds special records:
+    rejected ones (ragged, non-numeric, ``inf`` or ``nan``) and accepted
+    ragged ones, one per block when blocks are small.
+    """
+    header = "subject_id,dataset,age,sex,vol_a,thick_b,diagnosis\n"
+    clean = ["s{i},D{d},{age},M,1.5,-2,control\n",
+             "s{i},D{d}, {age} ,F, 1_000.5 ,\t3e-2 ,control\n",
+             '" s{i} ",D{d},{age},1,0.25,7,"multi\nline"\n',
+             "\ns{i},D{d},{age},0,-0.5,1_2,scz\n"]  # after a blank line
+    bad = ["s{i},D{d},{age},M,inf,1,control\n",
+           "s{i},D{d},{age},F,1,nan,control\n",
+           "s{i},D{d},{age}\n",
+           "s{i},D{d},-{age},M,1,1,control\n",
+           "s{i},D{d},{age},X,1,1,control\n",
+           ",D{d},{age},M,1,1,control\n",
+           "s{i}, ,{age},M,1,1,control\n",
+           's{i},D{d},{age},F,"1\n2",1,control\n']
+    ragged_ok = ["s{i},D{d},{age},M,2.5,1\n",             # no diagnosis field
+                 "s{i},D{d},{age},F,2.5,1,control,extra,more\n"]
+    special = bad + ragged_ok
+    lines, i, n_special = [], 0, 0
+    for block in range(n_blocks + 1):
+        n_records = block_records if block < n_blocks else block_records // 3
+        special_at = ({n_records // 2} if block_records < 16
+                      else {5, n_records // 2, n_records - 1})
+        for r in range(n_records):
+            if block % 2 == 0 and r in special_at:
+                template = special[n_special % len(special)]
+                n_special += 1
+            else:
+                template = clean[r % len(clean)]
+            lines.append(template.format(i=i, d=i % 3, age=20 + i % 50))
+            i += 1
+    assert n_special >= len(special)
+    n_bad = sum(k % len(special) < len(bad) for k in range(n_special))
+    path = tmp_path / "messy.csv"
+    path.write_text(header + "".join(lines), encoding="utf-8")
+    return path, n_bad
+
+
+@pytest.mark.parametrize("block_records, n_blocks", [(BLOCK_RECORDS, 6), (8, 19)])
+def test_block_parse_equals_record_by_record_parse(tmp_path, monkeypatch,
+                                                   block_records, n_blocks):
+    monkeypatch.setattr(tabular, "BLOCK_RECORDS", block_records)
+    path, n_bad = _messy_csv(tmp_path, block_records, n_blocks)
+    by_columns = []
+    parse_columns = tabular._parse_columns
+
+    def spy(*args):
+        part = parse_columns(*args)
+        by_columns.append(part is not None)
+        return part
+
+    monkeypatch.setattr(tabular, "_parse_columns", spy)
+    table, report = load_csv(path)
+    assert by_columns == [block % 2 == 1 for block in range(n_blocks + 1)]
+    monkeypatch.setattr(tabular, "_parse_columns", lambda *args: None)
+    want_table, want_report = load_csv(path)
+
+    assert report == want_report
+    assert report.n_rejected == n_bad
+    assert table.ids == want_table.ids
+    assert table.feature_names == want_table.feature_names == ("vol_a", "thick_b")
+    assert table.healthy_label == want_table.healthy_label
+    for name in ("dataset_labels", "sexes", "diagnosis_labels"):
+        got, want = getattr(table, name), getattr(want_table, name)
+        assert got.dtype == want.dtype and got.tolist() == want.tolist()
+    for name in ("ages", "features"):
+        got, want = getattr(table, name), getattr(want_table, name)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    assert "" in table.diagnosis_labels.tolist()  # a short record's missing field
+    assert 1000.5 in table.features[:, 0]
 
 
 class TestSummarize:
@@ -192,7 +286,34 @@ class TestBuildDesign:
             ("age", "identity"), ("age", "square"), ("sex", "identity")]
 
 
+def _reference_split_indices(table, train_fraction, seed):
+    """The per-label split: one ``==`` pass over the labels per dataset."""
+    rng = np.random.default_rng(seed)
+    train_idx, test_idx = [], []
+    for label in table.labels():
+        idx = np.flatnonzero(table.dataset_labels == label)
+        n_train = int(np.rint(train_fraction * idx.size))
+        n_train = min(max(n_train, 1), idx.size)
+        perm = rng.permutation(idx)
+        train_idx.extend(perm[:n_train])
+        test_idx.extend(perm[n_train:])
+    return train_idx, test_idx
+
+
 class TestStratifiedSplit:
+    @pytest.mark.parametrize("fraction", [0.002, 0.3, 0.75])
+    def test_equals_per_label_reference(self, fraction):
+        rng = np.random.default_rng(4)
+        labels = rng.choice([f"d{i:02d}" for i in range(15)], size=3000)
+        table = Table(ids=[f"s{i}" for i in range(3000)], dataset_labels=labels,
+                      ages=np.full(3000, 40.0), sexes=np.zeros(3000, dtype=int),
+                      features=rng.standard_normal((3000, 1)), feature_names=("vol_a",))
+        for seed in (0, 1):
+            train, test = stratified_split(table, fraction, seed)
+            want_train, want_test = _reference_split_indices(table, fraction, seed)
+            assert train.ids == table.take(want_train).ids
+            assert test.ids == table.take(want_test).ids
+
     def test_per_dataset_counts(self):
         table = make_table(n=20, n_datasets=2)
         train, test = stratified_split(table, 0.7, seed=1)
