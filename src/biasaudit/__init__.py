@@ -27,8 +27,8 @@ from .scoring import (DatasetAggregate, FailedScore, ScoreRecord,
                       score_target)
 from .synth import (GenSpec, GroundTruth, MultiDatasetSpec, gen_mixed,
                     gen_multidataset, write_table_csv)
-from .tabular import (CauseSpec, CauseTerm, DesignMatrix, SchemaConfig,
-                      Table, build_design, concat_tables, load_csv,
+from .tabular import (CauseSpec, CauseTerm, SchemaConfig, Table,
+                      build_design, concat_tables, load_csv,
                       standardize_column, stratified_split, summarize)
 
 __version__ = "0.1.0"

@@ -213,12 +213,16 @@ def fit(log_joint, d: int, config: FitConfig,
     full_rank = family == FULL_RANK
     factor = np.zeros((d, d)) if full_rank else None
 
-    raw = np.full(config.max_iterations, np.nan)
+    # the stop rule reads the last two windows only: row j % 2 holds window j,
+    # with NaN for a skipped step
+    windows = np.full((2, min(window, config.max_iterations)), np.nan)
     converged = False
     nonfinite_streak = adam_steps = 0
 
     t = 0
     for t in range(config.max_iterations):
+        row, col = divmod(t, window)
+        row %= 2
         eps = rng.standard_normal((S, d))
         scale = np.exp(q.log_scale)
         theta = q.mean + (eps @ q._fill_factor(factor, scale).T if full_rank else scale * eps)
@@ -242,9 +246,10 @@ def fit(log_joint, d: int, config: FitConfig,
             moment2 += (1 - _ADAM_BETA2) * np.square(grad)
             step = lr * (moment1 / (1 - _ADAM_BETA1 ** adam_steps))
             q.flat += step / (np.sqrt(moment2 / (1 - _ADAM_BETA2 ** adam_steps)) + _ADAM_EPS)
-            raw[t] = elbo_t
+            windows[row, col] = elbo_t
         else:
             nonfinite_streak += 1
+            windows[row, col] = np.nan
 
         if nonfinite_streak >= _DIVERGENCE_PATIENCE:
             trace = FitTrace(False, t + 1)
@@ -253,8 +258,7 @@ def fit(log_joint, d: int, config: FitConfig,
 
         done = t + 1
         if done >= 2 * window and done % window == 0:
-            prev_window = raw[done - 2 * window:done - window]
-            recent_window = raw[done - window:done]
+            prev_window, recent_window = windows[1 - row], windows[row]
             if np.any(np.isfinite(prev_window)) and np.any(np.isfinite(recent_window)):
                 prev = float(np.nanmean(prev_window))
                 recent = float(np.nanmean(recent_window))

@@ -12,35 +12,29 @@ from?") trains forests over a grid of training fractions and reports
 learning curves plus a confusion matrix at the largest fraction.
 """
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import SplitError
-from .seeding import derive_seed
+from .seeding import derive_seed, map_tasks
 from .tabular import Table, stratified_split, stratify
 
 
 @dataclass(frozen=True)
 class RFConfig:
-    """Forest hyperparameters; defaults follow common library defaults."""
+    """Forest size.  Every tree is an unpruned Gini tree on a bootstrap
+    sample that rates ceil(sqrt(m)) features per node (Breiman, 2001)."""
 
     n_trees: int = 100
-    max_depth: int | None = None
-    min_samples_leaf: int = 1
-    bootstrap: bool = True
 
     def __post_init__(self):
-        if self.n_trees < 1 or self.min_samples_leaf < 1:
-            raise ValueError("n_trees and min_samples_leaf must be >= 1")
-        if self.max_depth is not None and self.max_depth < 1:
-            raise ValueError("max_depth must be >= 1 when set")
+        if self.n_trees < 1:
+            raise ValueError("n_trees must be >= 1")
 
     def fingerprint(self) -> str:
-        depth = "none" if self.max_depth is None else str(self.max_depth)
-        return (f"trees={self.n_trees},gini,sqrt-features,depth={depth},"
-                f"min_leaf={self.min_samples_leaf},bootstrap={self.bootstrap}")
+        return (f"trees={self.n_trees},gini,sqrt-features,depth=none,"
+                "min_leaf=1,bootstrap=True")
 
 
 class DecisionTree:
@@ -97,17 +91,16 @@ def _segment_cumsum(values, starts, sizes):
     return total - np.repeat(total[starts] - values[starts], sizes)
 
 
-def _segment_splits(x, y, sizes, min_leaf):
+def _segment_splits(x, y, sizes):
     """Best Gini split of every segment: ``(gini, threshold)`` arrays.
 
     ``x`` (feature values) and ``y`` (class codes) hold the segments
     back to back, ``sizes`` their lengths; both are reordered in place.
     One sort orders every segment by value; one scan then rates every
-    boundary between distinct values.  A segment without a valid
-    boundary gets gini ``inf``.  Each segment's result equals the
-    one-segment call (:func:`_gini_best_split`) bit for bit: the sums of
-    squared class counts on either side are exact integers, so no
-    row-by-class table is built, and the float arithmetic is the same.
+    boundary between distinct values.  A segment without one gets gini
+    ``inf``.  Each segment's result equals its own one-segment call bit
+    for bit: the sums of squared class counts on either side are exact
+    integers, so no row-by-class table is built.
     """
     n = x.size
     starts = np.cumsum(sizes) - sizes
@@ -149,10 +142,8 @@ def _segment_splits(x, y, sizes, min_leaf):
     size_left = np.arange(1, n + 1)
     size_left -= starts[seg]
     size = sizes[seg]
-    valid = size - size_left >= max(min_leaf, 1)
+    valid = size_left < size
     valid[:-1] &= x[1:] > x[:-1]
-    if min_leaf > 1:
-        valid &= size_left >= min_leaf
     at = np.flatnonzero(valid)
     gini = np.full(sizes.size, np.inf)
     threshold = np.zeros(sizes.size)
@@ -175,21 +166,7 @@ def _segment_splits(x, y, sizes, min_leaf):
     return gini, threshold
 
 
-def _gini_best_split(values, y_onehot, min_leaf):
-    """Best threshold for one feature; returns (gini, threshold) or None.
-
-    Scans every boundary between distinct sorted values using prefix
-    class counts: the one-segment call of :func:`_segment_splits`.
-    """
-    values = np.array(values, dtype=float)
-    codes = np.argmax(np.asarray(y_onehot), axis=1)
-    gini, threshold = _segment_splits(values, codes, np.array([values.size]), min_leaf)
-    if np.isinf(gini[0]):
-        return None
-    return float(gini[0]), float(threshold[0])
-
-
-def _feature_scan(flat, m, rows, y, sizes, features, min_leaf):
+def _feature_scan(flat, m, rows, y, sizes, features):
     """Best split of each node on each of its listed features.
 
     Node ``j`` owns ``sizes[j]`` consecutive entries of ``rows`` and
@@ -210,11 +187,11 @@ def _feature_scan(flat, m, rows, y, sizes, features, min_leaf):
     x = flat[at]
     y = y[member]
     del at, member
-    gini, threshold = _segment_splits(x, y, seg_sizes, min_leaf)
+    gini, threshold = _segment_splits(x, y, seg_sizes)
     return gini.reshape(n_nodes, width), threshold.reshape(n_nodes, width)
 
 
-def _choose_splits(flat, m, rows, y, sizes, feature_order, min_leaf):
+def _choose_splits(flat, m, rows, y, sizes, feature_order):
     """Feature and threshold of each node's split; feature -1 for none.
 
     A node rates the first ceil(sqrt(m)) features of its order and
@@ -223,7 +200,7 @@ def _choose_splits(flat, m, rows, y, sizes, feature_order, min_leaf):
     """
     n_candidates = int(np.ceil(np.sqrt(m)))
     candidates = feature_order[:, :n_candidates]
-    gini, threshold = _feature_scan(flat, m, rows, y, sizes, candidates, min_leaf)
+    gini, threshold = _feature_scan(flat, m, rows, y, sizes, candidates)
     nodes = np.arange(sizes.size)
     pick = np.argmin(gini, axis=1)
     feature = np.where(np.isfinite(gini[nodes, pick]), candidates[nodes, pick], -1)
@@ -233,7 +210,7 @@ def _choose_splits(flat, m, rows, y, sizes, feature_order, min_leaf):
         in_stuck = np.repeat(feature < 0, sizes)
         rest = feature_order[stuck, n_candidates:]
         gini, rest_threshold = _feature_scan(flat, m, rows[in_stuck], y[in_stuck],
-                                             sizes[stuck], rest, min_leaf)
+                                             sizes[stuck], rest)
         admits = np.isfinite(gini)
         pick = np.argmax(admits, axis=1)
         found = admits[np.arange(stuck.size), pick]
@@ -242,7 +219,7 @@ def _choose_splits(flat, m, rows, y, sizes, feature_order, min_leaf):
     return feature, threshold
 
 
-def _grow_trees(X, y, samples, seeds, config: RFConfig, class_labels):
+def _grow_trees(X, y, samples, seeds, class_labels):
     """Grow one CART tree per (row sample, seed), all trees a depth at a time.
 
     ``y`` holds class codes; ``samples[t]`` lists the rows of ``X`` that
@@ -266,15 +243,12 @@ def _grow_trees(X, y, samples, seeds, config: RFConfig, class_labels):
     node_id = np.zeros(n_trees, dtype=int)
     n_nodes = np.ones(n_trees, dtype=int)
     levels = []
-    depth = 0
     while sizes.size:
         n_level = sizes.size
         node_of = np.repeat(np.arange(n_level), sizes)
         counts = np.bincount(node_of * n_classes + codes,
                              minlength=n_level * n_classes).reshape(n_level, n_classes)
-        is_open = (counts.max(axis=1) < sizes) & (sizes >= 2 * config.min_samples_leaf)
-        if config.max_depth is not None and depth >= config.max_depth:
-            is_open[:] = False
+        is_open = counts.max(axis=1) < sizes  # impure, so at least 2 rows
         feature = np.full(n_level, -1)
         threshold = np.zeros(n_level)
         opened = np.flatnonzero(is_open)
@@ -285,7 +259,7 @@ def _grow_trees(X, y, samples, seeds, config: RFConfig, class_labels):
             in_open = is_open[node_of]
             feature[opened], threshold[opened] = _choose_splits(
                 flat, m, rows[in_open], codes[in_open], sizes[opened],
-                np.argsort(keys, axis=1, kind="stable"), config.min_samples_leaf)
+                np.argsort(keys, axis=1, kind="stable"))
         split = np.flatnonzero(feature >= 0)
         leaf = np.flatnonzero(feature < 0)
         split_tree = tree_of[split]
@@ -310,7 +284,6 @@ def _grow_trees(X, y, samples, seeds, config: RFConfig, class_labels):
         rows, codes = rows[order], codes[order]
         tree_of = np.repeat(split_tree, 2)
         node_id = np.column_stack([left[split], right[split]]).ravel()
-        depth += 1
 
     # one array per field for the whole forest, each tree a slice of it
     offsets = np.cumsum(n_nodes) - n_nodes
@@ -334,8 +307,7 @@ def _class_codes(labels, class_labels) -> np.ndarray:
     return np.array([code_of[v] for v in labels.tolist()], dtype=int)
 
 
-def train_tree(X, labels, config: RFConfig, seed: int,
-               class_labels=None) -> DecisionTree:
+def train_tree(X, labels, seed: int, class_labels=None) -> DecisionTree:
     """Grow a single CART tree with Gini splits.
 
     The one-tree call of the forest's level-synchronous grower: every
@@ -355,7 +327,7 @@ def train_tree(X, labels, config: RFConfig, seed: int,
     if class_labels is None:
         class_labels = sorted(set(labels.tolist()))
     y = _class_codes(labels, class_labels)
-    return _grow_trees(X, y, [np.arange(X.shape[0])], [seed], config, class_labels)[0]
+    return _grow_trees(X, y, [np.arange(X.shape[0])], [seed], class_labels)[0]
 
 
 @dataclass(frozen=True)
@@ -390,15 +362,10 @@ def train_forest(X, labels, config: RFConfig, seed: int, class_labels=None) -> F
         class_labels = sorted(set(labels.tolist()))
     y = _class_codes(labels, class_labels)
     n, tree_ids = X.shape[0], range(config.n_trees)
-    samples = []
-    for t in tree_ids:
-        if config.bootstrap:
-            rng = np.random.default_rng(derive_seed(seed, "bootstrap", t))
-            samples.append(rng.integers(0, n, size=n))
-        else:
-            samples.append(np.arange(n))
+    samples = [np.random.default_rng(derive_seed(seed, "bootstrap", t)).integers(0, n, size=n)
+               for t in tree_ids]
     trees = _grow_trees(X, y, samples, [derive_seed(seed, "tree", t) for t in tree_ids],
-                        config, class_labels)
+                        class_labels)
     return Forest(trees=tuple(trees), class_labels=tuple(class_labels))
 
 
@@ -486,30 +453,22 @@ def name_that_dataset(table: Table, feature_sets: dict[str, list[str]],
         raise ValueError(f"fractions: the largest fraction, {max_fraction}, "
                          f"cannot be split: {exc}") from None
 
-    cells = []
-    tasks = []
-    for fs_name, columns in feature_sets.items():
-        for fraction in sorted(fractions):
-            for rep in range(repetitions):
-                cells.append((fs_name, fraction, rep))
-                tasks.append((table, columns, class_labels, fraction,
-                              derive_seed(seed, fs_name, fraction, rep),
-                              rf_config, fraction == max_fraction))
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_run_repetition, tasks))
-    else:
-        outcomes = [_run_repetition(t) for t in tasks]
+    tasks = [(table, columns, class_labels, fraction,
+              derive_seed(seed, fs_name, fraction, rep), rf_config,
+              fraction == max_fraction)
+             for fs_name, columns in feature_sets.items()
+             for fraction in sorted(fractions)
+             for rep in range(repetitions)]
+    outcomes = iter(map_tasks(_run_repetition, tasks, jobs))
 
-    by_cell = dict(zip(cells, outcomes))
     results = {}
-    for fs_name, columns in feature_sets.items():
+    for fs_name in feature_sets:
         points = []
         confusion = np.zeros((len(class_labels), len(class_labels)), dtype=int)
         for fraction in sorted(fractions):
             accuracies = []
-            for rep in range(repetitions):
-                accuracy, rep_confusion = by_cell[(fs_name, fraction, rep)]
+            for _ in range(repetitions):
+                accuracy, rep_confusion = next(outcomes)
                 accuracies.append(accuracy)
                 if rep_confusion is not None:
                     confusion += rep_confusion

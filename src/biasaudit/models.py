@@ -31,7 +31,6 @@ from .errors import QuadratureError
 from .gaussmath import (LOG_2PI, SpdMatrix, grid_quadrature_2d, mvn_logpdf,
                         normal_logpdf)
 from .seeding import derive_seed
-from .tabular import DesignMatrix
 
 
 @dataclass(frozen=True)
@@ -73,11 +72,11 @@ class JointVector:
         self.values = values
 
     @classmethod
-    def from_design(cls, X: DesignMatrix, y: np.ndarray) -> "JointVector":
+    def from_design(cls, X: np.ndarray, y: np.ndarray) -> "JointVector":
         y = np.asarray(y, dtype=float)
-        if y.shape != (X.n,):
+        if y.shape != (X.shape[0],):
             raise ValueError("target length does not match design rows")
-        return cls(np.column_stack([X.values, y]))
+        return cls(np.column_stack([X, y]))
 
     @property
     def n(self) -> int:
@@ -101,23 +100,19 @@ class CodeLength:
     iterations: int = 0
 
 
-def _values(X) -> np.ndarray:
-    return X.values if hasattr(X, "values") else np.asarray(X, dtype=float)
-
-
 # ---------------------------------------------------------------------------
 # causal model
 # ---------------------------------------------------------------------------
 
 def _regression_terms(X, y, spec: CausalModelSpec):
     """``P = I / sigma_w^2 + X^T X / sigma_y^2``, ``b = X^T y / sigma_y^2`` and ``y^T y``."""
-    Xv = _values(X)
+    X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    if y.shape != (Xv.shape[0],):
+    if y.shape != (X.shape[0],):
         raise ValueError("y length does not match design rows")
     var_w, var_y = spec.sigma_w ** 2, spec.sigma_y ** 2
-    return (np.eye(Xv.shape[1]) / var_w + (Xv.T @ Xv) / var_y,
-            (Xv.T @ y) / var_y, float(y @ y))
+    return (np.eye(X.shape[1]) / var_w + (X.T @ X) / var_y,
+            (X.T @ y) / var_y, float(y @ y))
 
 
 def make_causal_target(X, y, spec: CausalModelSpec):
@@ -128,7 +123,7 @@ def make_causal_target(X, y, spec: CausalModelSpec):
     :func:`_regression_terms` the log joint is ``const + w^T b - w^T P w / 2``
     and its gradient ``b - P w``: O(m^2) per sample at any number of rows.
     """
-    n, m = np.shape(_values(X))
+    n, m = np.shape(X)
     P, b, yty = _regression_terms(X, y, spec)
     var_w, var_y = spec.sigma_w ** 2, spec.sigma_y ** 2
     const = (-0.5 * m * math.log(2.0 * math.pi * var_w)
@@ -160,7 +155,7 @@ def causal_evidence_closed_form(X, y, spec: CausalModelSpec) -> float:
     determinant lemma gives ``log|C| = n log sigma_y^2 + m log sigma_w^2 +
     log|P|`` and Woodbury gives ``y^T C^-1 y = y^T y / sigma_y^2 - b^T P^-1 b``.
     """
-    n, m = np.shape(_values(X))
+    n, m = np.shape(X)
     if n < 1:
         raise ValueError("need at least one row")
     P, b, yty = _regression_terms(X, y, spec)
@@ -173,8 +168,7 @@ def causal_evidence_closed_form(X, y, spec: CausalModelSpec) -> float:
 
 def code_length_X(X, sigma_x: float) -> float:
     """Nats to code every cause entry under its independent prior."""
-    Xv = _values(X)
-    return float(-np.sum(normal_logpdf(Xv, sigma_x)))
+    return float(-np.sum(normal_logpdf(np.asarray(X, dtype=float), sigma_x)))
 
 
 def causal_code_length(X, y, spec: CausalModelSpec,
@@ -188,16 +182,16 @@ def causal_code_length(X, y, spec: CausalModelSpec,
     estimate (an upper bound, equal in the limit for this conjugate
     model under the full-rank family).
     """
-    Xv = _values(X)
-    if Xv.shape[0] < 1:
+    X = np.asarray(X, dtype=float)
+    if X.shape[0] < 1:
         raise ValueError("need at least one row")
-    prefix = code_length_X(Xv, spec.sigma_x)
+    prefix = code_length_X(X, spec.sigma_x)
     if method == "closed_form":
-        return CodeLength(nats=prefix - causal_evidence_closed_form(Xv, y, spec),
+        return CodeLength(nats=prefix - causal_evidence_closed_form(X, y, spec),
                           method=method)
     if method != "advi":
         raise ValueError(f"unknown method {method!r}")
-    target, d = make_causal_target(Xv, y, spec)
+    target, d = make_causal_target(X, y, spec)
     return _fitted_code_length(target, d, prefix, family, fit_config)
 
 
@@ -336,8 +330,7 @@ def make_collapsed_target(V: JointVector, spec: ConfoundedModelSpec):
     return target, k * width
 
 
-def _ppca_start(V: JointVector, spec: ConfoundedModelSpec,
-                family: str) -> VariationalPosterior:
+def _ppca_start(V: JointVector, spec: ConfoundedModelSpec) -> VariationalPosterior:
     """A fit's start at the PPCA maximum-likelihood loadings, width 1/sqrt(n).
 
     The loading posterior is symmetric under W -> -W (rotations for
@@ -354,15 +347,14 @@ def _ppca_start(V: JointVector, spec: ConfoundedModelSpec,
     U = U * np.sign(U[np.argmax(np.abs(U), axis=0), np.arange(r)])
     W = np.zeros((spec.k, width))
     W[:r] = (np.sqrt(np.maximum(lam - spec.sigma_obs ** 2, 0.0)) / spec.sigma_z)[:, None] * U.T
-    return VariationalPosterior.isotropic(family, W.ravel(), 1.0 / math.sqrt(n))
+    return VariationalPosterior.isotropic(MEAN_FIELD, W.ravel(), 1.0 / math.sqrt(n))
 
 
 def confounded_code_length(V: JointVector, spec: ConfoundedModelSpec,
-                           family: str = MEAN_FIELD,
                            fit_config: FitConfig | None = None) -> CodeLength:
     """Description length of the joint data under the confounded model.
 
-    Estimated as the negative ELBO of a Gaussian fit of ``family`` over
+    Estimated as the negative ELBO of a mean-field Gaussian fit over
     the loadings, with the confounders integrated out exactly
     (:func:`make_collapsed_target`); the loadings have no closed form.
     The fit starts at the PPCA maximum-likelihood loadings.
@@ -371,8 +363,8 @@ def confounded_code_length(V: JointVector, spec: ConfoundedModelSpec,
     if V.n < m + 2:
         raise ValueError(f"need at least m+2={m + 2} rows, have {V.n}")
     target, d = make_collapsed_target(V, spec)
-    return _fitted_code_length(target, d, 0.0, family, fit_config,
-                               start=_ppca_start(V, spec, family))
+    return _fitted_code_length(target, d, 0.0, MEAN_FIELD, fit_config,
+                               start=_ppca_start(V, spec))
 
 
 def confounded_evidence_quadrature(V: JointVector, spec: ConfoundedModelSpec,

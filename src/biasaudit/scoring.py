@@ -10,16 +10,15 @@ are first-class records, never silent zeros.
 import hashlib
 import json
 import logging
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .advi import FitConfig, FULL_RANK, MEAN_FIELD
+from .advi import FitConfig, FULL_RANK
 from .errors import BiasAuditError
 from .models import (CausalModelSpec, ConfoundedModelSpec, JointVector,
                      causal_code_length, confounded_code_length)
-from .seeding import derive_seed
+from .seeding import derive_seed, map_tasks
 from .tabular import CauseSpec, Table, build_design, standardize_column
 
 log = logging.getLogger(__name__)
@@ -108,7 +107,7 @@ def score_target(table: Table, cause_spec: CauseSpec, target: str,
         X, y, causal_model, method=causal_method, family=causal_family,
         fit_config=replace(fit_config, seed=derive_seed(seed, "causal")))
     confounded = confounded_code_length(
-        joint, confounded_model, family=MEAN_FIELD,
+        joint, confounded_model,
         fit_config=replace(fit_config, seed=derive_seed(seed, "confounded")))
 
     return ScoreRecord(
@@ -178,12 +177,7 @@ def score_all(table: Table, config: ScoringConfig) -> list[ScoreRecord | FailedS
             seed = derive_seed(config.master_seed, label, target)
             tasks.append((sub, target, config, seed))
 
-    if config.jobs > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            results = list(pool.map(_score_one, tasks))
-    else:
-        results = [_score_one(t) for t in tasks]
-    return results
+    return map_tasks(_score_one, tasks, config.jobs)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Deterministic seed derivation.
+"""Deterministic seed derivation and the task map that relies on it.
 
 Every stochastic unit of work (one variational fit, one tree, one
 split repetition) gets its own seed derived from the master seed and
@@ -7,6 +7,7 @@ identical results regardless of scheduling order.
 """
 
 import hashlib
+from concurrent.futures import ProcessPoolExecutor
 
 
 def derive_seed(master_seed: int, *parts) -> int:
@@ -17,3 +18,17 @@ def derive_seed(master_seed: int, *parts) -> int:
     key = ":".join([str(int(master_seed))] + [str(p) for p in parts])
     digest = hashlib.sha256(key.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
+
+
+def map_tasks(fn, tasks: list, jobs: int) -> list:
+    """``[fn(t) for t in tasks]``, on up to ``jobs`` worker processes.
+
+    A pool starts all of its workers at the first submit, so it gets one
+    worker per task at most; a single task, or ``jobs=1``, runs in this
+    process.  Results come back in task order either way.
+    """
+    workers = min(jobs, len(tasks))
+    if workers <= 1:
+        return [fn(t) for t in tasks]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, tasks))

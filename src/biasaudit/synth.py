@@ -21,8 +21,8 @@ class GenSpec:
 
     ``alpha`` = 1 is pure causality (causes drive the target), 0 is
     pure confounding (a shared latent drives causes and target).
-    Weights and loadings default to unit-norm vectors drawn from the
-    seed.
+    The causal weights and latent loadings are unit-norm vectors drawn
+    from the seed.
     """
 
     n: int = 500
@@ -32,8 +32,6 @@ class GenSpec:
     noise_sd: float = 0.5
     seed: int = 0
     dataset: str = "synthetic"
-    weights: tuple[float, ...] | None = None       # causal weights on x, length m
-    latent_loadings: tuple[float, ...] | None = None  # confounder weights on y, length k
 
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
@@ -44,10 +42,6 @@ class GenSpec:
             raise ValueError("need m >= 1 and k >= 1")
         if self.noise_sd <= 0:
             raise ValueError("noise_sd must be positive")
-        if self.weights is not None and len(self.weights) != self.m:
-            raise ValueError("weights must have length m")
-        if self.latent_loadings is not None and len(self.latent_loadings) != self.k:
-            raise ValueError("latent_loadings must have length k")
 
 
 @dataclass
@@ -90,14 +84,8 @@ def gen_mixed(spec: GenSpec) -> tuple[Table, GroundTruth]:
     z = rng.standard_normal((spec.n, spec.k))
     eps_x = rng.standard_normal((spec.n, spec.m))
     cause_loadings = _unit_rows(rng, spec.m, spec.k)
-    if spec.weights is not None:
-        weights = np.asarray(spec.weights, dtype=float)
-    else:
-        weights = _unit_rows(rng, 1, spec.m)[0]
-    if spec.latent_loadings is not None:
-        latent_loadings = np.asarray(spec.latent_loadings, dtype=float)
-    else:
-        latent_loadings = _unit_rows(rng, 1, spec.k)[0]
+    weights = _unit_rows(rng, 1, spec.m)[0]
+    latent_loadings = _unit_rows(rng, 1, spec.k)[0]
     noise = spec.noise_sd * rng.standard_normal(spec.n)
 
     x = np.sqrt(spec.alpha) * eps_x + np.sqrt(1.0 - spec.alpha) * (z @ cause_loadings.T)

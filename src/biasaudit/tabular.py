@@ -384,23 +384,8 @@ class CauseSpec:
         return len(self.terms)
 
 
-@dataclass(frozen=True)
-class DesignMatrix:
-    """n x m cause matrix, each column standardized."""
-
-    values: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.values.shape[1]
-
-
-def build_design(table: Table, spec: CauseSpec) -> DesignMatrix:
-    """Construct the cause matrix.
+def build_design(table: Table, spec: CauseSpec) -> np.ndarray:
+    """The read-only n x m cause matrix, each column standardized.
 
     Transforms are applied to the raw column first (so "square" squares
     raw ages, not standardized ones), then each derived column is
@@ -417,7 +402,7 @@ def build_design(table: Table, spec: CauseSpec) -> DesignMatrix:
         cols.append(standardize_column(raw)[0])
     values = np.column_stack(cols)
     values.flags.writeable = False
-    return DesignMatrix(values=values)
+    return values
 
 
 def stratify(table: Table, train_fraction: float) -> tuple[list[np.ndarray], np.ndarray]:

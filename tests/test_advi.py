@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,27 @@ class TestFit:
         gap = elbo_full - elbo_mf
         analytic = -0.5 * np.log(1 - rho ** 2)
         assert gap == pytest.approx(analytic, abs=0.1)
+
+    @pytest.mark.parametrize("config", [
+        FitConfig(seed=1, max_iterations=10 ** 6),
+        FitConfig(seed=1, max_iterations=300, convergence_window=10 ** 9),
+    ], ids=["large_budget", "window_beyond_budget"])
+    def test_memory_does_not_grow_with_budget(self, config):
+        # the stop rule keeps two windows of ELBO estimates, not the whole budget
+        normalized = gaussian_target([1.0, -2.0, 0.5], np.eye(3))
+
+        def target(theta):
+            values, grads = normalized(theta)
+            return values - 30.0, grads
+
+        tracemalloc.start()
+        try:
+            _, trace = fit(target, 3, config, family=MEAN_FIELD)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert trace.iterations_run < 2_000
+        assert peak < 1e6
 
     def test_bit_reproducible(self):
         target = gaussian_target([1.0, -2.0], np.diag([1.0, 4.0]))
@@ -326,7 +349,8 @@ def _loop_cases():
         ("patchy", lambda: _patchy(gauss), 3, None),
         ("causal", lambda: causal, 3, None),
         ("collapsed_ppca_start", lambda: collapsed, d_co,
-         lambda family: _ppca_start(V, ConfoundedModelSpec(k=2), family)),
+         lambda family: VariationalPosterior.isotropic(
+             family, _ppca_start(V, ConfoundedModelSpec(k=2)).mean, 1.0 / np.sqrt(V.n))),
         ("gaussian_start", lambda: gauss, 3,
          lambda family: VariationalPosterior.isotropic(family, np.array([0.5, 0.0, -1.0]), 0.3)),
     ]

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from biasaudit.forest import (Forest, RFConfig, _gini_best_split, _segment_splits,
-                              name_that_dataset, train_forest, train_tree)
+from biasaudit.forest import (Forest, RFConfig, _segment_splits, name_that_dataset,
+                              train_forest, train_tree)
 from biasaudit.seeding import derive_seed
 from biasaudit.synth import MultiDatasetSpec, gen_multidataset
 
@@ -19,35 +19,25 @@ def blob_data(rng, n_per_class=120, shift=2.0, n_features=4):
 class TestGiniSplit:
     def test_perfect_split_has_zero_impurity(self):
         values = np.array([0.0, 0.1, 1.0, 1.1])
-        onehot = np.array([[1, 0], [1, 0], [0, 1], [0, 1]], dtype=float)
-        gini, threshold = _gini_best_split(values, onehot, min_leaf=1)
-        assert gini == pytest.approx(0.0)
-        assert threshold == pytest.approx(0.55)
-
-    def test_uninformative_split_keeps_half_gini(self):
-        # every boundary yields balanced classes on both sides
-        values = np.array([0.0, 1.0, 2.0, 3.0])
-        onehot = np.array([[1, 0], [0, 1], [1, 0], [0, 1]], dtype=float)
-        gini, _ = _gini_best_split(values, onehot, min_leaf=2)
-        assert gini == pytest.approx(0.5)
+        gini, threshold = _segment_splits(values, np.array([0, 0, 1, 1]), np.array([4]))
+        assert gini[0] == pytest.approx(0.0)
+        assert threshold[0] == pytest.approx(0.55)
 
     def test_constant_feature_unsplittable(self):
-        values = np.ones(4)
-        onehot = np.array([[1, 0], [0, 1], [1, 0], [0, 1]], dtype=float)
-        assert _gini_best_split(values, onehot, min_leaf=1) is None
+        gini, _ = _segment_splits(np.ones(4), np.array([0, 1, 0, 1]), np.array([4]))
+        assert gini[0] == np.inf
 
 
 class TestTrainTree:
     def test_single_class_single_leaf(self):
-        tree = train_tree(np.arange(5.0)[:, None], np.array(["x"] * 5),
-                          RFConfig(), seed=0)
+        tree = train_tree(np.arange(5.0)[:, None], np.array(["x"] * 5), seed=0)
         assert tree.n_nodes == 1
         assert tree.predict_codes(np.array([[2.0]]))[0] == 0
 
     def test_separable_1d_depth_one(self):
         X = np.array([[-2.0], [-1.0], [-0.5], [0.5], [1.0], [2.0]])
         labels = np.array(["a", "a", "a", "b", "b", "b"])
-        tree = train_tree(X, labels, RFConfig(), seed=0)
+        tree = train_tree(X, labels, seed=0)
         assert tree.n_nodes == 3
         assert abs(tree.threshold[0]) < 0.5
         assert np.mean(tree.predict_codes(X) == np.array([0, 0, 0, 1, 1, 1])) == 1.0
@@ -55,27 +45,20 @@ class TestTrainTree:
     def test_full_depth_memorizes_unique_rows(self, rng):
         X = rng.standard_normal((64, 3))
         labels = rng.choice(list("abcd"), size=64)
-        tree = train_tree(X, labels, RFConfig(), seed=1)
+        tree = train_tree(X, labels, seed=1)
         classes = sorted(set(labels.tolist()))
         want = np.array([classes.index(v) for v in labels])
         assert np.mean(tree.predict_codes(X) == want) == 1.0
 
-    def test_max_depth_respected(self, rng):
-        X = rng.standard_normal((100, 2))
-        labels = rng.choice(["a", "b"], size=100)
-        tree = train_tree(X, labels, RFConfig(max_depth=2), seed=2)
-        assert tree.n_nodes <= 7
-
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
-            train_tree(np.zeros((0, 2)), np.array([]), RFConfig(), seed=0)
+            train_tree(np.zeros((0, 2)), np.array([]), seed=0)
 
 
 class TestForest:
-    def test_one_tree_no_bootstrap_equals_tree(self, rng):
+    def test_one_tree_forest_votes_as_its_tree(self, rng):
         X, labels = blob_data(rng, n_per_class=40)
-        forest = train_forest(X, labels, RFConfig(n_trees=1, bootstrap=False),
-                              seed=3)
+        forest = train_forest(X, labels, RFConfig(n_trees=1), seed=3)
         assert len(forest.trees) == 1
         np.testing.assert_array_equal(forest.predict_codes(X),
                                       forest.trees[0].predict_codes(X))
@@ -129,8 +112,8 @@ class TestPredict:
     def test_tie_breaks_to_lowest_class_index(self):
         # two stumps with opposite votes at the origin
         X = np.array([[-1.0], [1.0]])
-        t1 = train_tree(X, np.array(["a", "b"]), RFConfig(), seed=0)
-        t2 = train_tree(X, np.array(["b", "a"]), RFConfig(), seed=0)
+        t1 = train_tree(X, np.array(["a", "b"]), seed=0)
+        t2 = train_tree(X, np.array(["b", "a"]), seed=0)
         probe = np.array([[-1.0]])
         assert [t1.predict_codes(probe)[0], t2.predict_codes(probe)[0]] == [0, 1]
         forest = Forest(trees=(t1, t2), class_labels=("a", "b"))
@@ -224,7 +207,7 @@ class TestNameThatDataset:
                               repetitions=1, seed=11, rf_config=RFConfig(n_trees=2))
 
 
-def _reference_gini_best_split(values, y_onehot, min_leaf):
+def _reference_gini_best_split(values, y_onehot):
     """Best threshold for one feature; returns (gini, threshold) or None.
 
     Scans every boundary between distinct sorted values using prefix
@@ -237,8 +220,6 @@ def _reference_gini_best_split(values, y_onehot, min_leaf):
     total = cum[-1]
     sizes_left = np.arange(1, n)
     boundary = sv[1:] > sv[:-1]
-    if min_leaf > 1:
-        boundary &= (sizes_left >= min_leaf) & (n - sizes_left >= min_leaf)
     if not np.any(boundary):
         return None
     left = cum[:-1]
@@ -252,7 +233,7 @@ def _reference_gini_best_split(values, y_onehot, min_leaf):
     return float(weighted[best]), float(0.5 * (sv[best] + sv[best + 1]))
 
 
-def _reference_train_tree(X, labels, config, seed, class_labels=None):
+def _reference_train_tree(X, labels, seed, class_labels=None):
     """The per-node grower, visiting nodes breadth first.
 
     Node by node it runs the one-feature scan above over a random
@@ -286,14 +267,11 @@ def _reference_train_tree(X, labels, config, seed, class_labels=None):
         return len(feature) - 1
 
     level = [(new_node(), np.arange(X.shape[0]))]
-    depth = 0
     while level:
         open_nodes = []
         for node, idx in level:
             counts = np.bincount(y[idx], minlength=n_classes)
-            pure = np.max(counts) == idx.size
-            depth_capped = config.max_depth is not None and depth >= config.max_depth
-            if not pure and not depth_capped and idx.size >= 2 * config.min_samples_leaf:
+            if np.max(counts) < idx.size:
                 open_nodes.append((node, idx, counts))
             else:
                 leaf_counts[node] = counts
@@ -305,8 +283,7 @@ def _reference_train_tree(X, labels, config, seed, class_labels=None):
             best = (np.inf, None, None)
             tried = 0
             for f in perm:
-                result = _reference_gini_best_split(X[idx, f], onehot,
-                                                    config.min_samples_leaf)
+                result = _reference_gini_best_split(X[idx, f], onehot)
                 tried += 1
                 if result is not None and result[0] < best[0]:
                     best = (result[0], int(f), result[1])
@@ -323,7 +300,6 @@ def _reference_train_tree(X, labels, config, seed, class_labels=None):
             right[node] = new_node()
             level.append((left[node], idx[go_left]))
             level.append((right[node], idx[~go_left]))
-        depth += 1
     return feature, threshold, left, right, np.vstack(leaf_counts)
 
 
@@ -339,6 +315,33 @@ def _oracle_data(seed, n_rows, m, n_classes):
     return X, np.array([f"c{v:02d}" for v in labels])
 
 
+ORACLE_LAYOUTS = ["spread", "few_rows", "duplicated", "bootstrap"]
+
+
+def _oracle_layout(layout, m, n_classes):
+    """Oracle inputs in one of four row layouts.
+
+    ``spread`` is 150 rows of :func:`_oracle_data`; ``few_rows`` is 12
+    rows, so trees stay shallow; ``duplicated`` repeats 75 rows with a
+    fresh label on each copy, so impure nodes with no boundary between
+    distinct values become leaves; ``bootstrap`` draws 150 rows with
+    replacement, as :func:`train_forest` feeds each tree.
+    """
+    seed = 100 * m + 10 + n_classes
+    if layout == "spread":
+        return _oracle_data(seed, 150, m, n_classes)
+    if layout == "few_rows":
+        return _oracle_data(seed, 12, m, n_classes)
+    rng = np.random.default_rng(seed + 1)
+    if layout == "duplicated":
+        X, labels = _oracle_data(seed, 75, m, n_classes)
+        relabel = np.array([f"c{v:02d}" for v in rng.integers(0, n_classes, size=75)])
+        return np.vstack([X, X]), np.concatenate([labels, relabel])
+    X, labels = _oracle_data(seed, 150, m, n_classes)
+    rows = rng.integers(0, 150, size=150)
+    return X[rows], labels[rows]
+
+
 def _assert_same_tree(tree, want):
     feature, threshold, left, right, leaf_counts = want
     np.testing.assert_array_equal(tree.feature, feature)
@@ -350,40 +353,36 @@ def _assert_same_tree(tree, want):
 
 class TestLevelGrowerOracle:
     @pytest.mark.parametrize("m", [1, 2, 4, 9])
-    @pytest.mark.parametrize("min_leaf", [1, 3])
-    @pytest.mark.parametrize("max_depth", [None, 3])
     @pytest.mark.parametrize("n_classes", [2, 15])
-    def test_tree_equals_per_node_reference(self, m, min_leaf, max_depth, n_classes):
-        X, labels = _oracle_data(100 * m + 10 * min_leaf + n_classes, 150, m, n_classes)
-        config = RFConfig(max_depth=max_depth, min_samples_leaf=min_leaf)
+    @pytest.mark.parametrize("layout", ORACLE_LAYOUTS)
+    def test_tree_equals_per_node_reference(self, m, n_classes, layout):
+        X, labels = _oracle_layout(layout, m, n_classes)
         for seed in (0, 1):
-            tree = train_tree(X, labels, config, seed)
-            _assert_same_tree(tree, _reference_train_tree(X, labels, config, seed))
+            tree = train_tree(X, labels, seed)
+            _assert_same_tree(tree, _reference_train_tree(X, labels, seed))
 
     def test_forest_trees_equal_trees_grown_alone(self):
         X, labels = _oracle_data(7, 120, 4, 5)
-        config = RFConfig(n_trees=6)
         classes = sorted(set(labels.tolist()))
-        forest = train_forest(X, labels, config, seed=21)
+        forest = train_forest(X, labels, RFConfig(n_trees=6), seed=21)
         for t, tree in enumerate(forest.trees):
             rows = np.random.default_rng(derive_seed(21, "bootstrap", t)).integers(
                 0, X.shape[0], size=X.shape[0])
-            alone = train_tree(X[rows], labels[rows], config,
-                               derive_seed(21, "tree", t), class_labels=classes)
+            alone = train_tree(X[rows], labels[rows], derive_seed(21, "tree", t),
+                               class_labels=classes)
             _assert_same_tree(tree, (alone.feature, alone.threshold, alone.left,
                                      alone.right, alone.leaf_counts))
 
-    @pytest.mark.parametrize("min_leaf", [1, 2, 4])
-    def test_segmented_scan_equals_one_feature_scan(self, rng, min_leaf):
+    def test_segmented_scan_equals_one_feature_scan(self, rng):
         sizes = rng.integers(1, 40, size=30)
         x = np.round(rng.standard_normal(sizes.sum()), 1)
         x[: sizes[0]] = 0.0  # one constant segment
         y = rng.integers(0, 6, size=sizes.sum())
-        gini, threshold = _segment_splits(x, y, sizes, min_leaf)
+        gini, threshold = _segment_splits(x, y, sizes)
         start = 0
         for s, size in enumerate(sizes):
             part = slice(start, start + size)
-            want = _reference_gini_best_split(x[part], np.eye(6)[y[part]], min_leaf)
+            want = _reference_gini_best_split(x[part], np.eye(6)[y[part]])
             if want is None:
                 assert gini[s] == np.inf
             else:
@@ -419,22 +418,19 @@ def _walk_probes(tree, X, rng):
 
 class TestFixedDepthWalkOracle:
     @pytest.mark.parametrize("m", [1, 2, 4, 9])
-    @pytest.mark.parametrize("min_leaf", [1, 3])
-    @pytest.mark.parametrize("max_depth", [None, 3])
     @pytest.mark.parametrize("n_classes", [2, 15])
-    def test_walk_equals_compaction_walk(self, m, min_leaf, max_depth, n_classes):
-        X, labels = _oracle_data(100 * m + 10 * min_leaf + n_classes, 150, m, n_classes)
-        config = RFConfig(max_depth=max_depth, min_samples_leaf=min_leaf)
+    @pytest.mark.parametrize("layout", ORACLE_LAYOUTS)
+    def test_walk_equals_compaction_walk(self, m, n_classes, layout):
+        X, labels = _oracle_layout(layout, m, n_classes)
         rng = np.random.default_rng(m + n_classes)
         for seed in (0, 1):
-            tree = train_tree(X, labels, config, seed)
+            tree = train_tree(X, labels, seed)
             probes = _walk_probes(tree, X, rng)
             np.testing.assert_array_equal(tree.predict_codes(probes),
                                           _reference_predict_codes(tree, probes))
 
     def test_root_only_leaf(self):
-        tree = train_tree(np.arange(6.0).reshape(3, 2), np.array(["x"] * 3), RFConfig(),
-                          seed=0)
+        tree = train_tree(np.arange(6.0).reshape(3, 2), np.array(["x"] * 3), seed=0)
         assert tree.depth == 0
         probes = np.array([[0.0, 1.0], [np.nan, np.inf], [-np.inf, 5.0]])
         np.testing.assert_array_equal(tree.predict_codes(probes), [0, 0, 0])

@@ -57,8 +57,6 @@ class TestGenMixed:
             GenSpec(n=5)
         with pytest.raises(ValueError):
             GenSpec(noise_sd=0.0)
-        with pytest.raises(ValueError):
-            GenSpec(m=2, weights=(1.0,))
 
 
 class TestGenMultidataset:

@@ -250,7 +250,7 @@ class TestBuildDesign:
         design = build_design(table, CauseSpec(terms=(CauseTerm("age", "square"),)))
         raw_sq = np.array([400.0, 900.0, 1600.0, 2500.0])
         want, _, _ = standardize_column(raw_sq)
-        np.testing.assert_allclose(design.values[:, 0], want, atol=1e-12)
+        np.testing.assert_allclose(design[:, 0], want, atol=1e-12)
 
     def test_all_male_degenerate(self):
         table = Table(ids=["a", "b", "c"], dataset_labels=["A"] * 3,
@@ -264,9 +264,9 @@ class TestBuildDesign:
         spec = CauseSpec(terms=(CauseTerm("age"), CauseTerm("age", "square"),
                                 CauseTerm("sex")))
         design = build_design(table, spec)
-        assert design.values.shape == (100, 3)
-        np.testing.assert_allclose(np.mean(design.values, axis=0), 0.0, atol=1e-9)
-        np.testing.assert_allclose(np.std(design.values, axis=0), 1.0, atol=1e-9)
+        assert design.shape == (100, 3)
+        np.testing.assert_allclose(np.mean(design, axis=0), 0.0, atol=1e-9)
+        np.testing.assert_allclose(np.std(design, axis=0), 1.0, atol=1e-9)
 
     def test_row_order_invariance(self, rng):
         table = make_table(n=30, seed=4)
@@ -274,7 +274,7 @@ class TestBuildDesign:
         base = build_design(table, spec)
         perm = rng.permutation(30)
         permuted = build_design(table.take(perm), spec)
-        np.testing.assert_allclose(permuted.values, base.values[perm], atol=1e-12)
+        np.testing.assert_allclose(permuted, base[perm], atol=1e-12)
 
     def test_duplicate_terms_rejected(self):
         with pytest.raises(ValueError):
