@@ -11,7 +11,6 @@ usage or schema errors, 3 for total computational failure.
 """
 
 import csv
-import hashlib
 import json
 import logging
 import sys
@@ -20,6 +19,7 @@ from dataclasses import asdict, fields
 from pathlib import Path
 
 import click
+import numpy as np
 
 from .advi import FitConfig, FULL_RANK, MEAN_FIELD
 from .errors import BiasAuditError, SchemaError
@@ -27,7 +27,9 @@ from .forest import DEFAULT_FRACTIONS, RFConfig, name_that_dataset
 from .models import CausalModelSpec, ConfoundedModelSpec
 from .scoring import (FailedScore, ScoringConfig, aggregate_by_dataset,
                       score_all)
-from .synth import GenSpec, MultiDatasetSpec, gen_mixed, gen_multidataset, write_table_csv
+from .seeding import fingerprint
+from .synth import (MULTIDATASET_FEATURES, GenSpec, MultiDatasetSpec, gen_mixed,
+                    gen_multidataset, write_table_csv)
 from .tabular import CauseSpec, SchemaConfig, load_csv, summarize
 
 log = logging.getLogger("biasaudit")
@@ -178,11 +180,6 @@ def _make_out_dir(path) -> Path:
     return out
 
 
-def fingerprint(resolved: dict) -> str:
-    canon = json.dumps(resolved, sort_keys=True, default=str)
-    return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
-
-
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -295,7 +292,7 @@ def score(config_path, **flags):
         "sigma": {"x": cfg["sigma_x"], "w": cfg["sigma_w"], "y": cfg["sigma_y"],
                   "z": cfg["sigma_z"], "obs": cfg["sigma_obs"]},
     }
-    fp = fingerprint(resolved)
+    fp = fingerprint(resolved, 16)
 
     records = score_all(table, config)
     ok = [r for r in records if not isinstance(r, FailedScore)]
@@ -350,7 +347,7 @@ def classify(config_path, **flags):
     with _usage_errors():
         cfg = resolve_config("classify", config_path, flags)
         table, _ = _load_table(cfg)
-        feature_sets = _default_feature_sets(table.feature_names)
+        feature_sets = _feature_sets(table.feature_names, cfg["feature_prefixes"])
         rf_config = RFConfig(n_trees=cfg["trees"])
         out = _make_out_dir(cfg["out"])
         results = name_that_dataset(
@@ -366,7 +363,7 @@ def classify(config_path, **flags):
         "feature_sets": {name: list(cols) for name, cols in feature_sets.items()},
     }
     (out / "classify.json").write_text(
-        json.dumps({"fingerprint": fingerprint(resolved), "config": resolved},
+        json.dumps({"fingerprint": fingerprint(resolved, 16), "config": resolved},
                    indent=2, sort_keys=True) + "\n", encoding="utf-8")
     curve_rows = []
     for fs_name in feature_sets:
@@ -389,18 +386,21 @@ def classify(config_path, **flags):
     click.echo(f"classified over {len(feature_sets)} feature sets -> {out}")
 
 
-def _default_feature_sets(feature_names) -> dict[str, list[str]]:
-    """The standard feature subsets: demographics, per-prefix, combined."""
-    volume = [c for c in feature_names if c.startswith("vol_")]
-    thickness = [c for c in feature_names if c.startswith("thick_")]
-    sets: dict[str, list[str]] = {"age_sex": ["age", "sex"]}
-    if volume:
-        sets["volume"] = volume
-    if thickness:
-        sets["thickness"] = thickness
-    if volume and thickness:
-        sets["volume_thickness"] = volume + thickness
-    return sets
+# report names of the default feature prefixes; another prefix is named
+# by itself without its trailing "_"
+PREFIX_NAMES = {"vol_": "volume", "thick_": "thickness"}
+
+
+def _feature_sets(feature_names, prefixes) -> dict[str, list[str]]:
+    """Demographics, one set per prefix that has columns, and their union."""
+    sets = {}
+    for prefix in prefixes:
+        columns = [c for c in feature_names if c.startswith(prefix)]
+        if columns:
+            sets[PREFIX_NAMES.get(prefix, prefix.rstrip("_") or prefix)] = columns
+    if len(sets) > 1:
+        sets["_".join(sets)] = list(dict.fromkeys(c for cs in sets.values() for c in cs))
+    return {"age_sex": ["age", "sex"]} | sets
 
 
 @main.command()
@@ -428,16 +428,10 @@ def simulate(out_dir, name, kind, alpha, n, m, k, noise_sd, n_datasets, shift, s
                            seed=seed, dataset=name)
             table, truth = gen_mixed(spec)
             sidecar = {
-                "kind": "mixed",
-                "alpha": truth.alpha,
-                "n": n, "m": m, "k": k,
-                "noise_sd": truth.noise_sd,
-                "seed": truth.seed,
-                "weights": truth.weights.tolist(),
-                "cause_loadings": truth.cause_loadings.tolist(),
-                "latent_loadings": truth.latent_loadings.tolist(),
-                "latents": truth.latents.tolist(),
-                "noise": truth.noise.tolist(),
+                key: value.tolist() if isinstance(value, np.ndarray) else value
+                for key, value in asdict(truth).items()
+            } | {
+                "kind": "mixed", "n": n, "m": m, "k": k,
                 "cause_columns": [f"vol_x{j + 1}" for j in range(m)],
                 "target_column": "vol_y",
             }
@@ -449,8 +443,8 @@ def simulate(out_dir, name, kind, alpha, n, m, k, noise_sd, n_datasets, shift, s
                 "kind": "multidataset",
                 "n_per_dataset": n,
                 "shifts": list(shifts),
-                "scales": list(spec.scales),
-                "feature_names": list(spec.feature_names),
+                "scales": [1.0] * n_datasets,
+                "feature_names": list(MULTIDATASET_FEATURES),
                 "seed": seed,
             }
     write_table_csv(table, csv_path)

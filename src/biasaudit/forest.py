@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import SplitError
 from .seeding import derive_seed, map_tasks
-from .tabular import Table, stratified_split, stratify
+from .tabular import Table, label_codes, stratified_split, stratify
 
 
 @dataclass(frozen=True)
@@ -45,13 +45,12 @@ class DecisionTree:
     counts.
     """
 
-    def __init__(self, feature, threshold, left, right, leaf_counts, class_labels):
+    def __init__(self, feature, threshold, left, right, leaf_counts):
         self.feature = np.asarray(feature, dtype=int)
         self.threshold = np.asarray(threshold, dtype=float)
         self.left = np.asarray(left, dtype=int)
         self.right = np.asarray(right, dtype=int)
         self.leaf_counts = np.asarray(leaf_counts, dtype=int)
-        self.class_labels = tuple(class_labels)
         self._leaf_pred = np.argmax(self.leaf_counts, axis=1)
 
         # walk tables: entry 2i + go of ``_child`` is where node i sends a
@@ -219,7 +218,7 @@ def _choose_splits(flat, m, rows, y, sizes, feature_order):
     return feature, threshold
 
 
-def _grow_trees(X, y, samples, seeds, class_labels):
+def _grow_trees(X, y, samples, seeds, n_classes):
     """Grow one CART tree per (row sample, seed), all trees a depth at a time.
 
     ``y`` holds class codes; ``samples[t]`` lists the rows of ``X`` that
@@ -231,7 +230,6 @@ def _grow_trees(X, y, samples, seeds, class_labels):
     feature order.  Nodes are numbered breadth-first within their tree,
     so a tree depends only on its own rows and seed.
     """
-    n_classes = len(class_labels)
     flat = np.ascontiguousarray(X).ravel()
     m = X.shape[1]
     n_trees = len(samples)
@@ -297,14 +295,9 @@ def _grow_trees(X, y, samples, seeds, class_labels):
             whole[at] = part
         leaf_counts[at[leaf]] = counts
     bounds = offsets[1:]
-    return [DecisionTree(*parts, class_labels)
+    return [DecisionTree(*parts)
             for parts in zip(*(np.split(whole, bounds) for whole in
                                (feature, threshold, left, right, leaf_counts)))]
-
-
-def _class_codes(labels, class_labels) -> np.ndarray:
-    code_of = {c: i for i, c in enumerate(class_labels)}
-    return np.array([code_of[v] for v in labels.tolist()], dtype=int)
 
 
 def train_tree(X, labels, seed: int, class_labels=None) -> DecisionTree:
@@ -326,8 +319,8 @@ def train_tree(X, labels, seed: int, class_labels=None) -> DecisionTree:
         raise ValueError("labels must match the number of rows")
     if class_labels is None:
         class_labels = sorted(set(labels.tolist()))
-    y = _class_codes(labels, class_labels)
-    return _grow_trees(X, y, [np.arange(X.shape[0])], [seed], class_labels)[0]
+    y = label_codes(labels, class_labels)
+    return _grow_trees(X, y, [np.arange(X.shape[0])], [seed], len(class_labels))[0]
 
 
 @dataclass(frozen=True)
@@ -360,12 +353,12 @@ def train_forest(X, labels, config: RFConfig, seed: int, class_labels=None) -> F
     labels = np.asarray(labels)
     if class_labels is None:
         class_labels = sorted(set(labels.tolist()))
-    y = _class_codes(labels, class_labels)
+    y = label_codes(labels, class_labels)
     n, tree_ids = X.shape[0], range(config.n_trees)
     samples = [np.random.default_rng(derive_seed(seed, "bootstrap", t)).integers(0, n, size=n)
                for t in tree_ids]
     trees = _grow_trees(X, y, samples, [derive_seed(seed, "tree", t) for t in tree_ids],
-                        class_labels)
+                        len(class_labels))
     return Forest(trees=tuple(trees), class_labels=tuple(class_labels))
 
 
@@ -408,7 +401,7 @@ def _run_repetition(args):
     forest = train_forest(train_X, train.dataset_labels, rf_config,
                           derive_seed(rep_seed, "forest"), class_labels=class_labels)
     pred = forest.predict_codes(test_X)
-    true = _class_codes(test.dataset_labels, class_labels)
+    true = label_codes(test.dataset_labels, class_labels)
     confusion = None
     if want_confusion:
         confusion = np.zeros((len(class_labels), len(class_labels)), dtype=int)
@@ -459,28 +452,23 @@ def name_that_dataset(table: Table, feature_sets: dict[str, list[str]],
              for fs_name, columns in feature_sets.items()
              for fraction in sorted(fractions)
              for rep in range(repetitions)]
-    outcomes = iter(map_tasks(_run_repetition, tasks, jobs))
+    outcomes = map_tasks(_run_repetition, tasks, jobs)
+    n_sets, n_classes = len(feature_sets), len(class_labels)
+    accuracies = np.reshape([accuracy for accuracy, _ in outcomes],
+                            (n_sets, len(fractions), repetitions))
+    confusions = np.reshape([counts for _, counts in outcomes if counts is not None],
+                            (n_sets, repetitions, n_classes, n_classes)).sum(axis=1)
 
     results = {}
-    for fs_name in feature_sets:
-        points = []
-        confusion = np.zeros((len(class_labels), len(class_labels)), dtype=int)
-        for fraction in sorted(fractions):
-            accuracies = []
-            for _ in range(repetitions):
-                accuracy, rep_confusion = next(outcomes)
-                accuracies.append(accuracy)
-                if rep_confusion is not None:
-                    confusion += rep_confusion
-            acc = np.array(accuracies)
-            points.append(LearningCurvePoint(
-                train_fraction=float(fraction),
-                mean_accuracy=float(np.mean(acc)),
-                sd_accuracy=float(np.std(acc)),
-                repetitions=repetitions,
-            ))
+    for fs_name, fs_accuracies, counts in zip(feature_sets, accuracies, confusions):
+        points = tuple(LearningCurvePoint(
+            train_fraction=float(fraction),
+            mean_accuracy=float(np.mean(acc)),
+            sd_accuracy=float(np.std(acc)),
+            repetitions=repetitions,
+        ) for fraction, acc in zip(sorted(fractions), fs_accuracies))
         results[fs_name] = FeatureSetResult(
-            curve=LearningCurve(points=tuple(points)),
-            confusion=ConfusionMatrix(counts=confusion, class_labels=class_labels),
+            curve=LearningCurve(points=points),
+            confusion=ConfusionMatrix(counts=counts, class_labels=class_labels),
         )
     return results

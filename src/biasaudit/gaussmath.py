@@ -1,7 +1,10 @@
 """Dense Gaussian linear algebra and low-dimensional quadrature.
 
-All log densities are in nats.  Matrices here are small (at most a few
-thousand rows), so everything is plain dense numpy.
+All log densities are in nats.  Matrices here are small, so everything
+is plain dense numpy: scoring factors only the m x m precision ``P`` of
+``models.causal_evidence_closed_form`` (m = cause columns), and the
+quadrature oracle the (m+1) x (m+1) row covariance of
+``models.ppca_evidence_fixed_W``.  No n x n matrix is formed.
 """
 
 import numpy as np
@@ -10,9 +13,10 @@ from .errors import FactorizationError, QuadratureError
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
-# One-shot jitter added when a nominally-SPD matrix fails to factor;
-# needed because marginal covariances of the form s*X@X.T + n*I can sit
-# right at the edge of positive definiteness.
+# One-shot jitter added when a nominally-SPD matrix fails to factor.  Both
+# matrices factored here carry a scaled identity (I/sigma_w^2 in P,
+# sigma_obs^2 I in the row covariance), so this guards against round-off
+# under extreme scales rather than a routine loss of definiteness.
 _JITTER_SCALE = 1e-8
 
 

@@ -7,8 +7,6 @@ negative the confounded one (a shared latent drives both).  Failures
 are first-class records, never silent zeros.
 """
 
-import hashlib
-import json
 import logging
 from dataclasses import asdict, dataclass, replace
 
@@ -18,7 +16,7 @@ from .advi import FitConfig, FULL_RANK
 from .errors import BiasAuditError
 from .models import (CausalModelSpec, ConfoundedModelSpec, JointVector,
                      causal_code_length, confounded_code_length)
-from .seeding import derive_seed, map_tasks
+from .seeding import derive_seed, fingerprint, map_tasks
 from .tabular import CauseSpec, Table, build_design, standardize_column
 
 log = logging.getLogger(__name__)
@@ -122,26 +120,15 @@ def score_target(table: Table, cause_spec: CauseSpec, target: str,
             "confounded": _fit_diag(confounded),
             "seed": seed,
             "controls_only": controls_only,
-            "config_fingerprint": _config_fingerprint(fit_config),
+            # per-record seeds are recorded separately; hash the shared knobs
+            "config_fingerprint": fingerprint(
+                {k: v for k, v in asdict(fit_config).items() if k != "seed"}, 12),
         },
     )
 
 
-def _config_fingerprint(fit_config: FitConfig) -> str:
-    # per-record seeds are recorded separately; hash the shared knobs
-    fields = {k: v for k, v in asdict(fit_config).items() if k != "seed"}
-    canon = json.dumps(fields, sort_keys=True)
-    return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:12]
-
-
 def _fit_diag(code_length) -> dict:
-    return {
-        "method": code_length.method,
-        "family": code_length.family,
-        "converged": code_length.converged,
-        "elbo_se": code_length.elbo_se,
-        "iterations": code_length.iterations,
-    }
+    return {k: v for k, v in asdict(code_length).items() if k != "nats"}
 
 
 def _score_one(args):

@@ -3,10 +3,12 @@
 Every stochastic unit of work (one variational fit, one tree, one
 split repetition) gets its own seed derived from the master seed and
 the unit's identity, so serial and parallel execution produce
-identical results regardless of scheduling order.
+identical results regardless of scheduling order.  Reports name the
+configuration they ran under by a fingerprint hashed the same stable way.
 """
 
 import hashlib
+import json
 from concurrent.futures import ProcessPoolExecutor
 
 
@@ -18,6 +20,12 @@ def derive_seed(master_seed: int, *parts) -> int:
     key = ":".join([str(int(master_seed))] + [str(p) for p in parts])
     digest = hashlib.sha256(key.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
+
+
+def fingerprint(config, digits: int) -> str:
+    """The first ``digits`` hex digits of the sha256 of ``config`` as sorted JSON."""
+    canon = json.dumps(config, sort_keys=True, default=str)
+    return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:digits]
 
 
 def map_tasks(fn, tasks: list, jobs: int) -> list:

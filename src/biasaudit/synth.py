@@ -111,25 +111,20 @@ def gen_mixed(spec: GenSpec) -> tuple[Table, GroundTruth]:
     return table, truth
 
 
+MULTIDATASET_FEATURES = ("vol_f1", "vol_f2", "thick_f1", "thick_f2")
+
+
 @dataclass(frozen=True)
 class MultiDatasetSpec:
-    """Shifted/scaled Gaussian features for several named datasets."""
+    """Shifted unit-SD Gaussian features for several named datasets."""
 
     n_per_dataset: int = 200
     shifts: tuple[float, ...] = (0.0, 0.0)
-    scales: tuple[float, ...] | None = None  # defaults to all ones
-    feature_names: tuple[str, ...] = ("vol_f1", "vol_f2", "thick_f1", "thick_f2")
     seed: int = 0
 
     def __post_init__(self):
         if len(self.shifts) < 2:
             raise ValueError("need at least 2 datasets")
-        if self.scales is None:
-            object.__setattr__(self, "scales", (1.0,) * len(self.shifts))
-        if len(self.scales) != len(self.shifts):
-            raise ValueError("scales and shifts must have the same length")
-        if any(s <= 0 for s in self.scales):
-            raise ValueError("scales must be positive")
 
     @property
     def n_datasets(self) -> int:
@@ -139,23 +134,22 @@ class MultiDatasetSpec:
 def gen_multidataset(spec: MultiDatasetSpec) -> Table:
     """Draw one table of several datasets with per-dataset feature shifts.
 
-    All-zero shifts with unit scales make the datasets exchangeable,
-    so a membership classifier can do no better than chance.  Age and
-    sex are drawn identically for every dataset.
+    All-zero shifts make the datasets exchangeable, so a membership
+    classifier can do no better than chance.  Age and sex are drawn
+    identically for every dataset.
     """
     parts = []
     for d in range(spec.n_datasets):
         rng = np.random.default_rng(np.random.SeedSequence([spec.seed, d]))
         n = spec.n_per_dataset
-        features = spec.shifts[d] + spec.scales[d] * rng.standard_normal(
-            (n, len(spec.feature_names)))
+        features = spec.shifts[d] + rng.standard_normal((n, len(MULTIDATASET_FEATURES)))
         parts.append(Table(
             ids=[f"ds{d:02d}_{i:05d}" for i in range(n)],
             dataset_labels=[f"ds{d:02d}"] * n,
             ages=rng.uniform(20.0, 80.0, size=n),
             sexes=rng.integers(0, 2, size=n),
             features=features,
-            feature_names=spec.feature_names,
+            feature_names=MULTIDATASET_FEATURES,
             diagnosis_labels=["control"] * n,
         ))
     return concat_tables(parts)

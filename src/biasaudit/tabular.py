@@ -159,10 +159,10 @@ def load_csv(path, schema: SchemaConfig | None = None) -> tuple[Table, Rejection
     Returns the table of accepted rows plus a report of rejected ones;
     each rejection names the file line its record starts on.  Records
     are parsed by columns, a block at a time; a block holding a ragged
-    or invalid record is parsed record by record instead, so that each
-    rejection gets its reason.  Raises :class:`SchemaError` when a
-    required column is missing and :class:`EmptyTableError` when no row
-    survives validation.
+    or invalid record is validated record by record, so that each
+    rejection gets its reason, and its accepted records are then parsed
+    by columns.  Raises :class:`SchemaError` when a required column is
+    missing and :class:`EmptyTableError` when no row survives validation.
     """
     schema = schema or SchemaConfig()
     with open(path, newline="", encoding="utf-8") as fh:
@@ -183,8 +183,9 @@ def load_csv(path, schema: SchemaConfig | None = None) -> tuple[Table, Rejection
         for starts, records in _record_blocks(reader):
             part = _parse_columns(records, header, schema, feature_cols, has_diagnosis)
             if part is None:
-                part = _parse_records(records, starts, header, schema, feature_cols,
-                                      has_diagnosis, reasons)
+                records = _valid_records(records, starts, header, schema, feature_cols,
+                                         reasons)
+                part = _parse_columns(records, header, schema, feature_cols, has_diagnosis)
             parts.append(part)
 
     if not sum(part[0].size for part in parts):
@@ -228,7 +229,7 @@ def _parse_columns(records, header, schema, feature_cols, has_diagnosis):
     if any(len(record) != len(header) for record in records):
         return None
     at = {name: i for i, name in enumerate(header)}  # a repeated name: its last column
-    columns = list(zip(*records))
+    columns = list(zip(*records)) or [()] * len(header)
     try:
         ages = np.array(columns[at[schema.age_column]], dtype=float)
         feats = np.array([columns[at[c]] for c in feature_cols], dtype=float)
@@ -247,31 +248,23 @@ def _parse_columns(records, header, schema, feature_cols, has_diagnosis):
             np.array(diags, dtype=object))
 
 
-def _parse_records(records, starts, header, schema, feature_cols, has_diagnosis, reasons):
-    """A block's accepted records, validated one at a time; rejections go to ``reasons``.
+def _valid_records(records, starts, header, schema, feature_cols, reasons):
+    """A block's accepted records, cut or padded with "" to the header width.
 
-    Each record reads as a ``csv.DictReader`` row: fields beyond the
-    header are ignored and a short record's missing fields are None.
+    Each record is validated as a ``csv.DictReader`` row: fields beyond
+    the header are ignored and a short record's missing fields are None.
+    Rejections go to ``reasons``.
     """
-    ids, labels, ages, sexes, feats, diags = [], [], [], [], [], []
+    kept = []
     for line, record in zip(starts, records):
         row = dict(zip(header, record))
         row.update(dict.fromkeys(header[len(record):]))
         reason = _validate_row(row, schema, feature_cols)
-        if reason is not None:
+        if reason is None:
+            kept.append((record + [""] * len(header))[:len(header)])
+        else:
             reasons.append(f"line {line}: {reason}")
-            continue
-        ids.append(row[schema.id_column].strip())
-        labels.append(row[schema.dataset_column].strip())
-        ages.append(float(row[schema.age_column]))
-        sexes.append(SEX_CODES[row[schema.sex_column].strip()])
-        feats.append([float(row[c]) for c in feature_cols])
-        if has_diagnosis:
-            diags.append((row[schema.diagnosis_column] or "").strip())
-    return (np.array(ids, dtype=object), np.array(labels, dtype=object),
-            np.array(ages, dtype=float), np.array(sexes, dtype=int),
-            np.array(feats, dtype=float).reshape(len(ids), len(feature_cols)),
-            np.array(diags, dtype=object))
+    return kept
 
 
 def _validate_row(row, schema, feature_cols) -> str | None:
@@ -405,6 +398,12 @@ def build_design(table: Table, spec: CauseSpec) -> np.ndarray:
     return values
 
 
+def label_codes(values, labels) -> np.ndarray:
+    """Each value's index in ``labels``."""
+    code_of = {label: i for i, label in enumerate(labels)}
+    return np.array([code_of[v] for v in values.tolist()], dtype=int)
+
+
 def stratify(table: Table, train_fraction: float) -> tuple[list[np.ndarray], np.ndarray]:
     """Each dataset's rows, in sorted label order, and its train row count.
 
@@ -416,8 +415,7 @@ def stratify(table: Table, train_fraction: float) -> tuple[list[np.ndarray], np.
     if not 0.0 < train_fraction < 1.0:
         raise ValueError("train_fraction must lie in (0, 1)")
     labels = table.labels()
-    code_of = {label: i for i, label in enumerate(labels)}
-    codes = np.array([code_of[v] for v in table.dataset_labels.tolist()])
+    codes = label_codes(table.dataset_labels, labels)
     sizes = np.bincount(codes, minlength=len(labels))
     small = np.flatnonzero(sizes < 2)
     if small.size:

@@ -241,6 +241,29 @@ class TestClassify:
         assert result.exit_code == 2
 
 
+    def test_feature_sets_follow_feature_prefixes(self, runner, tmp_path):
+        invoke(runner, ["simulate", "--kind", "multidataset", "--n-datasets", "3",
+                        "--n", "40", "--shift", "2.0", "--out", str(tmp_path),
+                        "--name", "multi", "--seed", "4"])
+        data = tmp_path / "multi.csv"
+        data.write_text(data.read_text().replace("vol_f", "feat_").replace("thick_f", "feat2_"))
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("feature_prefixes = feat_,feat2_\nfractions = 0.5\n", encoding="utf-8")
+        out = tmp_path / "cls"
+        result = invoke(runner, ["classify", "--input", str(data), "--out", str(out),
+                                 "--seed", "1", "--repetitions", "2", "--trees", "5",
+                                 "--config", str(cfg)])
+        assert result.exit_code == 0
+        payload = json.loads((out / "classify.json").read_text())
+        assert payload["config"]["feature_sets"] == {
+            "age_sex": ["age", "sex"], "feat": ["feat_1", "feat_2"],
+            "feat2": ["feat2_1", "feat2_2"],
+            "feat_feat2": ["feat_1", "feat_2", "feat2_1", "feat2_2"]}
+        curve = [line.split(",") for line in (out / "curve.csv").read_text().splitlines()[1:]]
+        assert [row[0] for row in curve] == ["age_sex", "feat", "feat2", "feat_feat2"]
+        assert float(curve[-1][2]) > 0.6  # 2-SD shifts; chance is 1/3
+
+
 class TestSimulate:
     def test_writes_csv_and_sidecar(self, runner, tmp_path):
         result = invoke(runner, ["simulate", "--out", str(tmp_path), "--name",

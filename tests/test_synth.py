@@ -61,15 +61,14 @@ class TestGenMixed:
 
 class TestGenMultidataset:
     def test_moments_match_spec(self):
-        spec = MultiDatasetSpec(n_per_dataset=5000, shifts=(0.0, 2.0),
-                                scales=(1.0, 3.0), seed=6)
+        spec = MultiDatasetSpec(n_per_dataset=5000, shifts=(0.0, 2.0), seed=6)
         table = gen_multidataset(spec)
-        for d, (shift, scale) in enumerate(zip(spec.shifts, spec.scales)):
+        for d, shift in enumerate(spec.shifts):
             mask = table.dataset_labels == f"ds{d:02d}"
             values = table.features[mask]
             tol = 4 / np.sqrt(values.size)
-            assert abs(np.mean(values) - shift) < tol * scale
-            assert abs(np.std(values) - scale) < tol * scale * 2
+            assert abs(np.mean(values) - shift) < tol
+            assert abs(np.std(values) - 1.0) < tol * 2
 
     def test_labels_and_sizes(self):
         table = gen_multidataset(MultiDatasetSpec(n_per_dataset=30,

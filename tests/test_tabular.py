@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,8 @@ from hypothesis import strategies as st
 from biasaudit import tabular
 from biasaudit.errors import (DegenerateColumnError, EmptyTableError,
                               SchemaError, SplitError)
-from biasaudit.tabular import (BLOCK_RECORDS, CauseSpec, CauseTerm, SchemaConfig, Table,
+from biasaudit.tabular import (BLOCK_RECORDS, SEX_CODES, CauseSpec, CauseTerm,
+                               RejectionReport, SchemaConfig, Table, _validate_row,
                                build_design, concat_tables, load_csv,
                                standardize_column, stratified_split, summarize)
 
@@ -143,6 +146,75 @@ def _messy_csv(tmp_path, block_records, n_blocks):
     return path, n_bad
 
 
+# A record-by-record parser that reads each accepted value with float()
+# and DictReader semantics, apart from load_csv's column parser: the
+# oracle of the load_csv tests below.
+def _parse_records(records, starts, header, schema, feature_cols, has_diagnosis, reasons):
+    """A block's accepted records, validated one at a time; rejections go to ``reasons``.
+
+    Each record reads as a ``csv.DictReader`` row: fields beyond the
+    header are ignored and a short record's missing fields are None.
+    """
+    ids, labels, ages, sexes, feats, diags = [], [], [], [], [], []
+    for line, record in zip(starts, records):
+        row = dict(zip(header, record))
+        row.update(dict.fromkeys(header[len(record):]))
+        reason = _validate_row(row, schema, feature_cols)
+        if reason is not None:
+            reasons.append(f"line {line}: {reason}")
+            continue
+        ids.append(row[schema.id_column].strip())
+        labels.append(row[schema.dataset_column].strip())
+        ages.append(float(row[schema.age_column]))
+        sexes.append(SEX_CODES[row[schema.sex_column].strip()])
+        feats.append([float(row[c]) for c in feature_cols])
+        if has_diagnosis:
+            diags.append((row[schema.diagnosis_column] or "").strip())
+    return (np.array(ids, dtype=object), np.array(labels, dtype=object),
+            np.array(ages, dtype=float), np.array(sexes, dtype=int),
+            np.array(feats, dtype=float).reshape(len(ids), len(feature_cols)),
+            np.array(diags, dtype=object))
+
+
+def _reference_load_csv(path):
+    """:func:`load_csv` with every block parsed by :func:`_parse_records`."""
+    schema = SchemaConfig()
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        feature_cols = [c for c in header
+                        if any(c.startswith(p) for p in schema.feature_prefixes)]
+        has_diagnosis = schema.diagnosis_column in header
+        reasons = []
+        parts = [_parse_records(records, starts, header, schema, feature_cols,
+                                has_diagnosis, reasons)
+                 for starts, records in tabular._record_blocks(reader)]
+    ids, labels, ages, sexes, feats, diags = (np.concatenate(field) for field in zip(*parts))
+    table = Table(ids=ids, dataset_labels=labels, ages=ages, sexes=sexes, features=feats,
+                  feature_names=feature_cols,
+                  diagnosis_labels=diags if has_diagnosis else None,
+                  healthy_label=schema.healthy_label)
+    return table, RejectionReport(n_rejected=len(reasons), reasons=tuple(reasons))
+
+
+def _assert_same_load(path):
+    """load_csv and the record-by-record reference agree on ``path``, byte for byte."""
+    table, report = load_csv(path)
+    want_table, want_report = _reference_load_csv(path)
+    assert report == want_report
+    assert table.ids == want_table.ids
+    assert table.feature_names == want_table.feature_names == ("vol_a", "thick_b")
+    assert table.healthy_label == want_table.healthy_label
+    for name in ("dataset_labels", "sexes", "diagnosis_labels"):
+        got, want = getattr(table, name), getattr(want_table, name)
+        assert got.dtype == want.dtype and got.tolist() == want.tolist()
+    for name in ("ages", "features"):
+        got, want = getattr(table, name), getattr(want_table, name)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    return table, report
+
+
 @pytest.mark.parametrize("block_records, n_blocks", [(BLOCK_RECORDS, 6), (8, 19)])
 def test_block_parse_equals_record_by_record_parse(tmp_path, monkeypatch,
                                                    block_records, n_blocks):
@@ -157,25 +229,32 @@ def test_block_parse_equals_record_by_record_parse(tmp_path, monkeypatch,
         return part
 
     monkeypatch.setattr(tabular, "_parse_columns", spy)
-    table, report = load_csv(path)
-    assert by_columns == [block % 2 == 1 for block in range(n_blocks + 1)]
-    monkeypatch.setattr(tabular, "_parse_columns", lambda *args: None)
-    want_table, want_report = load_csv(path)
-
-    assert report == want_report
+    table, report = _assert_same_load(path)
+    # a block with a special record fails the column parse; its accepted
+    # records are then parsed by columns
+    assert by_columns == [parsed for block in range(n_blocks + 1)
+                          for parsed in ((True,) if block % 2 else (False, True))]
     assert report.n_rejected == n_bad
-    assert table.ids == want_table.ids
-    assert table.feature_names == want_table.feature_names == ("vol_a", "thick_b")
-    assert table.healthy_label == want_table.healthy_label
-    for name in ("dataset_labels", "sexes", "diagnosis_labels"):
-        got, want = getattr(table, name), getattr(want_table, name)
-        assert got.dtype == want.dtype and got.tolist() == want.tolist()
-    for name in ("ages", "features"):
-        got, want = getattr(table, name), getattr(want_table, name)
-        assert got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
     assert "" in table.diagnosis_labels.tolist()  # a short record's missing field
     assert 1000.5 in table.features[:, 0]
+
+
+def test_block_with_every_record_rejected(tmp_path, monkeypatch):
+    monkeypatch.setattr(tabular, "BLOCK_RECORDS", 3)
+    path = write_csv(tmp_path,
+                     "s1,A,30,M,control,1,2\n"
+                     "s2,A,31,F,control,1,2\n"
+                     "s3,B,32,M,control,1,2\n"
+                     "s4,A,-1,M,control,1,2\n"       # line 5
+                     "s5,A,30,X,control,1,2\n"       # line 6
+                     "s6,B,30,M,control,inf,2\n"     # line 7
+                     "s7,A,33,M,control,1,2\n"
+                     "s8,B,34,F,scz,1,2\n")
+    table, report = _assert_same_load(path)
+    assert table.ids == ("s1", "s2", "s3", "s7", "s8")
+    assert report.reasons == ("line 5: invalid age -1.0",
+                              "line 6: unrecognized sex code 'X'",
+                              "line 7: non-finite value in 'vol_a'")
 
 
 class TestSummarize:

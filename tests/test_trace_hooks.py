@@ -8,8 +8,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# Installs the tracer, then runs a traced tree, a tiny score and a tiny
-# classify, and prints the per-layer values of the recorded spans.
+# Installs the tracer, then runs a traced tree, a tiny score by ADVI and
+# by the closed form and a tiny classify, and prints the per-layer values
+# of the recorded spans.
 TRACED_RUN = """
 import json, sys
 from pathlib import Path
@@ -39,6 +40,9 @@ write_table_csv(gen_mixed(GenSpec(n=40, m=2, seed=1))[0], work / "mixed.csv")
 (work / "score.cfg").write_text("max_iterations = 400\\nfinal_elbo_samples = 100\\n")
 run(["score", "--input", str(work / "mixed.csv"), "--out", str(work / "scores"),
      "--config", str(work / "score.cfg"), "--causes", "vol_x1,vol_x2", "--targets", "vol_y"])
+run(["score", "--input", str(work / "mixed.csv"), "--out", str(work / "closed"),
+     "--config", str(work / "score.cfg"), "--causes", "vol_x1,vol_x2", "--targets", "vol_y",
+     "--method", "closed-form"])
 write_table_csv(gen_multidataset(MultiDatasetSpec(n_per_dataset=20, seed=2)),
                 work / "multi.csv")
 (work / "classify.cfg").write_text("fractions = 0.5\\n")
@@ -61,3 +65,12 @@ def test_tracer_installs_on_this_source_tree(tmp_path):
     assert values["forest.train_tree.depth_max"] == 1
     assert values["scoring.score_target.calls"] > 0
     assert values["forest.train_forest.s"] > 0
+    # one name per patched call site the commands reach, so a rewiring
+    # that skips one reads 0 here
+    for name in ("tabular.load_csv.rows", "tabular.stratified_split.calls",
+                 "tabular.Table.take.rows", "tabular.build_design.s",
+                 "forest.Forest.predict_codes.rows", "models.causal_target.calls",
+                 "models.causal_code_length.s", "models.confounded_code_length.s",
+                 "models.causal_evidence_closed_form.s", "gaussmath.SpdMatrix.s",
+                 "advi.fit.iterations", "advi.estimate_elbo.samples"):
+        assert values[name] > 0, name
