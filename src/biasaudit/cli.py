@@ -10,7 +10,6 @@ Exit codes: 0 success (possibly with partial failures listed), 2 for
 usage or schema errors, 3 for total computational failure.
 """
 
-import csv
 import json
 import logging
 import sys
@@ -30,7 +29,7 @@ from .scoring import (FailedScore, ScoringConfig, aggregate_by_dataset,
 from .seeding import fingerprint
 from .synth import (MULTIDATASET_FEATURES, GenSpec, MultiDatasetSpec, gen_mixed,
                     gen_multidataset, write_table_csv)
-from .tabular import CauseSpec, SchemaConfig, load_csv, summarize
+from .tabular import CauseSpec, SchemaConfig, load_csv, summarize, write_csv
 
 log = logging.getLogger("biasaudit")
 
@@ -44,7 +43,7 @@ METHODS = ("advi", "closed-form")
 def read_config_file(path) -> dict[str, str]:
     """Parse a flat ``key = value`` config file; '#' starts a comment."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{path}: {exc}") from None
     values = {}
@@ -180,15 +179,6 @@ def _make_out_dir(path) -> Path:
     return out
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(v) if isinstance(v, float) else str(v)
-                             for v in row])
-
-
 def _options(*options):
     """Several click options as one decorator, for flags commands share."""
     def apply(command):
@@ -319,18 +309,18 @@ def score(config_path, **flags):
     (out / "scores.json").write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
-    _write_csv(out / "scores.csv",
-               ["dataset", "target", "n", "L_ca", "L_co", "delta",
-                "delta_per_sample", "converged"],
-               [[r.dataset, r.target, r.n, r.causal_nats, r.confounded_nats,
-                 r.delta, r.delta_per_sample,
-                 r.diagnostics["causal"]["converged"]
-                 and r.diagnostics["confounded"]["converged"]]
-                for r in ok])
-    _write_csv(out / "aggregate.csv",
-               ["dataset", "mean_delta", "sd_delta", "n_targets"],
-               [[a.dataset, a.mean_delta, a.sd_delta, a.n_targets]
-                for a in aggregate_by_dataset(records)])
+    write_csv(out / "scores.csv",
+              ["dataset", "target", "n", "L_ca", "L_co", "delta",
+               "delta_per_sample", "converged"],
+              [[r.dataset, r.target, r.n, r.causal_nats, r.confounded_nats,
+                r.delta, r.delta_per_sample,
+                r.diagnostics["causal"]["converged"]
+                and r.diagnostics["confounded"]["converged"]]
+               for r in ok])
+    write_csv(out / "aggregate.csv",
+              ["dataset", "mean_delta", "sd_delta", "n_targets"],
+              [[a.dataset, a.mean_delta, a.sd_delta, a.n_targets]
+               for a in aggregate_by_dataset(records)])
 
     click.echo(f"scored {len(ok)} pairs ({len(failed)} failures) -> {out}")
     if failed:
@@ -370,9 +360,9 @@ def classify(config_path, **flags):
         for p in results[fs_name].curve.points:
             curve_rows.append([fs_name, p.train_fraction, p.mean_accuracy,
                                p.sd_accuracy, p.repetitions])
-    _write_csv(out / "curve.csv",
-               ["feature_set", "fraction", "mean_acc", "sd_acc", "repetitions"],
-               curve_rows)
+    write_csv(out / "curve.csv",
+              ["feature_set", "fraction", "mean_acc", "sd_acc", "repetitions"],
+              curve_rows)
 
     # the confusion report covers the last (most feature-rich) set
     last = list(feature_sets)[-1]
@@ -381,8 +371,8 @@ def classify(config_path, **flags):
     for i, true_label in enumerate(confusion.class_labels):
         for j, pred_label in enumerate(confusion.class_labels):
             conf_rows.append([true_label, pred_label, int(confusion.counts[i, j])])
-    _write_csv(out / "confusion.csv",
-               ["true_dataset", "predicted_dataset", "count"], conf_rows)
+    write_csv(out / "confusion.csv",
+              ["true_dataset", "predicted_dataset", "count"], conf_rows)
     click.echo(f"classified over {len(feature_sets)} feature sets -> {out}")
 
 

@@ -68,6 +68,9 @@ class ScoringConfig:
             raise ValueError("targets must name at least one column")
         if len(set(self.targets)) < len(self.targets):
             raise ValueError(f"targets must be distinct, got {','.join(self.targets)}")
+        causes = [t for t in self.targets if t in {c.column for c in self.cause_spec.terms}]
+        if causes:
+            raise ValueError(f"targets must not be cause columns, got {','.join(causes)}")
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
 
@@ -90,6 +93,8 @@ def score_target(table: Table, cause_spec: CauseSpec, target: str,
     if len(labels) != 1:
         raise ValueError("score_target expects a single-dataset table; "
                          "use score_all for multi-dataset tables")
+    if target in {term.column for term in cause_spec.terms}:
+        raise ValueError(f"target {target!r} is a cause column")
     if controls_only:
         table = table.filter_controls()
     m = cause_spec.n_terms

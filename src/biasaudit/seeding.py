@@ -9,6 +9,7 @@ configuration they ran under by a fingerprint hashed the same stable way.
 
 import hashlib
 import json
+import math
 from concurrent.futures import ProcessPoolExecutor
 
 
@@ -33,10 +34,12 @@ def map_tasks(fn, tasks: list, jobs: int) -> list:
 
     A pool starts all of its workers at the first submit, so it gets one
     worker per task at most; a single task, or ``jobs=1``, runs in this
-    process.  Results come back in task order either way.
+    process.  Tasks go out in about four chunks per worker, each pickled
+    once, so an object the tasks share is copied once per chunk.
+    Results come back in task order either way.
     """
     workers = min(jobs, len(tasks))
     if workers <= 1:
         return [fn(t) for t in tasks]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks))
+        return list(pool.map(fn, tasks, chunksize=math.ceil(len(tasks) / (4 * workers))))

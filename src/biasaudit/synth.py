@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tabular import Table, concat_tables
+from .tabular import Table, concat_tables, write_csv
 
 
 @dataclass(frozen=True)
@@ -161,19 +161,11 @@ def write_table_csv(table: Table, path) -> None:
     Floats are written with full round-trip precision so a reloaded
     table is bit-identical.
     """
-    import csv
-
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        header = ["subject_id", "dataset", "age", "sex"]
-        if table.diagnosis_labels is not None:
-            header.append("diagnosis")
-        header.extend(table.feature_names)
-        writer.writerow(header)
-        for i in range(table.n_rows):
-            row = [table.ids[i], table.dataset_labels[i],
-                   repr(float(table.ages[i])), str(int(table.sexes[i]))]
-            if table.diagnosis_labels is not None:
-                row.append(table.diagnosis_labels[i])
-            row.extend(repr(float(v)) for v in table.features[i])
-            writer.writerow(row)
+    header = ["subject_id", "dataset", "age", "sex"]
+    columns = [table.ids, table.dataset_labels.tolist(), table.ages.tolist(),
+               table.sexes.tolist()]
+    if table.diagnosis_labels is not None:
+        header.append("diagnosis")
+        columns.append(table.diagnosis_labels.tolist())
+    write_csv(path, header + list(table.feature_names),
+              zip(*columns, *table.features.T.tolist()))

@@ -157,36 +157,32 @@ def load_csv(path, schema: SchemaConfig | None = None) -> tuple[Table, Rejection
     """Ingest a CSV file, validating every row.
 
     Returns the table of accepted rows plus a report of rejected ones;
-    each rejection names the file line its record starts on.  Records
-    are parsed by columns, a block at a time; a block holding a ragged
-    or invalid record is validated record by record, so that each
-    rejection gets its reason, and its accepted records are then parsed
-    by columns.  Raises :class:`SchemaError` when a required column is
-    missing and :class:`EmptyTableError` when no row survives validation.
+    each rejection names the file line its record starts on and the
+    first rule the record breaks.  Records are read by columns, a block
+    at a time, by :func:`_parse_block`.  A UTF-8 byte-order mark is
+    skipped.  Raises :class:`SchemaError` when a required column is
+    missing or a column name is repeated, and :class:`EmptyTableError`
+    when no row survives validation.
     """
     schema = schema or SchemaConfig()
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
             raise SchemaError(f"{path}: empty file, no header row")
-        required = (schema.id_column, schema.dataset_column,
-                    schema.age_column, schema.sex_column)
-        for col in required:
+        for col in (schema.id_column, schema.dataset_column, schema.age_column, schema.sex_column):
             if col not in header:
                 raise SchemaError(f"{path}: missing required column {col!r}")
+        repeated = [col for i, col in enumerate(header) if col in header[:i]]
+        if repeated:
+            raise SchemaError(f"{path}: repeated column name {repeated[0]!r}")
         feature_cols = [c for c in header
                         if any(c.startswith(p) for p in schema.feature_prefixes)]
         has_diagnosis = schema.diagnosis_column in header
-
-        parts, reasons = [], []
-        for starts, records in _record_blocks(reader):
-            part = _parse_columns(records, header, schema, feature_cols, has_diagnosis)
-            if part is None:
-                records = _valid_records(records, starts, header, schema, feature_cols,
-                                         reasons)
-                part = _parse_columns(records, header, schema, feature_cols, has_diagnosis)
-            parts.append(part)
+        reasons = []
+        parts = [_parse_block(records, starts, header, schema, feature_cols, has_diagnosis,
+                              reasons)
+                 for starts, records in _record_blocks(reader)]
 
     if not sum(part[0].size for part in parts):
         raise EmptyTableError(f"{path}: no valid rows after ingestion")
@@ -194,13 +190,12 @@ def load_csv(path, schema: SchemaConfig | None = None) -> tuple[Table, Rejection
     report = RejectionReport(n_rejected=len(reasons), reasons=tuple(reasons))
     if report.n_rejected:
         log.info("%s: rejected %d row(s)", path, report.n_rejected)
-    table = Table(
+    return Table(
         ids=ids, dataset_labels=labels, ages=ages, sexes=sexes, features=feats,
         feature_names=feature_cols,
         diagnosis_labels=diags if has_diagnosis else None,
         healthy_label=schema.healthy_label,
-    )
-    return table, report
+    ), report
 
 
 def _record_blocks(reader):
@@ -219,77 +214,83 @@ def _record_blocks(reader):
         yield starts, records
 
 
-def _parse_columns(records, header, schema, feature_cols, has_diagnosis):
-    """A block's columns when every record is complete and valid, else None.
+def _parse_block(records, starts, header, schema, feature_cols, has_diagnosis, reasons):
+    """A block's accepted rows, by columns; each rejection goes to ``reasons``.
 
-    Accepts exactly the records :func:`_validate_row` accepts and reads
-    the same values: ``np.array(..., dtype=float)`` parses strings as
-    ``float`` does.
+    Records read as ``csv.DictReader`` rows: fields beyond the header
+    are ignored and a short record's missing fields are None.  Each
+    column is read once into one mask per rule, and a record is
+    rejected for the first rule it breaks, in the order listed below.
     """
-    if any(len(record) != len(header) for record in records):
-        return None
-    at = {name: i for i, name in enumerate(header)}  # a repeated name: its last column
-    columns = list(zip(*records)) or [()] * len(header)
-    try:
-        ages = np.array(columns[at[schema.age_column]], dtype=float)
-        feats = np.array([columns[at[c]] for c in feature_cols], dtype=float)
-    except ValueError:
-        return None
-    ids = [v.strip() for v in columns[at[schema.id_column]]]
-    labels = [v.strip() for v in columns[at[schema.dataset_column]]]
-    sexes = [SEX_CODES.get(v.strip()) for v in columns[at[schema.sex_column]]]
-    if (not all(ids) or not all(labels) or None in sexes
-            or not np.all(np.isfinite(ages) & (ages > 0)) or not np.all(np.isfinite(feats))):
-        return None
-    diags = ([v.strip() for v in columns[at[schema.diagnosis_column]]]
-             if has_diagnosis else [])
-    return (np.array(ids, dtype=object), np.array(labels, dtype=object), ages,
-            np.array(sexes, dtype=int), feats.reshape(len(feature_cols), len(records)).T,
-            np.array(diags, dtype=object))
+    width = len(header)
+    padded = set(map(len, records)) != {width}
+    if padded:
+        records = [(record + [None] * width)[:width] for record in records]
+    column = dict(zip(header, zip(*records)))
+    ids = np.array(_stripped(column[schema.id_column], padded), dtype=object)
+    labels = np.array(_stripped(column[schema.dataset_column], padded), dtype=object)
+    raw_ages = column[schema.age_column]
+    numbers, refused = _floats([raw_ages] + [column[c] for c in feature_cols], padded)
+    ages, feats = numbers[0], numbers[1:]
+    nonfinite = ~np.isfinite(numbers)
+    sex_texts = _stripped(column[schema.sex_column], padded)
+    sexes = np.array([SEX_CODES.get(v, -1) for v in sex_texts], dtype=int)
+    rules = [(ids == "", lambda i: "missing subject id"),
+             (labels == "", lambda i: "missing dataset label"),
+             (refused[0], lambda i: f"non-numeric age {raw_ages[i]!r}"),
+             (nonfinite[0] | (ages <= 0), lambda i: f"invalid age {float(ages[i])!r}"),
+             (sexes < 0, lambda i: f"unrecognized sex code {sex_texts[i]!r}")]
+    for col, col_refused, col_nonfinite in zip(feature_cols, refused[1:], nonfinite[1:]):
+        rules += [(col_refused, lambda i, col=col: f"non-numeric value in {col!r}"),
+                  (col_nonfinite, lambda i, col=col: f"non-finite value in {col!r}")]
+    diags = np.array(_stripped(column[schema.diagnosis_column], padded) if has_diagnosis
+                     else [""] * len(records), dtype=object)
+
+    broken = np.array([mask for mask, _ in rules])
+    rejected = np.flatnonzero(broken.any(axis=0))
+    keep = slice(None)
+    if rejected.size:
+        for i, rule in zip(rejected, broken[:, rejected].argmax(axis=0)):
+            reasons.append(f"line {starts[i]}: {rules[rule][1](i)}")
+        keep = np.delete(np.arange(len(records)), rejected)
+    return ids[keep], labels[keep], ages[keep], sexes[keep], feats.T[keep], diags[keep]
 
 
-def _valid_records(records, starts, header, schema, feature_cols, reasons):
-    """A block's accepted records, cut or padded with "" to the header width.
+def _stripped(column, padded) -> list[str]:
+    """A text column's values, stripped; a padded None reads as ""."""
+    if padded:
+        return [(v or "").strip() for v in column]
+    return list(map(str.strip, column))
 
-    Each record is validated as a ``csv.DictReader`` row: fields beyond
-    the header are ignored and a short record's missing fields are None.
-    Rejections go to ``reasons``.
+
+def _floats(columns, padded) -> tuple[np.ndarray, np.ndarray]:
+    """Columns read by ``float`` into rows, NaN where it refuses, and the mask of refusals.
+
+    One numpy call reads every column; it parses strings as ``float``
+    does, but reads a padded None as NaN, so padded columns, or columns
+    that numpy refuses, are read value by value.
     """
-    kept = []
-    for line, record in zip(starts, records):
-        row = dict(zip(header, record))
-        row.update(dict.fromkeys(header[len(record):]))
-        reason = _validate_row(row, schema, feature_cols)
-        if reason is None:
-            kept.append((record + [""] * len(header))[:len(header)])
-        else:
-            reasons.append(f"line {line}: {reason}")
-    return kept
-
-
-def _validate_row(row, schema, feature_cols) -> str | None:
-    rid = (row.get(schema.id_column) or "").strip()
-    if not rid:
-        return "missing subject id"
-    if not (row.get(schema.dataset_column) or "").strip():
-        return "missing dataset label"
-    try:
-        age = float(row[schema.age_column])
-    except (TypeError, ValueError):
-        return f"non-numeric age {row.get(schema.age_column)!r}"
-    if not np.isfinite(age) or age <= 0:
-        return f"invalid age {age!r}"
-    sex_raw = (row.get(schema.sex_column) or "").strip()
-    if sex_raw not in SEX_CODES:
-        return f"unrecognized sex code {sex_raw!r}"
-    for col in feature_cols:
+    if not padded:
         try:
-            value = float(row[col])
+            values = np.array(columns, dtype=float)
+            return values, np.zeros(values.shape, dtype=bool)
+        except ValueError:
+            pass
+    cells = np.array(columns, dtype=object)
+    values, refused = np.full(cells.shape, np.nan), np.zeros(cells.shape, dtype=bool)
+    for at, v in np.ndenumerate(cells):
+        try:
+            values[at] = float(v)
         except (TypeError, ValueError):
-            return f"non-numeric value in {col!r}"
-        if not np.isfinite(value):
-            return f"non-finite value in {col!r}"
-    return None
+            refused[at] = True
+    return values, refused
+
+
+def write_csv(path, header, rows) -> None:
+    """Write a header and rows; floats by ``repr``, so they read back exactly."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([repr(v) if isinstance(v, float) else str(v) for v in row]
+                                 for row in [header, *rows])
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from biasaudit.cli import main, read_config_file
+from biasaudit.cli import KEYS, main, read_config_file
 from biasaudit.errors import SchemaError
 
 VALID_CSV = (
@@ -63,6 +63,16 @@ class TestConfigFile:
                        encoding="utf-8")
         values = read_config_file(cfg)
         assert values == {"seed": "7", "family": "mean-field"}
+
+    def test_byte_order_mark_skipped(self, tmp_path):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("max_iterations = 5\nseed = 7\n", encoding="utf-8-sig")
+        assert read_config_file(cfg) == {"max_iterations": "5", "seed": "7"}
+
+    def test_readme_config_section_names_every_key(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("### Config file\n", 1)[1].split("\n#", 1)[0]
+        assert [key for key in KEYS if f"`{key}`" not in section] == []
 
     def test_malformed_line(self, tmp_path):
         cfg = tmp_path / "c.cfg"
@@ -306,19 +316,23 @@ TWO_DATASET_CSV = VALID_CSV + (
     "s6,B,55,0,control,2.2,3.2\n"
 )
 DUPLICATE_ID_CSV = VALID_CSV + "s1,B,35,F,control,1.2,2.2\n"
+REPEATED_COLUMN_CSV = "subject_id,dataset,age,sex,vol_a,vol_a,vol_b\n" + "".join(
+    f"s{i},{'AB'[i % 2]},{30 + i},M,{i},{100 * i},{i % 3}\n" for i in range(1, 7))
 
 # 2 datasets x 10 rows: at fraction 0.99 every row trains and none is left to test
 TWENTY_ROW_CSV = VALID_CSV.split("\n", 1)[0] + "\n" + "".join(
     f"r{i},{'AB'[i % 2]},{30 + i},M,control,{i},{i % 3}\n" for i in range(20))
 
 # (command and flags, config file text or None, a word the error line must name);
-# "{csv}", "{dup}", "{latin1}", "{twenty}" and "{missing}" stand for files the test
-# writes (or not)
+# "{csv}", "{dup}", "{latin1}", "{twenty}", "{repeated}" and "{missing}" stand for
+# files the test writes (or not)
 MALFORMED = {
     "validate_duplicate_ids": (["validate", "--input", "{dup}"], None, "dup.csv"),
     "classify_duplicate_ids": (["classify", "--input", "{dup}"], None, "dup.csv"),
     "score_duplicate_ids": (["score", "--input", "{dup}"], None, "dup.csv"),
     "validate_non_utf8": (["validate", "--input", "{latin1}"], None, "latin1.csv"),
+    "validate_repeated_column": (["validate", "--input", "{repeated}"], None, "'vol_a'"),
+    "score_repeated_column": (["score", "--input", "{repeated}"], None, "'vol_a'"),
     "classify_non_utf8": (["classify", "--input", "{latin1}"], None, "latin1.csv"),
     "int_key": (["score", "--input", "{csv}"], "max_iterations = abc", "max_iterations"),
     "negative_learning_rate": (["score", "--input", "{csv}"], "learning_rate = -1",
@@ -356,8 +370,9 @@ MALFORMED = {
 def test_malformed_input_exits_2_naming_the_culprit(runner, tmp_path, args, config, names):
     paths = {"csv": tmp_path / "ok.csv", "dup": tmp_path / "dup.csv",
              "latin1": tmp_path / "latin1.csv", "twenty": tmp_path / "twenty.csv",
-             "missing": tmp_path / "missing.cfg"}
+             "repeated": tmp_path / "repeated.csv", "missing": tmp_path / "missing.cfg"}
     paths["csv"].write_text(TWO_DATASET_CSV, encoding="utf-8")
+    paths["repeated"].write_text(REPEATED_COLUMN_CSV, encoding="utf-8")
     paths["twenty"].write_text(TWENTY_ROW_CSV, encoding="utf-8")
     paths["dup"].write_text(DUPLICATE_ID_CSV, encoding="utf-8")
     paths["latin1"].write_bytes(VALID_CSV.replace("s3,", "s\xe9,").encode("latin-1"))
@@ -515,4 +530,21 @@ def test_non_finite_float_exits_2_before_any_fit(runner, tmp_path, monkeypatch, 
     assert result.exit_code == 2
     errors = [line for line in result.output.splitlines() if line.startswith("error:")]
     assert len(errors) == 1 and key in errors[0], result.output
+    assert "Traceback" not in result.output
+
+
+def test_target_that_is_a_cause_exits_2_before_any_fit(runner, tmp_path, monkeypatch):
+    def fit_started(*args, **kwargs):
+        raise AssertionError("score started fitting a target that is a cause")
+
+    monkeypatch.setattr("biasaudit.cli.score_all", fit_started)
+    invoke(runner, ["simulate", "--out", str(tmp_path), "--name", "sim", "--n", "200",
+                    "--seed", "3"])
+    result = invoke(runner, ["score", "--input", str(tmp_path / "sim.csv"),
+                             "--out", str(tmp_path / "out"),
+                             "--causes", "vol_x1,vol_x2,vol_x3", "--targets", "vol_x1",
+                             "--method", "closed-form"])
+    assert result.exit_code == 2
+    errors = [line for line in result.output.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and "vol_x1" in errors[0], result.output
     assert "Traceback" not in result.output

@@ -11,12 +11,15 @@ from conftest import quick_fit_config
 
 @pytest.fixture
 def pools(monkeypatch):
-    """Replaces the process pool with one that maps in this process; lists each pool's size."""
-    sizes = []
+    """Replaces the process pool with one that maps in this process.
+
+    Lists each map as (pool size, chunk size).
+    """
+    maps = []
 
     class InProcessPool:
         def __init__(self, max_workers):
-            sizes.append(max_workers)
+            self.max_workers = max_workers
 
         def __enter__(self):
             return self
@@ -24,11 +27,12 @@ def pools(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks):
+        def map(self, fn, tasks, chunksize):
+            maps.append((self.max_workers, chunksize))
             return map(fn, tasks)
 
     monkeypatch.setattr("biasaudit.seeding.ProcessPoolExecutor", InProcessPool)
-    return sizes
+    return maps
 
 
 def _square(x):
@@ -37,11 +41,13 @@ def _square(x):
 
 class TestMapTasks:
     @pytest.mark.parametrize("n_tasks, jobs, want_pools", [
-        (1, 4, []),    # a single task runs in this process
-        (2, 4, [2]),   # never more workers than tasks
-        (5, 3, [3]),
+        (1, 4, []),         # a single task runs in this process
+        (2, 4, [(2, 1)]),   # never more workers than tasks
+        (5, 3, [(3, 1)]),
         (5, 1, []),
         (0, 4, []),
+        (9, 2, [(2, 2)]),   # about four chunks per worker
+        (1600, 2, [(2, 200)]),
     ])
     def test_pool_size(self, pools, n_tasks, jobs, want_pools):
         assert map_tasks(_square, list(range(n_tasks)), jobs) == [x * x for x in range(n_tasks)]
@@ -55,7 +61,7 @@ class TestMapTasks:
                                targets=("vol_y",), master_seed=3,
                                fit_config=quick_fit_config(max_iterations=400), jobs=4)
         records = score_all(table, config)
-        assert pools == [2]
+        assert pools == [(2, 1)]
         assert [(r.dataset, r.target) for r in records] == [("d1", "vol_y"), ("d2", "vol_y")]
 
     def test_name_that_dataset_starts_one_worker_per_cell(self, pools):
@@ -63,7 +69,7 @@ class TestMapTasks:
         kwargs = dict(feature_sets={"vol": ["vol_f1", "vol_f2"]}, fractions=(0.5,),
                       repetitions=2, seed=5, rf_config=RFConfig(n_trees=3))
         parallel = name_that_dataset(table, jobs=4, **kwargs)
-        assert pools == [2]
+        assert pools == [(2, 1)]
         serial = name_that_dataset(table, jobs=1, **kwargs)
-        assert pools == [2]
+        assert pools == [(2, 1)]
         assert parallel["vol"].curve == serial["vol"].curve

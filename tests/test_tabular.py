@@ -9,7 +9,7 @@ from biasaudit import tabular
 from biasaudit.errors import (DegenerateColumnError, EmptyTableError,
                               SchemaError, SplitError)
 from biasaudit.tabular import (BLOCK_RECORDS, SEX_CODES, CauseSpec, CauseTerm,
-                               RejectionReport, SchemaConfig, Table, _validate_row,
+                               RejectionReport, SchemaConfig, Table,
                                build_design, concat_tables, load_csv,
                                standardize_column, stratified_split, summarize)
 
@@ -91,6 +91,20 @@ class TestLoadCsv:
                                   "line 6: non-numeric value in 'vol_a'",
                                   "line 8: non-numeric value in 'vol_a'")
 
+    def test_repeated_column_name_rejected(self, tmp_path):
+        path = write_csv(tmp_path, "s1,A,30,M,1,100,5\n",
+                         header="subject_id,dataset,age,sex,vol_a,vol_a,vol_b\n")
+        with pytest.raises(SchemaError, match="repeated column name 'vol_a'"):
+            load_csv(path)
+
+    def test_byte_order_mark_skipped(self, tmp_path):
+        body = "s1,A,30,M,control,1.0,2.0\ns2,B,40,F,control,1.5,2.5\n"
+        table, report = load_csv(write_csv(tmp_path, body, header="\ufeff" + HEADER))
+        want_table, want_report = load_csv(write_csv(tmp_path, body, name="plain.csv"))
+        assert report == want_report
+        assert table.ids == want_table.ids == ("s1", "s2")
+        assert table.features.tobytes() == want_table.features.tobytes()
+
     def test_custom_schema_columns(self, tmp_path):
         path = tmp_path / "odd.csv"
         path.write_text("pid,study,years,gender,feat_x\n"
@@ -118,6 +132,7 @@ def _messy_csv(tmp_path, block_records, n_blocks):
     bad = ["s{i},D{d},{age},M,inf,1,control\n",
            "s{i},D{d},{age},F,1,nan,control\n",
            "s{i},D{d},{age}\n",
+           "s{i},D{d},{age},M,1.5\n",                  # short: stops after vol_a
            "s{i},D{d},-{age},M,1,1,control\n",
            "s{i},D{d},{age},X,1,1,control\n",
            ",D{d},{age},M,1,1,control\n",
@@ -149,6 +164,31 @@ def _messy_csv(tmp_path, block_records, n_blocks):
 # A record-by-record parser that reads each accepted value with float()
 # and DictReader semantics, apart from load_csv's column parser: the
 # oracle of the load_csv tests below.
+def _validate_row(row, schema, feature_cols) -> str | None:
+    rid = (row.get(schema.id_column) or "").strip()
+    if not rid:
+        return "missing subject id"
+    if not (row.get(schema.dataset_column) or "").strip():
+        return "missing dataset label"
+    try:
+        age = float(row[schema.age_column])
+    except (TypeError, ValueError):
+        return f"non-numeric age {row.get(schema.age_column)!r}"
+    if not np.isfinite(age) or age <= 0:
+        return f"invalid age {age!r}"
+    sex_raw = (row.get(schema.sex_column) or "").strip()
+    if sex_raw not in SEX_CODES:
+        return f"unrecognized sex code {sex_raw!r}"
+    for col in feature_cols:
+        try:
+            value = float(row[col])
+        except (TypeError, ValueError):
+            return f"non-numeric value in {col!r}"
+        if not np.isfinite(value):
+            return f"non-finite value in {col!r}"
+    return None
+
+
 def _parse_records(records, starts, header, schema, feature_cols, has_diagnosis, reasons):
     """A block's accepted records, validated one at a time; rejections go to ``reasons``.
 
@@ -215,25 +255,12 @@ def _assert_same_load(path):
     return table, report
 
 
-@pytest.mark.parametrize("block_records, n_blocks", [(BLOCK_RECORDS, 6), (8, 19)])
+@pytest.mark.parametrize("block_records, n_blocks", [(BLOCK_RECORDS, 6), (8, 21)])
 def test_block_parse_equals_record_by_record_parse(tmp_path, monkeypatch,
                                                    block_records, n_blocks):
     monkeypatch.setattr(tabular, "BLOCK_RECORDS", block_records)
     path, n_bad = _messy_csv(tmp_path, block_records, n_blocks)
-    by_columns = []
-    parse_columns = tabular._parse_columns
-
-    def spy(*args):
-        part = parse_columns(*args)
-        by_columns.append(part is not None)
-        return part
-
-    monkeypatch.setattr(tabular, "_parse_columns", spy)
     table, report = _assert_same_load(path)
-    # a block with a special record fails the column parse; its accepted
-    # records are then parsed by columns
-    assert by_columns == [parsed for block in range(n_blocks + 1)
-                          for parsed in ((True,) if block % 2 else (False, True))]
     assert report.n_rejected == n_bad
     assert "" in table.diagnosis_labels.tolist()  # a short record's missing field
     assert 1000.5 in table.features[:, 0]
