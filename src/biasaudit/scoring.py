@@ -68,11 +68,16 @@ class ScoringConfig:
             raise ValueError("targets must name at least one column")
         if len(set(self.targets)) < len(self.targets):
             raise ValueError(f"targets must be distinct, got {','.join(self.targets)}")
-        causes = [t for t in self.targets if t in {c.column for c in self.cause_spec.terms}]
-        if causes:
-            raise ValueError(f"targets must not be cause columns, got {','.join(causes)}")
+        _require_no_cause_targets(self.cause_spec, self.targets)
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
+
+
+def _require_no_cause_targets(cause_spec: CauseSpec, targets) -> None:
+    """Refuse targets that are cause columns: a column regressed on itself."""
+    causes = [t for t in targets if t in {term.column for term in cause_spec.terms}]
+    if causes:
+        raise ValueError(f"targets must not be cause columns, got {','.join(causes)}")
 
 
 def score_target(table: Table, cause_spec: CauseSpec, target: str,
@@ -93,8 +98,7 @@ def score_target(table: Table, cause_spec: CauseSpec, target: str,
     if len(labels) != 1:
         raise ValueError("score_target expects a single-dataset table; "
                          "use score_all for multi-dataset tables")
-    if target in {term.column for term in cause_spec.terms}:
-        raise ValueError(f"target {target!r} is a cause column")
+    _require_no_cause_targets(cause_spec, (target,))
     if controls_only:
         table = table.filter_controls()
     m = cause_spec.n_terms

@@ -162,10 +162,11 @@ def write_table_csv(table: Table, path) -> None:
     table is bit-identical.
     """
     header = ["subject_id", "dataset", "age", "sex"]
-    columns = [table.ids, table.dataset_labels.tolist(), table.ages.tolist(),
-               table.sexes.tolist()]
+    columns = [table.ids, table.dataset_labels, map(float, table.ages), map(int, table.sexes)]
     if table.diagnosis_labels is not None:
         header.append("diagnosis")
-        columns.append(table.diagnosis_labels.tolist())
-    write_csv(path, header + list(table.feature_names),
-              zip(*columns, *table.features.T.tolist()))
+        columns.append(table.diagnosis_labels)
+    # one row at a time, in Python numbers: a numpy float's repr names its type
+    rows = ([*fields, *values] for fields, values
+            in zip(zip(*columns), map(np.ndarray.tolist, table.features)))
+    write_csv(path, header + list(table.feature_names), rows)

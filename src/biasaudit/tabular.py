@@ -161,7 +161,7 @@ def load_csv(path, schema: SchemaConfig | None = None) -> tuple[Table, Rejection
     first rule the record breaks.  Records are read by columns, a block
     at a time, by :func:`_parse_block`.  A UTF-8 byte-order mark is
     skipped.  Raises :class:`SchemaError` when a required column is
-    missing or a column name is repeated, and :class:`EmptyTableError`
+    missing or a column it reads is named twice, and :class:`EmptyTableError`
     when no row survives validation.
     """
     schema = schema or SchemaConfig()
@@ -170,15 +170,22 @@ def load_csv(path, schema: SchemaConfig | None = None) -> tuple[Table, Rejection
         header = next(reader, None)
         if header is None:
             raise SchemaError(f"{path}: empty file, no header row")
-        for col in (schema.id_column, schema.dataset_column, schema.age_column, schema.sex_column):
+        required = (schema.id_column, schema.dataset_column,
+                    schema.age_column, schema.sex_column)
+        for col in required:
             if col not in header:
                 raise SchemaError(f"{path}: missing required column {col!r}")
-        repeated = [col for i, col in enumerate(header) if col in header[:i]]
-        if repeated:
-            raise SchemaError(f"{path}: repeated column name {repeated[0]!r}")
+        read = set()  # a column the parse reads must be named once
+        for col in header:
+            if col in read:
+                raise SchemaError(f"{path}: repeated column name {col!r}")
+            if (col in required or col == schema.diagnosis_column
+                    or col.startswith(schema.feature_prefixes)):
+                read.add(col)
         feature_cols = [c for c in header
                         if any(c.startswith(p) for p in schema.feature_prefixes)]
         has_diagnosis = schema.diagnosis_column in header
+
         reasons = []
         parts = [_parse_block(records, starts, header, schema, feature_cols, has_diagnosis,
                               reasons)
@@ -190,12 +197,13 @@ def load_csv(path, schema: SchemaConfig | None = None) -> tuple[Table, Rejection
     report = RejectionReport(n_rejected=len(reasons), reasons=tuple(reasons))
     if report.n_rejected:
         log.info("%s: rejected %d row(s)", path, report.n_rejected)
-    return Table(
+    table = Table(
         ids=ids, dataset_labels=labels, ages=ages, sexes=sexes, features=feats,
         feature_names=feature_cols,
         diagnosis_labels=diags if has_diagnosis else None,
         healthy_label=schema.healthy_label,
-    ), report
+    )
+    return table, report
 
 
 def _record_blocks(reader):
@@ -289,8 +297,10 @@ def _floats(columns, padded) -> tuple[np.ndarray, np.ndarray]:
 def write_csv(path, header, rows) -> None:
     """Write a header and rows; floats by ``repr``, so they read back exactly."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerows([repr(v) if isinstance(v, float) else str(v) for v in row]
-                                 for row in [header, *rows])
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([repr(v) if isinstance(v, float) else str(v) for v in row]
+                         for row in rows)
 
 
 @dataclass(frozen=True)

@@ -55,6 +55,12 @@ class TestScoreTarget:
                          CausalModelSpec(), ConfoundedModelSpec(),
                          quick_fit_config(), seed=0)
 
+    def test_cause_column_as_target_rejected(self):
+        table, _ = gen_mixed(GenSpec(n=20, alpha=1.0, seed=1))
+        with pytest.raises(ValueError, match="must not be cause columns, got vol_x2"):
+            score_target(table, CAUSES, "vol_x2", CausalModelSpec(),
+                         ConfoundedModelSpec(), quick_fit_config(), seed=0)
+
     def test_closed_form_method_row_permutation_exact(self):
         table, _ = gen_mixed(GenSpec(n=60, alpha=0.7, seed=9))
         kwargs = dict(causal_model=CausalModelSpec(),

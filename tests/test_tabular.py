@@ -97,6 +97,16 @@ class TestLoadCsv:
         with pytest.raises(SchemaError, match="repeated column name 'vol_a'"):
             load_csv(path)
 
+    @pytest.mark.parametrize("header, record", [
+        # a spreadsheet export's trailing commas: two empty names
+        ("subject_id,dataset,age,sex,vol_a,,\n", "s1,A,30,M,1.5,,\n"),
+        ("subject_id,dataset,age,sex,note,vol_a,note\n", "s1,A,30,M,x,1.5,y\n"),
+    ])
+    def test_repeated_unread_column_name_loads(self, tmp_path, header, record):
+        table, report = load_csv(write_csv(tmp_path, record, header=header))
+        assert report.n_rejected == 0
+        assert table.feature_names == ("vol_a",)
+
     def test_byte_order_mark_skipped(self, tmp_path):
         body = "s1,A,30,M,control,1.0,2.0\ns2,B,40,F,control,1.5,2.5\n"
         table, report = load_csv(write_csv(tmp_path, body, header="\ufeff" + HEADER))
