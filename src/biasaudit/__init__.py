@@ -15,13 +15,14 @@ from .errors import (BiasAuditError, DegenerateColumnError, DivergenceError,
 from .forest import (ConfusionMatrix, DecisionTree, Forest, LearningCurve,
                      LearningCurvePoint, RFConfig, name_that_dataset,
                      train_forest, train_tree)
-from .gaussmath import SpdMatrix, grid_quadrature_2d, mvn_logpdf
+from .gaussmath import (SpdMatrix, grid_quadrature_2d, log_bingham_constant,
+                        mvn_logpdf)
 from .models import (CausalModelSpec, CodeLength, ConfoundedModelSpec,
                      JointVector, causal_code_length,
                      causal_evidence_closed_form, causal_log_joint,
                      code_length_X, confounded_code_length,
-                     confounded_evidence_quadrature, confounded_log_joint,
-                     ppca_evidence_fixed_W)
+                     confounded_evidence_k1, confounded_evidence_quadrature,
+                     confounded_log_joint, ppca_evidence_fixed_W)
 from .scoring import (DatasetAggregate, FailedScore, ScoreRecord,
                       ScoringConfig, aggregate_by_dataset, score_all,
                       score_target)

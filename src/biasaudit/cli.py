@@ -229,7 +229,9 @@ def validate(config_path, **flags):
 @click.option("--k", type=int, help="Latent confounder dimension.")
 @click.option("--family", type=click.Choice(list(FAMILIES)),
               help="Variational family for the causal model fit.")
-@click.option("--method", type=click.Choice(METHODS), help="Causal-model estimator.")
+@click.option("--method", type=click.Choice(METHODS),
+              help="Estimator: advi fits both models; closed-form is exact for the causal "
+                   "model and, at k=1, for the confounded one.")
 @click.option("--causes", help="Cause terms, e.g. 'age,age:square,sex'.")
 @click.option("--targets",
               help="Comma-separated target columns (default: all features not used as causes).")

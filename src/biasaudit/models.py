@@ -6,8 +6,11 @@ through a Bayesian linear regression on the causes.  The *confounded*
 model codes causes and target jointly through a low-rank latent factor
 model (probabilistic PCA with the factor loadings marginalized too).
 Each model's description length is the negative log marginal
-likelihood in nats; the variational engine estimates it as a negative
-ELBO, which upper-bounds the true value.
+likelihood in nats.  It is exact for the causal model (a closed form)
+and, at k=1, for the confounded one (a radial quadrature over the
+loadings, :func:`confounded_evidence_k1`).  The variational engine
+estimates either as a negative ELBO, which upper-bounds the true value;
+at k >= 2 that estimate is the only one for the confounded model.
 
 The score path touches the n data rows only through sufficient
 statistics: X^T X, X^T y and y^T y for the causal model, S = V^T V for
@@ -28,8 +31,8 @@ from . import advi
 from .advi import (FitConfig, FULL_RANK, MEAN_FIELD, VariationalPosterior,
                    require_positive_finite)
 from .errors import QuadratureError
-from .gaussmath import (LOG_2PI, SpdMatrix, grid_quadrature_2d, mvn_logpdf,
-                        normal_logpdf)
+from .gaussmath import (LOG_2PI, SpdMatrix, gauss_legendre, grid_quadrature_2d,
+                        log_bingham_constant, mvn_logpdf, normal_logpdf)
 from .seeding import derive_seed
 
 
@@ -351,20 +354,120 @@ def _ppca_start(V: JointVector, spec: ConfoundedModelSpec) -> VariationalPosteri
 
 
 def confounded_code_length(V: JointVector, spec: ConfoundedModelSpec,
-                           fit_config: FitConfig | None = None) -> CodeLength:
+                           fit_config: FitConfig | None = None,
+                           method: str = "advi") -> CodeLength:
     """Description length of the joint data under the confounded model.
 
-    Estimated as the negative ELBO of a mean-field Gaussian fit over
+    ``"advi"`` returns the negative ELBO of a mean-field Gaussian fit over
     the loadings, with the confounders integrated out exactly
-    (:func:`make_collapsed_target`); the loadings have no closed form.
-    The fit starts at the PPCA maximum-likelihood loadings.
+    (:func:`make_collapsed_target`); the fit starts at the PPCA
+    maximum-likelihood loadings.  ``"exact"`` (k=1 only) integrates the
+    loadings out too, by :func:`confounded_evidence_k1`.
     """
     m = V.width - 1
     if V.n < m + 2:
         raise ValueError(f"need at least m+2={m + 2} rows, have {V.n}")
+    if method == "exact":
+        return CodeLength(nats=-confounded_evidence_k1(V.values.T @ V.values, V.n, spec),
+                          method=method)
+    if method != "advi":
+        raise ValueError(f"unknown method {method!r}")
     target, d = make_collapsed_target(V, spec)
     return _fitted_code_length(target, d, 0.0, MEAN_FIELD, fit_config,
                                start=_ppca_start(V, spec))
+
+
+# The radial integral: a sweep in log r, three 8-fold zooms around its
+# best point, then 64 Gauss-Legendre nodes per 24-width panel.  A window
+# edge whose log integrand is within _TAIL_NATS of the peak moves out by
+# another 12 widths (small n skews the radial posterior to the right).
+_SWEEP_STEP = 0.1
+_ZOOMS = 3
+_WINDOW = 12.0
+_TAIL_NATS = 40.0
+_MAX_WIDENINGS = 8
+_GL_NODES = 64
+
+
+def _require_finite(values: np.ndarray, where: str) -> None:
+    if not np.all(np.isfinite(values)):
+        raise QuadratureError(f"non-finite radial integrand in the {where}")
+
+
+def confounded_evidence_k1(S, n: int, spec: ConfoundedModelSpec) -> float:
+    """Exact log evidence of the k=1 confounded model from ``S = V^T V``.
+
+    With the confounders integrated out (:func:`make_collapsed_target`) the
+    loadings w enter only through r = |w| and u^T S u, u = w / r.  With
+    lambda_1 >= ... >= lambda_p the eigenvalues of S and
+    kappa(r) = sigma_z^2 r^2 / (2 sigma_obs^2 (sigma_obs^2 + sigma_z^2 r^2)),
+
+        log p(V) = c + log int_0^inf r^(p-1) exp(-r^2 / 2 sigma_w^2
+                   - (n/2) log(1 + sigma_z^2 r^2 / sigma_obs^2) + kappa lambda_1)
+                   B(kappa (lambda_1 - lambda)) dr,
+
+    c = -(p/2) log 2 pi sigma_w^2 - (np/2) log 2 pi sigma_obs^2 - tr S / 2 sigma_obs^2,
+    and B is :func:`gaussmath.log_bingham_constant`'s.  The cost depends only on the
+    eigenvalues, so it is the same at any n.  Raises
+    :class:`QuadratureError` when B or the radial integrand is not finite.
+    """
+    if spec.k != 1:
+        raise ValueError("the exact evidence needs k=1")
+    S = np.asarray(S, dtype=float)
+    lam = np.linalg.eigvalsh(S)[::-1]
+    p = lam.size
+    var_z, var_w, var_obs = spec.sigma_z ** 2, spec.sigma_w ** 2, spec.sigma_obs ** 2
+    gaps = lam[0] - lam
+    const = (-0.5 * p * math.log(2.0 * math.pi * var_w)
+             - 0.5 * n * p * math.log(2.0 * math.pi * var_obs)
+             - 0.5 * float(np.trace(S)) / var_obs)
+
+    def log_radial(r):
+        r2 = r * r
+        kappa = var_z * r2 / (2.0 * var_obs * (var_obs + var_z * r2))
+        return ((p - 1) * np.log(r) - r2 / (2.0 * var_w)
+                - 0.5 * n * np.log1p(var_z * r2 / var_obs) + kappa * lam[0]
+                + log_bingham_constant(kappa[:, None] * gaps))
+
+    # log_radial rises below e^t_lo and falls above e^t_hi (bound its
+    # derivative with kappa' <= 1 / (4 sigma_obs^2 r) and lambda_p >= 0)
+    t_lo = 0.5 * math.log((p - 1) / (1.0 / var_w + n * var_z / var_obs))
+    t_hi = 0.5 * math.log(var_w * (p - 1 + max(lam[0], 0.0) / (4.0 * var_obs)))
+    t = np.linspace(t_lo, t_hi, max(math.ceil((t_hi - t_lo) / _SWEEP_STEP) + 1, 3))
+    for zoom in range(_ZOOMS + 1):
+        values = log_radial(np.exp(t))
+        _require_finite(values, "peak search")
+        i = min(max(int(np.argmax(values)), 1), t.size - 2)
+        if zoom < _ZOOMS:
+            t = np.linspace(t[i - 1], t[i + 1], 17)
+    # a parabola through the best point and its neighbours, in log r
+    step = t[1] - t[0]
+    below, peak, above = values[i - 1:i + 2]
+    curvature = (2.0 * peak - below - above) / step ** 2
+    if not curvature > 0.0:
+        raise QuadratureError("radial integrand has no interior peak")
+    r_peak = math.exp(t[i] + 0.5 * (above - below) / (step * curvature))
+    width = r_peak / math.sqrt(curvature)  # d2/dr2 = d2/dt2 / r^2 at a peak
+
+    left = right = _WINDOW
+    for _ in range(_MAX_WIDENINGS):
+        lo, hi = r_peak - left * width, r_peak + right * width
+        open_ends = log_radial(np.array([max(lo, width), hi])) > peak - _TAIL_NATS
+        open_ends[0] &= lo > 0.0
+        if not open_ends.any():
+            break
+        left += _WINDOW * open_ends[0]
+        right += _WINDOW * open_ends[1]
+    else:
+        raise QuadratureError("radial integrand spreads beyond its window")
+    edges = np.linspace(max(lo, 0.0), hi, math.ceil((left + right) / (2.0 * _WINDOW)) + 1)
+    half = 0.5 * np.diff(edges)[:, None]
+    nodes, weights = gauss_legendre(_GL_NODES)
+    r = (0.5 * (edges[:-1] + edges[1:])[:, None] + half * nodes).ravel()
+    values = log_radial(r)
+    _require_finite(values, "radial quadrature")
+    top = float(values.max())
+    return const + top + math.log(float((half * weights).ravel() @ np.exp(values - top)))
 
 
 def confounded_evidence_quadrature(V: JointVector, spec: ConfoundedModelSpec,
@@ -373,7 +476,8 @@ def confounded_evidence_quadrature(V: JointVector, spec: ConfoundedModelSpec,
 
     Marginalizes the confounders in closed form per loading value, then
     integrates the two loading coordinates on a Gauss-Legendre grid.
-    Exists purely as an independent check of the variational estimate.
+    Exists purely as an independent check of the variational estimate
+    and of :func:`confounded_evidence_k1`.
     The grid is fixed at +-8 sigma_w, so it cannot resolve a posterior of
     width ~n^-1/2: on the factor instances of the n=500 oracle test in
     ``tests/test_models.py`` it was 0.23-0.34 nats off the dense grid

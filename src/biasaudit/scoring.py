@@ -59,7 +59,7 @@ class ScoringConfig:
     fit_config: FitConfig = FitConfig()
     master_seed: int = 0
     controls_only: bool = True
-    causal_method: str = "advi"          # advi | closed_form
+    causal_method: str = "advi"          # advi | closed_form (exact on both sides at k=1)
     causal_family: str = FULL_RANK
     jobs: int = 1
 
@@ -89,8 +89,10 @@ def score_target(table: Table, cause_spec: CauseSpec, target: str,
                  causal_family: str = FULL_RANK) -> ScoreRecord:
     """Score one target column of a single-dataset table.
 
-    Both code lengths see exactly the same standardized rows.  The
-    confounded fit is always mean-field over the loadings.  The
+    Both code lengths see exactly the same standardized rows.
+    ``causal_method="closed_form"`` makes both code lengths exact at k=1:
+    the confounded side then integrates its loadings out too.  Otherwise
+    the confounded side is a mean-field fit over the loadings.  The
     table must carry a single dataset label; multi-dataset tables go
     through :func:`score_all`.
     """
@@ -113,9 +115,11 @@ def score_target(table: Table, cause_spec: CauseSpec, target: str,
     causal = causal_code_length(
         X, y, causal_model, method=causal_method, family=causal_family,
         fit_config=replace(fit_config, seed=derive_seed(seed, "causal")))
+    exact = causal_method == "closed_form" and confounded_model.k == 1
     confounded = confounded_code_length(
         joint, confounded_model,
-        fit_config=replace(fit_config, seed=derive_seed(seed, "confounded")))
+        fit_config=replace(fit_config, seed=derive_seed(seed, "confounded")),
+        method="exact" if exact else "advi")
 
     return ScoreRecord(
         dataset=labels[0],

@@ -7,6 +7,7 @@ prefix (``vol_``, ``thick_`` by default).  Rows failing validation are
 rejected and reported, never imputed.
 """
 
+import copy
 import csv
 import logging
 from dataclasses import dataclass
@@ -60,6 +61,9 @@ class Table:
         )
         self.healthy_label = healthy_label
         self._validate()
+        self._freeze()
+
+    def _freeze(self):
         for arr in (self.dataset_labels, self.ages, self.sexes, self.features):
             arr.flags.writeable = False
 
@@ -105,19 +109,29 @@ class Table:
         raise KeyError(f"no such column: {name!r}")
 
     def take(self, indices) -> "Table":
-        """New table with the given rows, in the given order."""
-        idx = np.asarray(indices, dtype=int)
-        return Table(
-            ids=np.array(self.ids, dtype=object)[idx],
-            dataset_labels=self.dataset_labels[idx],
-            ages=self.ages[idx],
-            sexes=self.sexes[idx],
-            features=self.features[idx],
-            feature_names=self.feature_names,
-            diagnosis_labels=None if self.diagnosis_labels is None
-            else self.diagnosis_labels[idx],
-            healthy_label=self.healthy_label,
-        )
+        """New table with the given rows, in the given order.
+
+        The rows were validated when this table was built, so only the
+        selection is checked: it must name at least one row and no row
+        twice, which keeps the subject ids unique.
+        """
+        # as row numbers: negative indices count from the end, and an index
+        # out of range raises IndexError
+        idx = np.arange(self.n_rows)[np.asarray(indices, dtype=int)]
+        if idx.size == 0:
+            raise EmptyTableError("table has no rows")
+        if np.bincount(idx).max() > 1:
+            raise ValueError("subject ids are not unique")
+        sub = copy.copy(self)
+        sub.ids = tuple(np.array(self.ids, dtype=object)[idx].tolist())
+        sub.dataset_labels = self.dataset_labels[idx]
+        sub.ages = self.ages[idx]
+        sub.sexes = self.sexes[idx]
+        sub.features = self.features[idx]
+        if self.diagnosis_labels is not None:
+            sub.diagnosis_labels = self.diagnosis_labels[idx]
+        sub._freeze()
+        return sub
 
     def filter_controls(self) -> "Table":
         keep = ~self.diseased_mask()

@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +8,9 @@ from click.testing import CliRunner
 
 from biasaudit.cli import KEYS, main, read_config_file
 from biasaudit.errors import SchemaError
+from biasaudit.gaussmath import log_bingham_constant
+from biasaudit.models import ConfoundedModelSpec, JointVector
+from biasaudit.tabular import CauseSpec, build_design, load_csv, standardize_column
 
 VALID_CSV = (
     "subject_id,dataset,age,sex,diagnosis,vol_a,thick_b\n"
@@ -548,3 +552,66 @@ def test_target_that_is_a_cause_exits_2_before_any_fit(runner, tmp_path, monkeyp
     errors = [line for line in result.output.splitlines() if line.startswith("error:")]
     assert len(errors) == 1 and "vol_x1" in errors[0], result.output
     assert "Traceback" not in result.output
+
+
+def _dense_radial_log_evidence(V: JointVector, spec: ConfoundedModelSpec):
+    """log p(V) of the k=1 confounded model by a dense trapezoid rule in t = log r.
+
+    The sphere factor is ``gaussmath.log_bingham_constant``; the rest of the
+    radial integrand of ``models.confounded_evidence_k1`` is written out,
+    times the Jacobian r of dr = r dt.  Returns the log evidence and the
+    largest Bingham argument at the radial peak.
+    """
+    n, p = V.values.shape
+    S = V.values.T @ V.values
+    lam = np.linalg.eigvalsh(S)[::-1]
+    var_z, var_w, var_obs = spec.sigma_z ** 2, spec.sigma_w ** 2, spec.sigma_obs ** 2
+
+    def kappa(t):
+        r2 = np.exp(2.0 * t)
+        return var_z * r2 / (2.0 * var_obs * (var_obs + var_z * r2))
+
+    def log_f(t):
+        r2 = np.exp(2.0 * t)
+        return (p * t - r2 / (2.0 * var_w) - 0.5 * n * np.log1p(var_z * r2 / var_obs)
+                + kappa(t) * lam[0] + log_bingham_constant(kappa(t)[:, None] * (lam[0] - lam)))
+
+    coarse = np.linspace(-12.0, 6.0, 3601)
+    peak = coarse[np.argmax(log_f(coarse))]
+    t = np.linspace(peak - 1.0, peak + 1.0, 40001)
+    values = log_f(t)
+    top = values.max()
+    assert max(values[0], values[-1]) < top - 50.0, "the window must hold the mass"
+    const = (-0.5 * p * math.log(2.0 * math.pi * var_w)
+             - 0.5 * n * p * math.log(2.0 * math.pi * var_obs) - 0.5 * np.trace(S) / var_obs)
+    log_evidence = const + top + math.log(np.trapezoid(np.exp(values - top), t))
+    return log_evidence, float(kappa(np.array([peak]))[0] * (lam[0] - lam[-1]))
+
+
+def test_closed_form_score_at_extreme_bingham_arguments(runner, tmp_path):
+    """A tiny sigma_obs at large n drives the Bingham arguments past 1e6.
+
+    The pair then either scores an L_co that matches a dense radial
+    reference, or fails as a per-pair record; the command never raises.
+    """
+    invoke(runner, ["simulate", "--out", str(tmp_path), "--name", "sim", "--n", "2000",
+                    "--alpha", "0.0", "--seed", "3"])
+    (tmp_path / "score.cfg").write_text("sigma_obs = 0.03\n", encoding="utf-8")
+    causes = "vol_x1,vol_x2,vol_x3"
+    result = runner.invoke(main, [
+        "score", "--input", str(tmp_path / "sim.csv"), "--out", str(tmp_path / "o"),
+        "--config", str(tmp_path / "score.cfg"), "--causes", causes, "--targets", "vol_y",
+        "--method", "closed-form"])
+    assert result.exception is None or isinstance(result.exception, SystemExit), result.output
+    payload = json.loads((tmp_path / "o" / "scores.json").read_text())
+    if payload["failures"]:
+        assert result.exit_code == 3
+        assert "QuadratureError" in payload["failures"][0]["error"]
+        return
+    assert result.exit_code == 0
+    table = load_csv(tmp_path / "sim.csv")[0].filter_controls()
+    y, _, _ = standardize_column(table.column("vol_y"))
+    V = JointVector.from_design(build_design(table, CauseSpec.parse(causes)), y)
+    want, largest_argument = _dense_radial_log_evidence(V, ConfoundedModelSpec(sigma_obs=0.03))
+    assert largest_argument > 1e6
+    assert payload["records"][0]["L_co"] == pytest.approx(-want, abs=1e-8)

@@ -1,8 +1,12 @@
+import math
+
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 
 from biasaudit.errors import FactorizationError, QuadratureError
-from biasaudit.gaussmath import SpdMatrix, grid_quadrature_2d, mvn_logpdf
+from biasaudit.gaussmath import (SpdMatrix, gauss_legendre, grid_quadrature_2d,
+                                 log_bingham_constant, mvn_logpdf)
 
 
 def random_spd(rng, d):
@@ -116,3 +120,74 @@ class TestGridQuadrature2d:
         f = lambda x, y: np.where(x > 0, np.inf, 1.0)
         with pytest.raises(QuadratureError):
             grid_quadrature_2d(f, ((-1, 1), (-1, 1)), 32)
+
+
+@pytest.mark.parametrize("m", [2, 5, 32, 64, 128])
+def test_gauss_legendre_equals_numpy_rule(m):
+    nodes, weights = gauss_legendre(m)
+    want_nodes, want_weights = leggauss(m)
+    np.testing.assert_allclose(nodes, want_nodes, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(weights, want_weights, rtol=0, atol=1e-14)
+
+
+def _sphere_grid_bingham(a) -> float:
+    """B(a) on a tensor grid over the unit sphere at p=3 or p=4.
+
+    The polar angle enters through x = cos(theta) on Gauss-Legendre nodes
+    (for p=4 after a first angle psi with weight sin(psi)^2), and the
+    azimuth phi through the periodic trapezoid rule.
+    """
+    a = np.asarray(a, dtype=float)
+    x, wx = leggauss(160)
+    phi = np.linspace(0.0, 2.0 * np.pi, 320, endpoint=False)
+    rest = 1.0 - x[:, None] ** 2
+    # sum_i a_i u_i^2 over the (x, phi) grid for the last three coordinates
+    tail = (a[-3] * x[:, None] ** 2
+            + rest * (a[-2] * np.cos(phi) ** 2 + a[-1] * np.sin(phi) ** 2))
+    weights = wx[:, None] * (2.0 * np.pi / phi.size)
+    if a.size == 3:
+        return float(np.sum(weights * np.exp(-tail)))
+    psi, wpsi = leggauss(160)
+    psi = 0.5 * np.pi * (psi + 1.0)
+    wpsi = 0.5 * np.pi * wpsi * np.sin(psi) ** 2
+    inner = np.exp(-(a[0] * np.cos(psi)[:, None, None] ** 2
+                     + np.sin(psi)[:, None, None] ** 2 * tail))
+    return float(np.sum(wpsi[:, None, None] * weights * inner))
+
+
+def _log_equal_tail_bingham(p: int, A: float) -> float:
+    """log B(0, A, ..., A) from the large-A series of 1F1(1/2; p/2; A).
+
+    B(0, A, ..., A) = |S^(p-1)| e^-A 1F1(1/2; p/2; A), and for large A
+    1F1(1/2; p/2; A) ~ Gamma(p/2) / Gamma(1/2) e^A A^((1-p)/2)
+    sum_k (1/2)_k ((p-1)/2)_k / (k! A^k), up to a term of relative size e^-A.
+    """
+    total, term = 0.0, 1.0
+    for k in range(20):
+        total += term
+        term *= (0.5 + k) * (0.5 * (p - 1) + k) / ((k + 1) * A)
+    return math.log(2.0) + 0.5 * (p - 1) * math.log(math.pi / A) + math.log(total)
+
+
+class TestBinghamConstant:
+    @pytest.mark.parametrize("a", [
+        (0.0, 0.0, 0.0), (0.0, 3.5, 50.0), (2.0, 9.0, 41.0), (0.0, 20.0, 20.0),
+        (0.0, 0.0, 0.0, 0.0), (0.0, 1.0, 5.0, 50.0), (3.0, 7.0, 11.0, 13.0),
+        (0.0, 30.0, 30.0, 30.0),
+    ])
+    def test_matches_spherical_grid(self, a):
+        want = math.log(_sphere_grid_bingham(a))
+        assert float(log_bingham_constant(np.array(a))) == pytest.approx(want, abs=1e-10)
+
+    @pytest.mark.parametrize("p", [2, 3, 4])
+    @pytest.mark.parametrize("A", [1e3, 1e5, 1e7])
+    def test_equal_tail_matches_confluent_series(self, p, A):
+        a = np.array([0.0] + [A] * (p - 1))
+        assert float(log_bingham_constant(a)) == pytest.approx(
+            _log_equal_tail_bingham(p, A), abs=1e-10)
+
+    def test_batches_over_leading_axes(self, rng):
+        a = rng.uniform(0.0, 40.0, size=(3, 5, 4))
+        batch = log_bingham_constant(a)
+        assert batch.shape == (3, 5)
+        assert batch[2, 1] == float(log_bingham_constant(a[2, 1]))

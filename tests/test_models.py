@@ -5,17 +5,20 @@ import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 
+from biasaudit import models
 from biasaudit.advi import FitConfig
+from biasaudit.errors import QuadratureError
 from biasaudit.gaussmath import (SpdMatrix, grid_quadrature_2d, mvn_logpdf,
                                  normal_logpdf)
 from biasaudit.models import (CausalModelSpec, ConfoundedModelSpec,
                               JointVector, causal_code_length,
                               causal_evidence_closed_form, causal_log_joint,
                               code_length_X, confounded_code_length,
+                              confounded_evidence_k1,
                               confounded_evidence_quadrature,
                               confounded_log_joint, make_causal_target,
-                              make_collapsed_target, make_confounded_target,
-                              ppca_evidence_fixed_W)
+                              make_collapsed_target,
+                              make_confounded_target, ppca_evidence_fixed_W)
 from biasaudit.seeding import derive_seed
 
 from conftest import LOG_2PI, quick_fit_config
@@ -429,6 +432,15 @@ def _two_mode_grid_evidence(V: JointVector, spec: ConfoundedModelSpec) -> float:
     return logp.max() + math.log(total)
 
 
+def _grid_instance(instance: int) -> JointVector:
+    """The n=500, m=1 instances of the grid oracle: noise when even, one factor when odd."""
+    rng = np.random.default_rng(derive_seed(9110, instance))
+    if instance % 2 == 0:
+        return JointVector(rng.standard_normal((500, 2)))
+    return JointVector(np.outer(rng.standard_normal(500), 1.5 * rng.standard_normal(2))
+                       + 0.5 * rng.standard_normal((500, 2)))
+
+
 @pytest.mark.parametrize("instance", range(8))
 def test_confounded_code_length_tracks_grid_oracle_at_n500(instance):
     """The confounded bound stays within 1.25 nats above the exact evidence.
@@ -438,14 +450,51 @@ def test_confounded_code_length_tracks_grid_oracle_at_n500(instance):
     evidence by log 2, plus what mean-field loses to correlated loadings.
     """
     spec = ConfoundedModelSpec(k=1)
-    rng = np.random.default_rng(derive_seed(9110, instance))
-    if instance % 2 == 0:
-        data = rng.standard_normal((500, 2))
-    else:
-        data = (np.outer(rng.standard_normal(500), 1.5 * rng.standard_normal(2))
-                + 0.5 * rng.standard_normal((500, 2)))
-    V = JointVector(data)
+    V = _grid_instance(instance)
     truth = -_two_mode_grid_evidence(V, spec)
     got = confounded_code_length(V, spec, fit_config=FitConfig(seed=derive_seed(9111, instance)))
     assert truth - 3 * got.elbo_se <= got.nats <= truth + 1.25, (
         f"code length {got.nats:.3f} vs grid oracle {truth:.3f} (se {got.elbo_se:.3f})")
+
+
+class TestConfoundedEvidenceK1:
+    @pytest.mark.parametrize("scales", [(1.0, 1.0, 1.0), (0.7, 1.5, 0.6)])
+    @pytest.mark.parametrize("instance", range(8))
+    def test_matches_two_mode_grid(self, instance, scales):
+        sigma_z, sigma_w, sigma_obs = scales
+        spec = ConfoundedModelSpec(k=1, sigma_z=sigma_z, sigma_w=sigma_w, sigma_obs=sigma_obs)
+        V = _grid_instance(instance)
+        got = confounded_evidence_k1(V.values.T @ V.values, V.n, spec)
+        assert got == pytest.approx(_two_mode_grid_evidence(V, spec), abs=1e-8)
+
+    @pytest.mark.parametrize("instance", range(10))
+    def test_matches_quadrature_oracle_at_n10(self, instance):
+        # the instances of acceptance criterion 2
+        rng = np.random.default_rng(derive_seed(9010, instance))
+        if instance % 2 == 0:
+            data = rng.standard_normal((10, 2))
+        else:
+            data = (np.outer(rng.standard_normal(10), rng.standard_normal(2))
+                    + 0.5 * rng.standard_normal((10, 2)))
+        V = JointVector(data)
+        got = confounded_evidence_k1(data.T @ data, 10, CSPEC)
+        assert got == pytest.approx(confounded_evidence_quadrature(V, CSPEC), abs=1e-6)
+
+    def test_needs_k1(self):
+        with pytest.raises(ValueError):
+            confounded_evidence_k1(np.eye(3), 5, ConfoundedModelSpec(k=2))
+
+    def test_non_finite_bingham_constant_raises(self, monkeypatch):
+        V = _grid_instance(1)
+        monkeypatch.setattr(models, "log_bingham_constant",
+                            lambda a: np.full(np.shape(a)[:-1], np.nan))
+        with pytest.raises(QuadratureError):
+            confounded_evidence_k1(V.values.T @ V.values, V.n, CSPEC)
+
+    def test_exact_code_length_record(self):
+        V = _grid_instance(3)
+        got = confounded_code_length(V, CSPEC, method="exact")
+        assert got.nats == -confounded_evidence_k1(V.values.T @ V.values, V.n, CSPEC)
+        assert (got.method, got.elbo_se, got.iterations) == ("exact", 0.0, 0)
+        with pytest.raises(ValueError):
+            confounded_code_length(V, CSPEC, method="mcmc")

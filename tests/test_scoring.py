@@ -1,11 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from biasaudit.models import CausalModelSpec, ConfoundedModelSpec
+from biasaudit.models import (CausalModelSpec, ConfoundedModelSpec, JointVector,
+                              confounded_code_length, confounded_evidence_k1)
 from biasaudit.scoring import (FailedScore, ScoreRecord, ScoringConfig,
                                aggregate_by_dataset, score_all, score_target)
+from biasaudit.seeding import derive_seed
 from biasaudit.synth import GenSpec, gen_mixed
-from biasaudit.tabular import CauseSpec, CauseTerm, concat_tables
+from biasaudit.tabular import (CauseSpec, CauseTerm, build_design, concat_tables,
+                               standardize_column)
 
 from conftest import quick_fit_config
 
@@ -96,6 +101,49 @@ class TestScoreTarget:
             fractions.append(hits / 20)
         assert fractions[0] <= fractions[1] <= fractions[2]
         assert fractions[2] >= 0.9
+
+
+def scored_joint(table, target="vol_y") -> JointVector:
+    """The joint matrix score_target builds: control rows, standardized columns."""
+    table = table.filter_controls()
+    y, _, _ = standardize_column(table.column(target))
+    return JointVector.from_design(build_design(table, CAUSES), y)
+
+
+class TestMethodRouting:
+    """``closed_form`` is exact on both sides at k=1; ``advi`` fits both."""
+
+    def score(self, table, method, k=1):
+        return score_target(table, CAUSES, "vol_y", CausalModelSpec(),
+                            ConfoundedModelSpec(k=k), quick_fit_config(max_iterations=1000),
+                            seed=31, causal_method=method)
+
+    def test_closed_form_at_k1_is_exact(self):
+        table, _ = gen_mixed(GenSpec(n=120, alpha=0.5, seed=12))
+        record = self.score(table, "closed_form")
+        assert record.diagnostics["confounded"] == {
+            "method": "exact", "family": None, "converged": True, "elbo_se": 0.0,
+            "iterations": 0}
+        V = scored_joint(table)
+        assert record.confounded_nats == -confounded_evidence_k1(
+            V.values.T @ V.values, V.n, ConfoundedModelSpec())
+
+    def test_closed_form_at_k2_fits_the_confounded_side(self):
+        table, _ = gen_mixed(GenSpec(n=120, alpha=0.5, seed=12))
+        record = self.score(table, "closed_form", k=2)
+        assert record.diagnostics["causal"]["method"] == "closed_form"
+        assert record.diagnostics["confounded"]["method"] == "advi"
+        assert record.diagnostics["confounded"]["iterations"] > 0
+
+    def test_advi_equals_confounded_code_length(self):
+        table, _ = gen_mixed(GenSpec(n=120, alpha=0.5, seed=12))
+        record = self.score(table, "advi")
+        want = confounded_code_length(
+            scored_joint(table), ConfoundedModelSpec(),
+            fit_config=replace(quick_fit_config(max_iterations=1000),
+                               seed=derive_seed(31, "confounded")))
+        assert record.diagnostics["confounded"]["method"] == "advi"
+        assert record.confounded_nats == want.nats
 
 
 def two_dataset_table(seed=0, n=60):

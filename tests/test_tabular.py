@@ -497,6 +497,29 @@ class TestTableBasics:
                   sexes=[0, 1], features=np.array([[np.nan], [1.0]]),
                   feature_names=("vol_a",))
 
+    def test_take_equals_constructor_on_the_same_rows(self):
+        table = make_table(n=12)
+        idx = np.random.default_rng(3).permutation(12)[:7]
+        sub = table.take(idx)
+        want = Table(ids=np.array(table.ids)[idx], dataset_labels=table.dataset_labels[idx],
+                     ages=table.ages[idx], sexes=table.sexes[idx],
+                     features=table.features[idx], feature_names=table.feature_names,
+                     diagnosis_labels=table.diagnosis_labels[idx])
+        assert sub.ids == want.ids
+        for name in ("dataset_labels", "ages", "sexes", "features", "diagnosis_labels"):
+            np.testing.assert_array_equal(getattr(sub, name), getattr(want, name))
+        assert not sub.features.flags.writeable and not sub.ages.flags.writeable
+        assert table.take([0, -1]).ids == ("s0", "s11")
+
+    def test_take_rejects_empty_selection(self):
+        with pytest.raises(EmptyTableError):
+            make_table(n=5).take(np.array([], dtype=int))
+
+    @pytest.mark.parametrize("rows", [[1, 3, 1], [0, 4, -1]])
+    def test_take_rejects_repeated_rows(self, rows):
+        with pytest.raises(ValueError, match="not unique"):
+            make_table(n=5).take(rows)
+
     def test_concat(self):
         t1, t2 = make_table(n=4, seed=1), make_table(n=6, seed=2)
         t2 = Table(ids=[f"x{i}" for i in range(6)], dataset_labels=t2.dataset_labels,
