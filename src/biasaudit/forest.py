@@ -6,6 +6,8 @@ a forest together: each depth stacks every open node's rows once per
 candidate feature and rates every threshold of every node in one
 segmented Gini scan (prefix class counts over sorted feature values),
 so the number of numpy calls grows with depth, not with node count.
+Each column is ranked once per forest, so that scan orders all its
+segments with one integer sort per depth.
 Each tree draws its nodes' feature orders from its own seed, one block
 per depth.  The membership harness ("which dataset does this row come
 from?") trains forests over a grid of training fractions and reports
@@ -84,88 +86,102 @@ class DecisionTree:
         return self._leaf_pred[node]
 
 
-def _segment_cumsum(values, starts, sizes):
-    """Cumulative sums restarting at each segment (exact for integers)."""
-    total = np.cumsum(values)
-    return total - np.repeat(total[starts] - values[starts], sizes)
+def _column_ranks(X):
+    """Each cell's place in its column's stable sort, flattened like ``X``."""
+    rank = np.empty(X.shape, dtype=np.min_scalar_type(X.shape[0] - 1))
+    np.put_along_axis(rank, np.argsort(X, axis=0, kind="stable"),
+                      np.arange(X.shape[0])[:, None], axis=0)
+    return rank.ravel()
 
 
-def _segment_splits(x, y, sizes):
+def _heads(a):
+    """True where an entry differs from the one before it (always at 0)."""
+    head = np.empty(a.size, dtype=bool)
+    head[:1] = True
+    np.not_equal(a[1:], a[:-1], out=head[1:])
+    return head
+
+
+def _segment_splits(flat, rank, at, y, sizes):
     """Best Gini split of every segment: ``(gini, threshold)`` arrays.
 
-    ``x`` (feature values) and ``y`` (class codes) hold the segments
-    back to back, ``sizes`` their lengths; both are reordered in place.
-    One sort orders every segment by value; one scan then rates every
-    boundary between distinct values.  A segment without one gets gini
-    ``inf``.  Each segment's result equals its own one-segment call bit
-    for bit: the sums of squared class counts on either side are exact
-    integers, so no row-by-class table is built.
+    The segments lie back to back, ``sizes`` (all nonzero) their
+    lengths: entry i is cell ``at[i]`` of ``flat`` (feature values) with
+    class code ``y[i]``, and ``rank`` holds each cell's place in its
+    column (:func:`_column_ranks`).  One integer sort, by segment and
+    then rank, orders every segment by value; tied values fall in row
+    order, and only repeats of one row share a key.  One scan then
+    rates every boundary between distinct values, so the order among
+    ties changes no result; a segment without one gets gini ``inf``.
+    Each segment's result equals its own one-segment call bit for bit:
+    the sums of squared class counts on either side are exact integers.
     """
-    n = x.size
+    n = at.size
     starts = np.cumsum(sizes) - sizes
     seg = np.repeat(np.arange(sizes.size), sizes)
-    order = np.lexsort((x, seg))
-    x[:] = x[order]
-    y[:] = y[order]
-    del order  # each rows-long temporary goes as soon as it is used up
+    key = seg * rank.size
+    key += rank[at]
+    order = np.argsort(key, kind="stable")
+    del key  # each rows-long temporary goes as soon as it is used up
+    y = y[order]
+    x = flat[at[order]]
+    del order
 
     # Runs of one class within one segment, in sorted order: a row's
-    # place in its run counts the earlier same-class rows of its segment,
-    # and the run's length is the segment's total T_k of that class.
-    by_class = np.argsort(y.astype(np.min_scalar_type(int(y.max()))), kind="stable")
-    new_run = np.ones(n, dtype=bool)
-    np.not_equal(np.diff(y[by_class]), 0, out=new_run[1:])
-    new_run[1:] |= np.diff(seg[by_class]) != 0
-    run_start = np.flatnonzero(new_run)
-    run_of = np.cumsum(new_run) - 1
+    # place a in its run counts the earlier same-class rows of its
+    # segment, and the run's length is the segment's total T_k of that
+    # class.  sum_k left_k^2 grows by 2a + 1 as the row joins the left
+    # side, and sum_k right_k^2 = sum_k T_k^2 + the left rows' sum of
+    # 2a + 1 - 2 T_k, where sum_k T_k^2 is the left sum over the segment.
+    n_classes = int(y.max()) + 1
+    by_class = np.argsort(y.astype(np.min_scalar_type(n_classes)), kind="stable")
+    new_run = _heads((seg * n_classes + y)[by_class])
+    bound = 2 * np.concatenate([[0], np.flatnonzero(new_run), [n]])
+    run = np.cumsum(new_run)  # 1 + the run's number: bound[run] = 2 * its start
     del new_run
-    class_total = np.empty(n, dtype=np.int64)
-    class_total[by_class] = np.diff(run_start, append=n)[run_of]
-    earlier = np.arange(n) - run_start[run_of]
-    del run_of, run_start
-    step = np.empty(n, dtype=np.int64)
-    step[by_class] = 2 * earlier + 1
-    del by_class, earlier
+    odd = np.arange(1, 2 * n, 2)
+    # prefix sums, entry i + 1 summing sorted rows 0..i of every segment
+    left, right = np.zeros(n + 1, dtype=np.int64), np.zeros(n + 1, dtype=np.int64)
+    left[1:][by_class] = odd - bound[run]
+    right[1:][by_class] = odd - bound[1:][run]
+    del by_class, run, odd
+    np.cumsum(left, out=left)
+    np.cumsum(right, out=right)
 
-    # sum_k left_k^2 grows by 2a + 1 when a row joins a class that has a
-    # rows on the left; sum_k right_k^2 = sum_k T_k^2 - 2 sum_k T_k left_k
-    # + sum_k left_k^2, where sum_k T_k^2 is the left sum at the segment end
-    sq_left = _segment_cumsum(step, starts, sizes)
-    del step
-    sq_right = _segment_cumsum(class_total, starts, sizes)  # sum_k T_k left_k
-    del class_total
-    sq_right *= -2
-    sq_right += sq_left
-    sq_right += np.repeat(sq_left[starts + sizes - 1], sizes)
-
-    size_left = np.arange(1, n + 1)
-    size_left -= starts[seg]
-    size = sizes[seg]
-    valid = size_left < size
-    valid[:-1] &= x[1:] > x[:-1]
+    valid = np.empty(n, dtype=bool)
+    np.greater(x[1:], x[:-1], out=valid[:-1])
+    valid[starts + sizes - 1] = False  # a segment's last row has no boundary
     at = np.flatnonzero(valid)
-    gini = np.full(sizes.size, np.inf)
-    threshold = np.zeros(sizes.size)
-    if at.size == 0:
-        return gini, threshold
-    seg, size, size_left = seg[at], size[at], size_left[at]
+    del valid
+    seg = seg[at]
+    size, after = sizes[seg], at + 1
+    size_left = after - starts[seg]
     size_right = size - size_left
-    gini_left = 1.0 - sq_left[at] / size_left ** 2
-    gini_right = 1.0 - sq_right[at] / size_right ** 2
+    base = left[starts]
+    sq_left = left[after] - base[seg]
+    sq_right = right[after] + (left[starts + sizes] - base - right[starts])[seg]
+    gini_left = 1.0 - sq_left / size_left ** 2
+    gini_right = 1.0 - sq_right / size_right ** 2
     weighted = (size_left * gini_left + size_right * gini_right) / size
 
-    # the first minimum of each segment that has a valid boundary
-    first = np.flatnonzero(np.diff(seg, prepend=-1))
-    lowest = np.minimum.reduceat(weighted, first)
-    hit = np.flatnonzero(weighted == np.repeat(lowest, np.diff(first, append=at.size)))
-    hit = hit[np.diff(seg[hit], prepend=-1) != 0]
-    gini[seg[hit]] = weighted[hit]
-    at = at[hit]
-    threshold[seg[hit]] = 0.5 * (x[at] + x[at + 1])
+    # each segment's first minimum, inf where it has no boundary
+    gini = np.full(n, np.inf)
+    gini[at] = weighted
+    gini = np.minimum.reduceat(gini, starts)
+    hit = np.flatnonzero(weighted == gini[seg])
+    hit = hit[_heads(seg[hit])]
+    at, seg = at[hit], seg[hit]
+    # the midpoint, unless it rounds onto the upper value (adjacent
+    # doubles) or overflows: then the lower value itself
+    lo, hi = x[at], x[at + 1]
+    with np.errstate(invalid="ignore"):  # -inf + inf
+        mid = 0.5 * lo + 0.5 * hi
+    threshold = np.zeros(sizes.size)
+    threshold[seg] = np.where(mid < hi, mid, lo)
     return gini, threshold
 
 
-def _feature_scan(flat, m, rows, y, sizes, features):
+def _feature_scan(flat, rank, m, rows, y, sizes, features):
     """Best split of each node on each of its listed features.
 
     Node ``j`` owns ``sizes[j]`` consecutive entries of ``rows`` and
@@ -173,24 +189,15 @@ def _feature_scan(flat, m, rows, y, sizes, features):
     ``(gini, threshold)``, both shaped like ``features``.
     """
     n_nodes, width = features.shape
-    seg_sizes = np.repeat(sizes, width)
-    seg = np.repeat(np.arange(seg_sizes.size), seg_sizes)
-    # entry i of segment (j, k) is entry i of node j
-    member = np.arange(seg.size)
-    member -= (np.cumsum(seg_sizes) - seg_sizes
-               - np.repeat(np.cumsum(sizes) - sizes, width))[seg]
-    at = rows[member]
-    at *= m
-    at += features.ravel()[seg]
-    del seg
-    x = flat[at]
-    y = y[member]
-    del at, member
-    gini, threshold = _segment_splits(x, y, seg_sizes)
-    return gini.reshape(n_nodes, width), threshold.reshape(n_nodes, width)
+    # segment (k, j) holds node j's rows on its k-th listed feature
+    at = features.T.take(np.repeat(np.arange(n_nodes), sizes), axis=1)
+    at += m * rows
+    gini, threshold = _segment_splits(flat, rank, at.ravel(), np.concatenate([y] * width),
+                                      np.concatenate([sizes] * width))
+    return gini.reshape(width, n_nodes).T, threshold.reshape(width, n_nodes).T
 
 
-def _choose_splits(flat, m, rows, y, sizes, feature_order):
+def _choose_splits(flat, rank, m, rows, y, sizes, feature_order):
     """Feature and threshold of each node's split; feature -1 for none.
 
     A node rates the first ceil(sqrt(m)) features of its order and
@@ -199,7 +206,7 @@ def _choose_splits(flat, m, rows, y, sizes, feature_order):
     """
     n_candidates = int(np.ceil(np.sqrt(m)))
     candidates = feature_order[:, :n_candidates]
-    gini, threshold = _feature_scan(flat, m, rows, y, sizes, candidates)
+    gini, threshold = _feature_scan(flat, rank, m, rows, y, sizes, candidates)
     nodes = np.arange(sizes.size)
     pick = np.argmin(gini, axis=1)
     feature = np.where(np.isfinite(gini[nodes, pick]), candidates[nodes, pick], -1)
@@ -208,8 +215,8 @@ def _choose_splits(flat, m, rows, y, sizes, feature_order):
     if stuck.size and m > n_candidates:
         in_stuck = np.repeat(feature < 0, sizes)
         rest = feature_order[stuck, n_candidates:]
-        gini, rest_threshold = _feature_scan(flat, m, rows[in_stuck], y[in_stuck],
-                                             sizes[stuck], rest)
+        gini, rest_threshold = _feature_scan(flat, rank, m, rows[in_stuck],
+                                             y[in_stuck], sizes[stuck], rest)
         admits = np.isfinite(gini)
         pick = np.argmax(admits, axis=1)
         found = admits[np.arange(stuck.size), pick]
@@ -228,9 +235,11 @@ def _grow_trees(X, y, samples, seeds, n_classes):
     one uniform (open nodes x m) block per depth from
     ``default_rng(seeds[t])``; each row's argsort is that node's
     feature order.  Nodes are numbered breadth-first within their tree,
-    so a tree depends only on its own rows and seed.
+    so a tree depends only on its own rows and seed.  Every depth's
+    scan reads one ranking of the columns of ``X``.
     """
     flat = np.ascontiguousarray(X).ravel()
+    rank = _column_ranks(X)
     m = X.shape[1]
     n_trees = len(samples)
     rngs = [np.random.default_rng(seed) for seed in seeds]
@@ -256,7 +265,7 @@ def _grow_trees(X, y, samples, seeds, n_classes):
                                    for t in np.flatnonzero(per_tree)])
             in_open = is_open[node_of]
             feature[opened], threshold[opened] = _choose_splits(
-                flat, m, rows[in_open], codes[in_open], sizes[opened],
+                flat, rank, m, rows[in_open], codes[in_open], sizes[opened],
                 np.argsort(keys, axis=1, kind="stable"))
         split = np.flatnonzero(feature >= 0)
         leaf = np.flatnonzero(feature < 0)
@@ -276,9 +285,9 @@ def _grow_trees(X, y, samples, seeds, n_classes):
         in_split = feature[node_of] >= 0
         rows, codes, node_of = rows[in_split], codes[in_split], node_of[in_split]
         go_left = flat[rows * m + feature[node_of]] <= threshold[node_of]
-        child = 2 * np.searchsorted(split, node_of) + ~go_left
+        child = 2 * (np.cumsum(feature >= 0) - 1)[node_of] + ~go_left
         sizes = np.bincount(child, minlength=2 * split.size)
-        order = np.argsort(child, kind="stable")
+        order = np.argsort(child.astype(np.min_scalar_type(2 * split.size)), kind="stable")
         rows, codes = rows[order], codes[order]
         tree_of = np.repeat(split_tree, 2)
         node_id = np.column_stack([left[split], right[split]]).ravel()
@@ -300,6 +309,19 @@ def _grow_trees(X, y, samples, seeds, n_classes):
                                (feature, threshold, left, right, leaf_counts)))]
 
 
+def _training_arrays(X, labels, class_labels):
+    """``(X, class codes, class labels)``; ValueError unless one label per row."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[0] < 1 or X.shape[1] < 1:
+        raise ValueError("need a nonempty 2-D feature matrix")
+    labels = np.asarray(labels)
+    if labels.shape != (X.shape[0],):
+        raise ValueError("labels must match the number of rows")
+    if class_labels is None:
+        class_labels = sorted(set(labels.tolist()))
+    return X, label_codes(labels, class_labels), class_labels
+
+
 def train_tree(X, labels, seed: int, class_labels=None) -> DecisionTree:
     """Grow a single CART tree with Gini splits.
 
@@ -311,15 +333,7 @@ def train_tree(X, labels, seed: int, class_labels=None) -> DecisionTree:
     in order before giving up, so a node only becomes an impure leaf
     when every feature is constant within it.
     """
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[0] < 1 or X.shape[1] < 1:
-        raise ValueError("need a nonempty 2-D feature matrix")
-    labels = np.asarray(labels)
-    if labels.shape != (X.shape[0],):
-        raise ValueError("labels must match the number of rows")
-    if class_labels is None:
-        class_labels = sorted(set(labels.tolist()))
-    y = label_codes(labels, class_labels)
+    X, y, class_labels = _training_arrays(X, labels, class_labels)
     return _grow_trees(X, y, [np.arange(X.shape[0])], [seed], len(class_labels))[0]
 
 
@@ -349,11 +363,7 @@ def train_forest(X, labels, config: RFConfig, seed: int, class_labels=None) -> F
     orders from ``derive_seed(seed, "tree", t)``, so each tree equals
     the same tree grown alone.
     """
-    X = np.asarray(X, dtype=float)
-    labels = np.asarray(labels)
-    if class_labels is None:
-        class_labels = sorted(set(labels.tolist()))
-    y = label_codes(labels, class_labels)
+    X, y, class_labels = _training_arrays(X, labels, class_labels)
     n, tree_ids = X.shape[0], range(config.n_trees)
     samples = [np.random.default_rng(derive_seed(seed, "bootstrap", t)).integers(0, n, size=n)
                for t in tree_ids]

@@ -11,6 +11,22 @@ def rng():
     return np.random.default_rng(20240817)
 
 
+@pytest.fixture
+def bounded_growth(monkeypatch):
+    """Make tree growth fail, rather than run on, past 200 depths in a test."""
+    from biasaudit import forest
+
+    real, depths = forest._choose_splits, []
+
+    def counted(*args):
+        depths.append(None)
+        if len(depths) > 200:
+            raise AssertionError("tree growth passed 200 depths")
+        return real(*args)
+
+    monkeypatch.setattr(forest, "_choose_splits", counted)
+
+
 def quick_fit_config(seed=0, **overrides) -> FitConfig:
     """A fit budget sized for unit tests rather than production runs."""
     defaults = dict(max_iterations=6_000, final_elbo_samples=2_000, seed=seed)

@@ -246,6 +246,27 @@ class TestClassify:
         assert payload["fingerprint"]
         assert "trees=7" in payload["config"]["forest"]
 
+    @pytest.mark.parametrize("lo, hi", [(1.0000000000000002, 1.0000000000000004),
+                                        (1.5e308, 1.7e308), (-5e-324, 0.0)])
+    def test_datasets_one_double_apart_are_told_apart(self, runner, tmp_path,
+                                                      bounded_growth, lo, hi):
+        # the midpoint of lo and hi, in floats, does not lie below hi
+        rows = [f"{name}{i},{name},30,M,control,{value!r}\n"
+                for name, value in (("A", lo), ("B", hi)) for i in range(20)]
+        data = tmp_path / "close.csv"
+        data.write_text("subject_id,dataset,age,sex,diagnosis,vol_a\n" + "".join(rows),
+                        encoding="utf-8")
+        assert invoke(runner, ["validate", "--input", str(data)]).exit_code == 0
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("fractions = 0.5\n", encoding="utf-8")
+        out = tmp_path / "cls"
+        result = invoke(runner, ["classify", "--input", str(data), "--out", str(out),
+                                 "--seed", "1", "--repetitions", "2", "--trees", "5",
+                                 "--config", str(cfg)])
+        assert result.exit_code == 0
+        curve = [line.split(",") for line in (out / "curve.csv").read_text().splitlines()]
+        assert [float(row[2]) for row in curve if row[0] == "volume"] == [1.0]
+
     def test_single_dataset_rejected(self, runner, tmp_path):
         invoke(runner, ["simulate", "--out", str(tmp_path), "--name", "solo",
                         "--n", "40", "--seed", "3"])

@@ -1,12 +1,18 @@
 import numpy as np
 import pytest
 
-from biasaudit.forest import (Forest, RFConfig, _segment_splits, name_that_dataset,
-                              train_forest, train_tree)
+from biasaudit import forest
+from biasaudit.forest import (Forest, RFConfig, _column_ranks, _segment_splits,
+                              name_that_dataset, train_forest, train_tree)
 from biasaudit.seeding import derive_seed
 from biasaudit.synth import MultiDatasetSpec, gen_multidataset
 
 QUICK_RF = RFConfig(n_trees=20)
+# pairs whose float midpoint 0.5 * (lo + hi) is not below hi: adjacent
+# doubles round onto hi, near-max values overflow to inf, and the smallest
+# subnormal against zero rounds to -0.0, which no row of either side exceeds
+EDGE_PAIRS = [(1.0000000000000002, 1.0000000000000004), (1.5e308, 1.7e308),
+              (-5e-324, 0.0)]
 
 
 def blob_data(rng, n_per_class=120, shift=2.0, n_features=4):
@@ -16,16 +22,28 @@ def blob_data(rng, n_per_class=120, shift=2.0, n_features=4):
     return X, labels
 
 
+def _scan(x, y, sizes):
+    """:func:`_segment_splits` on segments of one column ``x``, entry i being row i."""
+    x = np.asarray(x, dtype=float)
+    return _segment_splits(x, _column_ranks(x[:, None]), np.arange(x.size),
+                           np.asarray(y), np.asarray(sizes))
+
+
 class TestGiniSplit:
     def test_perfect_split_has_zero_impurity(self):
-        values = np.array([0.0, 0.1, 1.0, 1.1])
-        gini, threshold = _segment_splits(values, np.array([0, 0, 1, 1]), np.array([4]))
+        gini, threshold = _scan([0.0, 0.1, 1.0, 1.1], [0, 0, 1, 1], [4])
         assert gini[0] == pytest.approx(0.0)
         assert threshold[0] == pytest.approx(0.55)
 
     def test_constant_feature_unsplittable(self):
-        gini, _ = _segment_splits(np.ones(4), np.array([0, 1, 0, 1]), np.array([4]))
+        gini, _ = _scan(np.ones(4), [0, 1, 0, 1], [4])
         assert gini[0] == np.inf
+
+    @pytest.mark.parametrize("lo, hi", EDGE_PAIRS)
+    def test_threshold_lies_below_the_upper_value(self, lo, hi):
+        gini, threshold = _scan([hi, lo], [1, 0], [2])
+        assert gini[0] == 0.0
+        assert lo <= threshold[0] < hi
 
 
 class TestTrainTree:
@@ -54,8 +72,28 @@ class TestTrainTree:
         with pytest.raises(ValueError):
             train_tree(np.zeros((0, 2)), np.array([]), seed=0)
 
+    @pytest.mark.parametrize("lo, hi", EDGE_PAIRS)
+    def test_growth_ends_where_the_midpoint_reaches_the_upper_value(
+            self, bounded_growth, lo, hi):
+        tree = train_tree(np.array([[lo], [hi]]), np.array(["a", "b"]), seed=0)
+        assert tree.n_nodes == 3
+        np.testing.assert_array_equal(tree.predict_codes(np.array([[lo], [hi]])), [0, 1])
+
+
+def _train_one_tree_forest(X, labels):
+    return train_forest(X, labels, RFConfig(n_trees=1), seed=0)
+
 
 class TestForest:
+    @pytest.mark.parametrize("train", [train_tree, _train_one_tree_forest],
+                             ids=["train_tree", "train_forest"])
+    @pytest.mark.parametrize("n_rows, n_labels", [(10, 12), (10, 8), (0, 0)],
+                             ids=["more_labels", "fewer_labels", "no_rows"])
+    def test_labels_not_one_per_row_rejected(self, train, n_rows, n_labels):
+        labels = np.array(["a", "b"] * 6)[:n_labels]
+        with pytest.raises(ValueError, match="feature matrix|number of rows"):
+            train(np.zeros((n_rows, 2)), labels, *([0] if train is train_tree else []))
+
     def test_one_tree_forest_votes_as_its_tree(self, rng):
         X, labels = blob_data(rng, n_per_class=40)
         forest = train_forest(X, labels, RFConfig(n_trees=1), seed=3)
@@ -230,7 +268,10 @@ def _reference_gini_best_split(values, y_onehot):
     weighted = (sizes_left * gini_left + sizes_right * gini_right) / n
     weighted[~boundary] = np.inf
     best = int(np.argmin(weighted))
-    return float(weighted[best]), float(0.5 * (sv[best] + sv[best + 1]))
+    lo, hi = sv[best], sv[best + 1]
+    with np.errstate(invalid="ignore"):  # -inf + inf
+        mid = 0.5 * lo + 0.5 * hi  # cannot overflow; lo where it reaches hi
+    return float(weighted[best]), float(mid if mid < hi else lo)
 
 
 def _reference_train_tree(X, labels, seed, class_labels=None):
@@ -315,17 +356,18 @@ def _oracle_data(seed, n_rows, m, n_classes):
     return X, np.array([f"c{v:02d}" for v in labels])
 
 
-ORACLE_LAYOUTS = ["spread", "few_rows", "duplicated", "bootstrap"]
+ORACLE_LAYOUTS = ["spread", "few_rows", "duplicated", "bootstrap", "signed_zero_inf"]
 
 
 def _oracle_layout(layout, m, n_classes):
-    """Oracle inputs in one of four row layouts.
+    """Oracle inputs in one of five row layouts.
 
     ``spread`` is 150 rows of :func:`_oracle_data`; ``few_rows`` is 12
     rows, so trees stay shallow; ``duplicated`` repeats 75 rows with a
     fresh label on each copy, so impure nodes with no boundary between
     distinct values become leaves; ``bootstrap`` draws 150 rows with
-    replacement, as :func:`train_forest` feeds each tree.
+    replacement, as :func:`train_forest` feeds each tree;
+    ``signed_zero_inf`` does the same after :func:`_signed_zero_inf`.
     """
     seed = 100 * m + 10 + n_classes
     if layout == "spread":
@@ -338,8 +380,20 @@ def _oracle_layout(layout, m, n_classes):
         relabel = np.array([f"c{v:02d}" for v in rng.integers(0, n_classes, size=75)])
         return np.vstack([X, X]), np.concatenate([labels, relabel])
     X, labels = _oracle_data(seed, 150, m, n_classes)
+    if layout == "signed_zero_inf":
+        X = _signed_zero_inf(X, rng)
     rows = rng.integers(0, 150, size=150)
     return X[rows], labels[rows]
+
+
+def _signed_zero_inf(X, rng):
+    """``X`` on a half-unit grid with zeros of either sign and 1 cell in 8 at +-inf."""
+    X = np.round(2.0 * X) / 2.0
+    zero = X == 0.0
+    X[zero] = np.copysign(0.0, rng.standard_normal(zero.sum()))
+    X[rng.random(X.shape) < 0.125] = np.inf
+    X[rng.random(X.shape) < 0.125] = -np.inf
+    return X
 
 
 def _assert_same_tree(tree, want):
@@ -378,7 +432,7 @@ class TestLevelGrowerOracle:
         x = np.round(rng.standard_normal(sizes.sum()), 1)
         x[: sizes[0]] = 0.0  # one constant segment
         y = rng.integers(0, 6, size=sizes.sum())
-        gini, threshold = _segment_splits(x, y, sizes)
+        gini, threshold = _scan(x, y, sizes)
         start = 0
         for s, size in enumerate(sizes):
             part = slice(start, start + size)
@@ -388,6 +442,83 @@ class TestLevelGrowerOracle:
             else:
                 assert (gini[s], threshold[s]) == want
             start += size
+
+
+def _lexsort_segment_splits(x, y, sizes):
+    """The value-keyed scan: one lexsort by (segment, value) per call.
+
+    ``x`` holds the segments' feature values back to back; otherwise it
+    is :func:`_segment_splits` before columns were ranked, with the
+    threshold rule of :func:`_reference_gini_best_split`.
+    """
+    n = x.size
+    starts = np.cumsum(sizes) - sizes
+    seg = np.repeat(np.arange(sizes.size), sizes)
+    order = np.lexsort((x, seg))
+    x, y = x[order], y[order]
+    by_class = np.argsort(y, kind="stable")
+    new_run = np.ones(n, dtype=bool)
+    new_run[1:] = (np.diff(y[by_class]) != 0) | (np.diff(seg[by_class]) != 0)
+    run_start = np.flatnonzero(new_run)
+    run_of = np.cumsum(new_run) - 1
+    class_total = np.empty(n, dtype=np.int64)
+    class_total[by_class] = np.diff(run_start, append=n)[run_of]
+    step = np.empty(n, dtype=np.int64)
+    step[by_class] = 2 * (np.arange(n) - run_start[run_of]) + 1
+
+    def segment_cumsum(values):
+        total = np.cumsum(values)
+        return total - np.repeat(total[starts] - values[starts], sizes)
+
+    sq_left = segment_cumsum(step)
+    sq_right = sq_left - 2 * segment_cumsum(class_total)
+    sq_right += np.repeat(sq_left[starts + sizes - 1], sizes)
+    size_left = np.arange(1, n + 1) - starts[seg]
+    size = sizes[seg]
+    valid = size_left < size
+    valid[:-1] &= x[1:] > x[:-1]
+    at = np.flatnonzero(valid)
+    gini = np.full(sizes.size, np.inf)
+    threshold = np.zeros(sizes.size)
+    if at.size == 0:
+        return gini, threshold
+    seg, size, size_left = seg[at], size[at], size_left[at]
+    size_right = size - size_left
+    gini_left = 1.0 - sq_left[at] / size_left ** 2
+    gini_right = 1.0 - sq_right[at] / size_right ** 2
+    weighted = (size_left * gini_left + size_right * gini_right) / size
+    first = np.flatnonzero(np.diff(seg, prepend=-1))
+    lowest = np.minimum.reduceat(weighted, first)
+    hit = np.flatnonzero(weighted == np.repeat(lowest, np.diff(first, append=at.size)))
+    hit = hit[np.diff(seg[hit], prepend=-1) != 0]
+    gini[seg[hit]] = weighted[hit]
+    lo, hi = x[at[hit]], x[at[hit] + 1]
+    with np.errstate(invalid="ignore"):
+        mid = 0.5 * lo + 0.5 * hi
+    threshold[seg[hit]] = np.where(mid < hi, mid, lo)
+    return gini, threshold
+
+
+class TestRankKeyedScan:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equals_lexsort_scan_bit_for_bit(self, seed):
+        # 60 rows of tied, signed-zero and infinite values; each segment
+        # is one feature of a bootstrap draw of rows, as a tree's node is
+        rng = np.random.default_rng(seed)
+        n_rows, m = 60, 5
+        X = _signed_zero_inf(np.round(rng.standard_normal((n_rows, m)), 1), rng)
+        X[:, 1] = np.round(X[:, 1])
+        X[:, 2] = np.copysign(0.0, rng.standard_normal(n_rows))  # +-0.0 only
+        codes = rng.integers(0, 1 + seed, size=n_rows)
+        sizes = rng.integers(1, 50, size=40)
+        rows = rng.integers(0, n_rows, size=sizes.sum())
+        at = rows * m + np.repeat(rng.integers(0, m, size=sizes.size), sizes)
+        flat = X.ravel()
+        gini, threshold = _segment_splits(flat, _column_ranks(X), at, codes[rows], sizes)
+        want_gini, want_threshold = _lexsort_segment_splits(flat[at], codes[rows], sizes)
+        assert gini.tobytes() == want_gini.tobytes()
+        assert threshold.tobytes() == want_threshold.tobytes()
+        assert np.isfinite(gini).any() and np.isinf(gini).any()
 
 
 def _reference_predict_codes(tree, X):
