@@ -88,7 +88,7 @@ class DecisionTree:
 
 def _column_ranks(X):
     """Each cell's place in its column's stable sort, flattened like ``X``."""
-    rank = np.empty(X.shape, dtype=np.min_scalar_type(X.shape[0] - 1))
+    rank = np.empty(X.shape, dtype=np.int64)
     np.put_along_axis(rank, np.argsort(X, axis=0, kind="stable"),
                       np.arange(X.shape[0])[:, None], axis=0)
     return rank.ravel()
@@ -287,7 +287,7 @@ def _grow_trees(X, y, samples, seeds, n_classes):
         go_left = flat[rows * m + feature[node_of]] <= threshold[node_of]
         child = 2 * (np.cumsum(feature >= 0) - 1)[node_of] + ~go_left
         sizes = np.bincount(child, minlength=2 * split.size)
-        order = np.argsort(child.astype(np.min_scalar_type(2 * split.size)), kind="stable")
+        order = np.argsort(child, kind="stable")
         rows, codes = rows[order], codes[order]
         tree_of = np.repeat(split_tree, 2)
         node_id = np.column_stack([left[split], right[split]]).ravel()

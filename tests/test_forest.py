@@ -1,16 +1,17 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
-from biasaudit import forest
 from biasaudit.forest import (Forest, RFConfig, _column_ranks, _segment_splits,
                               name_that_dataset, train_forest, train_tree)
 from biasaudit.seeding import derive_seed
 from biasaudit.synth import MultiDatasetSpec, gen_multidataset
 
 QUICK_RF = RFConfig(n_trees=20)
-# pairs whose float midpoint 0.5 * (lo + hi) is not below hi: adjacent
-# doubles round onto hi, near-max values overflow to inf, and the smallest
-# subnormal against zero rounds to -0.0, which no row of either side exceeds
+# pairs whose float midpoint 0.5 * (lo + hi) is not below hi, so every row
+# would go left: adjacent doubles round onto hi, near-max values overflow
+# to inf, and the smallest subnormal against zero rounds to -0.0
 EDGE_PAIRS = [(1.0000000000000002, 1.0000000000000004), (1.5e308, 1.7e308),
               (-5e-324, 0.0)]
 
@@ -80,19 +81,16 @@ class TestTrainTree:
         np.testing.assert_array_equal(tree.predict_codes(np.array([[lo], [hi]])), [0, 1])
 
 
-def _train_one_tree_forest(X, labels):
-    return train_forest(X, labels, RFConfig(n_trees=1), seed=0)
-
-
 class TestForest:
-    @pytest.mark.parametrize("train", [train_tree, _train_one_tree_forest],
+    @pytest.mark.parametrize("train", [partial(train_tree, seed=0),
+                                       partial(train_forest, config=QUICK_RF, seed=0)],
                              ids=["train_tree", "train_forest"])
     @pytest.mark.parametrize("n_rows, n_labels", [(10, 12), (10, 8), (0, 0)],
                              ids=["more_labels", "fewer_labels", "no_rows"])
     def test_labels_not_one_per_row_rejected(self, train, n_rows, n_labels):
         labels = np.array(["a", "b"] * 6)[:n_labels]
         with pytest.raises(ValueError, match="feature matrix|number of rows"):
-            train(np.zeros((n_rows, 2)), labels, *([0] if train is train_tree else []))
+            train(np.zeros((n_rows, 2)), labels)
 
     def test_one_tree_forest_votes_as_its_tree(self, rng):
         X, labels = blob_data(rng, n_per_class=40)
@@ -506,8 +504,7 @@ class TestRankKeyedScan:
         # is one feature of a bootstrap draw of rows, as a tree's node is
         rng = np.random.default_rng(seed)
         n_rows, m = 60, 5
-        X = _signed_zero_inf(np.round(rng.standard_normal((n_rows, m)), 1), rng)
-        X[:, 1] = np.round(X[:, 1])
+        X = _signed_zero_inf(rng.standard_normal((n_rows, m)), rng)
         X[:, 2] = np.copysign(0.0, rng.standard_normal(n_rows))  # +-0.0 only
         codes = rng.integers(0, 1 + seed, size=n_rows)
         sizes = rng.integers(1, 50, size=40)
