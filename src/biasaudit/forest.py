@@ -7,11 +7,11 @@ candidate feature and rates every threshold of every node in one
 segmented Gini scan (prefix class counts over sorted feature values),
 so the number of numpy calls grows with depth, not with node count.
 Each column is ranked once per forest, so that scan orders all its
-segments with one integer sort per depth.
-Each tree draws its nodes' feature orders from its own seed, one block
-per depth.  The membership harness ("which dataset does this row come
-from?") trains forests over a grid of training fractions and reports
-learning curves plus a confusion matrix at the largest fraction.
+segments with one integer sort per depth.  Each tree draws its nodes'
+feature orders from its own seed, one block per depth.  The membership
+harness ("which dataset does this row come from?") trains forests over
+a grid of training fractions and reports learning curves plus a
+confusion matrix at the largest fraction.
 """
 
 from dataclasses import dataclass
@@ -140,7 +140,7 @@ def _segment_splits(flat, rank, at, y, sizes):
     run = np.cumsum(new_run)  # 1 + the run's number: bound[run] = 2 * its start
     del new_run
     odd = np.arange(1, 2 * n, 2)
-    # prefix sums, entry i + 1 summing sorted rows 0..i of every segment
+    # prefix sums over all segments: entry i + 1 sums sorted rows 0..i
     left, right = np.zeros(n + 1, dtype=np.int64), np.zeros(n + 1, dtype=np.int64)
     left[1:][by_class] = odd - bound[run]
     right[1:][by_class] = odd - bound[1:][run]
