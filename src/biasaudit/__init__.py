@@ -8,7 +8,7 @@ reveals inter-dataset bias.
 """
 
 from .advi import (FitConfig, FitTrace, FULL_RANK, MEAN_FIELD,
-                   VariationalPosterior, estimate_elbo, fit, gaussian_kl)
+                   VariationalPosterior, estimate_elbo, fit)
 from .errors import (BiasAuditError, DegenerateColumnError, DivergenceError,
                      EmptyTableError, EstimationError, FactorizationError,
                      QuadratureError, SchemaError, SplitError)

@@ -123,21 +123,10 @@ class VariationalPosterior:
     @property
     def scale_tril(self) -> np.ndarray:
         """Lower-triangular covariance factor (diagonal for mean-field)."""
-        return self._fill_factor(np.zeros((self.dim, self.dim)), np.exp(self.log_scale))
-
-    def _fill_factor(self, L: np.ndarray, scale: np.ndarray) -> np.ndarray:
-        """Write the factor into the zeroed-above-diagonal ``L``, given ``exp(log_scale)``."""
+        L = np.zeros((self.dim, self.dim))
         L.flat[self._tril] = self.flat[2 * self.dim:]
-        L.flat[::self.dim + 1] = scale
+        L.flat[::self.dim + 1] = np.exp(self.log_scale)
         return L
-
-    def sd(self) -> np.ndarray:
-        """Marginal standard deviations."""
-        return np.sqrt(np.sum(self.scale_tril ** 2, axis=1))
-
-    def covariance(self) -> np.ndarray:
-        L = self.scale_tril
-        return L @ L.T
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         eps = rng.standard_normal((size, self.dim))
@@ -145,39 +134,15 @@ class VariationalPosterior:
             return self.mean + np.exp(self.log_scale) * eps
         return self.mean + eps @ self.scale_tril.T
 
-    def _half_logdet(self, scale: np.ndarray | None = None) -> float:
-        if self.family == MEAN_FIELD:
-            return float(np.add.reduce(self.log_scale))
-        # log of the factor diagonal as scale_tril holds it: exp then log
-        # can differ from the stored log-scales in the last bit, and code
-        # lengths stay reproducible only if this sum keeps its bits
-        return float(np.add.reduce(np.log(np.exp(self.log_scale) if scale is None else scale)))
-
-    def entropy(self, scale: np.ndarray | None = None) -> float:
-        """Closed-form differential entropy in nats (``scale``: ``exp(log_scale)`` if known)."""
-        return 0.5 * self.dim * (1.0 + LOG_2PI) + self._half_logdet(scale)
-
-    def log_prob(self, theta: np.ndarray) -> np.ndarray:
-        r = (np.atleast_2d(np.asarray(theta, dtype=float)) - self.mean).T
-        u = np.linalg.solve(self.scale_tril, r)
-        quad = np.sum(u * u, axis=0)
-        return -0.5 * (self.dim * LOG_2PI + quad) - self._half_logdet()
-
-
-def gaussian_kl(mean_q, cov_q, mean_p, cov_p) -> float:
-    """KL(q || p) between two multivariate Gaussians, in nats."""
-    mean_q, mean_p = np.atleast_1d(mean_q), np.atleast_1d(mean_p)
-    cov_q, cov_p = np.atleast_2d(cov_q), np.atleast_2d(cov_p)
-    d = mean_q.size
-    chol_p = np.linalg.cholesky(cov_p)
-    solve = np.linalg.solve
-    trace = float(np.trace(solve(chol_p.T, solve(chol_p, cov_q))))
-    diff = mean_p - mean_q
-    u = solve(chol_p, diff)
-    quad = float(u @ u)
-    logdet_p = 2.0 * float(np.sum(np.log(np.diag(chol_p))))
-    logdet_q = float(np.linalg.slogdet(cov_q)[1])
-    return 0.5 * (trace + quad - d + logdet_p - logdet_q)
+    def entropy(self) -> float:
+        """Closed-form differential entropy in nats."""
+        log_scale = self.log_scale
+        if self.family == FULL_RANK:
+            # log of the factor diagonal as scale_tril holds it: exp then log
+            # can differ from the stored log-scales in the last bit, and code
+            # lengths stay reproducible only if this sum keeps its bits
+            log_scale = np.log(np.exp(log_scale))
+        return 0.5 * self.dim * (1.0 + LOG_2PI) + float(np.add.reduce(log_scale))
 
 
 def fit(log_joint, d: int, config: FitConfig,
@@ -203,15 +168,25 @@ def fit(log_joint, d: int, config: FitConfig,
         raise ValueError(f"start is a {start.dim}-dim {start.family} posterior, "
                          f"expected a {d}-dim {family} one")
     q = start
-    value0, grad0 = log_joint(q.mean[None, :])
+    # views into q.flat, which every step updates in place
+    flat = q.flat
+    mean, log_scale, off_diagonal = flat[:d], flat[d:2 * d], flat[2 * d:]
+    value0, grad0 = log_joint(mean[None, :])
     if not (np.all(np.isfinite(value0)) and np.all(np.isfinite(grad0))):
         raise ValueError("log_joint is not finite at the starting mean")
 
     rng = np.random.default_rng(config.seed)
     S, window, lr = config.mc_samples_per_step, config.convergence_window, config.learning_rate
-    grad, moment1, moment2 = (np.zeros_like(q.flat) for _ in range(3))
     full_rank = family == FULL_RANK
-    factor = np.zeros((d, d)) if full_rank else None
+    entropy_const = 0.5 * d * (1.0 + LOG_2PI)
+    tril = q._tril
+    # every per-step temporary lives in a buffer allocated here
+    grad, moment1, moment2, step, denom = (np.zeros_like(flat) for _ in range(5))
+    grad_mean, grad_scale, grad_off = grad[:d], grad[d:2 * d], grad[2 * d:]
+    eps, theta, weighted = np.empty((S, d)), np.empty((S, d)), np.empty((S, d))
+    scale, log_diagonal = np.empty(d), np.empty(d)
+    factor, cross = np.zeros((d, d)), np.empty((d, d))
+    factor_flat, cross_flat = factor.reshape(-1), cross.reshape(-1)
 
     # the stop rule reads the last two windows only: row j % 2 holds window j,
     # with NaN for a skipped step
@@ -223,29 +198,53 @@ def fit(log_joint, d: int, config: FitConfig,
     for t in range(config.max_iterations):
         row, col = divmod(t, window)
         row %= 2
-        eps = rng.standard_normal((S, d))
-        scale = np.exp(q.log_scale)
-        theta = q.mean + (eps @ q._fill_factor(factor, scale).T if full_rank else scale * eps)
+        rng.standard_normal(out=eps)
+        np.exp(log_scale, out=scale)
+        if full_rank:
+            factor_flat[tril] = off_diagonal
+            factor_flat[::d + 1] = scale
+            np.matmul(eps, factor.T, out=theta)
+            # log(exp(log_scale)), as entropy() sums it
+            half_logdet = np.add.reduce(np.log(scale, out=log_diagonal))
+        else:
+            np.multiply(scale, eps, out=theta)
+            half_logdet = np.add.reduce(log_scale)
+        theta += mean
         values, grads = log_joint(theta)
-        elbo_t = float(np.add.reduce(values) / S) + q.entropy(scale)
+        elbo_t = float(np.add.reduce(values)) / S + (entropy_const + float(half_logdet))
 
-        if math.isfinite(elbo_t) and np.isfinite(grads).all():
+        if math.isfinite(elbo_t) and np.logical_and.reduce(np.isfinite(grads), axis=None):
             nonfinite_streak = 0
             # reparameterized gradient; the +1 is the entropy's, wrt the log-scales
-            grad[:d] = np.add.reduce(grads, axis=0) / S
+            np.add.reduce(grads, axis=0, out=grad_mean)
+            grad_mean /= S
             if full_rank:
-                cross = grads.T @ eps / S  # E[g_i eps_j]
-                grad[d:2 * d] = cross.diagonal() * scale + 1.0
-                grad[2 * d:] = cross.take(q._tril)
+                np.matmul(grads.T, eps, out=cross)  # S E[g_i eps_j]
+                cross /= S
+                np.multiply(cross_flat[::d + 1], scale, out=grad_scale)
+                np.take(cross_flat, tril, out=grad_off)
             else:
-                grad[d:2 * d] = np.add.reduce(grads * eps, axis=0) / S * scale + 1.0
+                np.multiply(grads, eps, out=weighted)
+                np.add.reduce(weighted, axis=0, out=grad_scale)
+                grad_scale /= S
+                grad_scale *= scale
+            grad_scale += 1.0
             adam_steps += 1
             moment1 *= _ADAM_BETA1
-            moment1 += (1 - _ADAM_BETA1) * grad
+            np.multiply(grad, 1 - _ADAM_BETA1, out=step)
+            moment1 += step
             moment2 *= _ADAM_BETA2
-            moment2 += (1 - _ADAM_BETA2) * np.square(grad)
-            step = lr * (moment1 / (1 - _ADAM_BETA1 ** adam_steps))
-            q.flat += step / (np.sqrt(moment2 / (1 - _ADAM_BETA2 ** adam_steps)) + _ADAM_EPS)
+            np.square(grad, out=step)
+            step *= 1 - _ADAM_BETA2
+            moment2 += step
+            # bias corrections as Python floats: numpy's ** can differ in the last bit
+            np.divide(moment2, 1 - _ADAM_BETA2 ** adam_steps, out=denom)
+            np.sqrt(denom, out=denom)
+            denom += _ADAM_EPS
+            np.divide(moment1, 1 - _ADAM_BETA1 ** adam_steps, out=step)
+            step *= lr
+            step /= denom
+            flat += step
             windows[row, col] = elbo_t
         else:
             nonfinite_streak += 1

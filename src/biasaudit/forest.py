@@ -319,7 +319,11 @@ def _training_arrays(X, labels, class_labels):
         raise ValueError("labels must match the number of rows")
     if class_labels is None:
         class_labels = sorted(set(labels.tolist()))
-    return X, label_codes(labels, class_labels), class_labels
+    try:
+        codes = label_codes(labels, class_labels)
+    except KeyError as exc:
+        raise ValueError(f"label {exc.args[0]!r} is not among the class labels") from None
+    return X, codes, class_labels
 
 
 def train_tree(X, labels, seed: int, class_labels=None) -> DecisionTree:

@@ -134,7 +134,7 @@ def make_causal_target(X, y, spec: CausalModelSpec):
              - 0.5 * yty / var_y)
 
     def target(weights: np.ndarray):
-        weights = np.atleast_2d(weights)
+        weights = weights if weights.ndim == 2 else np.atleast_2d(weights)
         Pw = weights @ P
         return const + weights @ b - 0.5 * np.add.reduce(weights * Pw, axis=1), b - Pw
 
@@ -298,7 +298,11 @@ def make_collapsed_target(V: JointVector, spec: ConfoundedModelSpec):
     (m+1-k) log sigma_obs^2 + log|M|`` (Sylvester), ``B = W C^-1 = M^-1 W``
     (push-through) and ``C^-1 = (I - sigma_z^2 W^T B) / sigma_obs^2`` (Woodbury).
     A sample costs O(k (m+1)^2 + k^3) at any n.  The flat parameter vector is
-    the k x (m+1) loading matrix, row by row.
+    the k x (m+1) loading matrix, row by row.  At k=1 the target works on plain
+    (S, m+1) arrays, with M = sigma_z^2 |w|^2 + sigma_obs^2 and q = B S w^T one
+    number per sample: the log joint is ``const - |w|^2 / 2 sigma_w^2 - (n/2) log M
+    + sigma_z^2 q / 2 sigma_obs^2`` and its gradient ``(sigma_z^2 / sigma_obs^2)
+    (B S - sigma_z^2 q B) - n sigma_z^2 B - w / sigma_w^2``.
     """
     data = V.values
     n, width = data.shape
@@ -308,27 +312,39 @@ def make_collapsed_target(V: JointVector, spec: ConfoundedModelSpec):
     const = (-0.5 * k * width * math.log(2.0 * math.pi * var_w)
              - 0.5 * n * width * LOG_2PI
              - 0.5 * (n * (width - k) * math.log(var_obs) + float(np.trace(S)) / var_obs))
+
+    if k == 1:
+        def target(theta: np.ndarray):
+            theta = theta if theta.ndim == 2 else np.atleast_2d(theta)
+            r2 = np.add.reduce(theta * theta, axis=1)
+            M = var_z * r2 + var_obs
+            B = theta / M[:, None]
+            BS = B @ S
+            q = np.add.reduce(BS * theta, axis=1)
+            values = (const - (0.5 / var_w) * r2 - (0.5 * n) * np.log(M)
+                      + (0.5 * var_z / var_obs) * q)
+            grad_w = ((var_z / var_obs) * (BS - (var_z * q)[:, None] * B)
+                      - (n * var_z) * B - theta / var_w)
+            return values, grad_w
+
+        return target, width
+
     noise = var_obs * np.eye(k)
 
     def target(theta: np.ndarray):
         theta = np.atleast_2d(theta)
-        s = theta.shape[0]
-        W = theta.reshape(s, k, width)
+        W = theta.reshape(-1, k, width)
         M = var_z * (W @ W.transpose(0, 2, 1)) + noise
-        if k == 1:  # no LAPACK call for a 1 x 1 matrix
-            M_inv, log_det_M = 1.0 / M, np.log(M[:, 0, 0])
-        else:
-            M_inv, log_det_M = np.linalg.inv(M), np.linalg.slogdet(M)[1]
-        B = M_inv @ W
+        B = np.linalg.inv(M) @ W
         BS = B @ S
         BSW_t = BS @ W.transpose(0, 2, 1)
         values = (const
                   - (0.5 / var_w) * np.add.reduce(theta * theta, axis=1)
-                  - (0.5 * n) * log_det_M
+                  - (0.5 * n) * np.linalg.slogdet(M)[1]
                   + (0.5 * var_z / var_obs) * np.trace(BSW_t, axis1=1, axis2=2))
         grad_w = ((var_z / var_obs) * (BS - var_z * (BSW_t @ B))
                   - (n * var_z) * B - W / var_w)
-        return values, grad_w.reshape(s, k * width)
+        return values, grad_w.reshape(theta.shape)
 
     return target, k * width
 

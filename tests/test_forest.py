@@ -92,6 +92,13 @@ class TestForest:
         with pytest.raises(ValueError, match="feature matrix|number of rows"):
             train(np.zeros((n_rows, 2)), labels)
 
+    @pytest.mark.parametrize("train", [partial(train_tree, seed=0),
+                                       partial(train_forest, config=RFConfig(n_trees=1), seed=0)],
+                             ids=["train_tree", "train_forest"])
+    def test_label_outside_class_labels_rejected(self, train):
+        with pytest.raises(ValueError, match="label 'c' is not among the class labels"):
+            train(np.zeros((2, 1)), np.array(["a", "c"]), class_labels=["a", "b"])
+
     def test_one_tree_forest_votes_as_its_tree(self, rng):
         X, labels = blob_data(rng, n_per_class=40)
         forest = train_forest(X, labels, RFConfig(n_trees=1), seed=3)

@@ -386,6 +386,57 @@ class TestSufficientStatisticTargets:
         assert peak < 1_000_000, f"peak {peak / 1e6:.1f} MB"
 
 
+def _batched_collapsed_target_k1(V: JointVector, spec: ConfoundedModelSpec):
+    """The k=1 collapsed target in its (S, 1, m+1) batched-matmul form, as it
+    stood before k=1 got its own 2-D closure, kept as that closure's oracle."""
+    data = V.values
+    n, width = data.shape
+    k = spec.k
+    var_z, var_w, var_obs = spec.sigma_z ** 2, spec.sigma_w ** 2, spec.sigma_obs ** 2
+    S = data.T @ data
+    const = (-0.5 * k * width * math.log(2.0 * math.pi * var_w)
+             - 0.5 * n * width * LOG_2PI
+             - 0.5 * (n * (width - k) * math.log(var_obs) + float(np.trace(S)) / var_obs))
+    noise = var_obs * np.eye(k)
+
+    def target(theta: np.ndarray):
+        theta = np.atleast_2d(theta)
+        s = theta.shape[0]
+        W = theta.reshape(s, k, width)
+        M = var_z * (W @ W.transpose(0, 2, 1)) + noise
+        M_inv, log_det_M = 1.0 / M, np.log(M[:, 0, 0])
+        B = M_inv @ W
+        BS = B @ S
+        BSW_t = BS @ W.transpose(0, 2, 1)
+        values = (const
+                  - (0.5 / var_w) * np.add.reduce(theta * theta, axis=1)
+                  - (0.5 * n) * log_det_M
+                  + (0.5 * var_z / var_obs) * np.trace(BSW_t, axis1=1, axis2=2))
+        grad_w = ((var_z / var_obs) * (BS - var_z * (BSW_t @ B))
+                  - (n * var_z) * B - W / var_w)
+        return values, grad_w.reshape(s, k * width)
+
+    return target, k * width
+
+
+@pytest.mark.parametrize("scales", [(1.0, 1.0, 1.0), (0.7, 1.5, 0.6)], ids=["unit", "scaled"])
+@pytest.mark.parametrize("width", [2, 4])
+@pytest.mark.parametrize("batch", [1, 8])
+def test_k1_collapsed_target_matches_batched_form(rng, scales, width, batch):
+    sigma_z, sigma_w, sigma_obs = scales
+    spec = ConfoundedModelSpec(k=1, sigma_z=sigma_z, sigma_w=sigma_w, sigma_obs=sigma_obs)
+    V = JointVector(rng.standard_normal((50, width)) @ rng.standard_normal((width, width)))
+    target, d = make_collapsed_target(V, spec)
+    oracle, d_oracle = _batched_collapsed_target_k1(V, spec)
+    assert d == d_oracle == width
+    theta = rng.standard_normal((batch, width))
+    values, grads = target(theta)
+    want_values, want_grads = oracle(theta)
+    assert values.shape == (batch,) and grads.shape == (batch, width)
+    np.testing.assert_allclose(values, want_values, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(grads, want_grads, rtol=1e-12, atol=0)
+
+
 def _log_posterior_k1(V: JointVector, spec: ConfoundedModelSpec, w1, w2):
     """log p(V, W) of the m=1, k=1 model on a grid of loadings, written out.
 
