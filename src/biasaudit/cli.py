@@ -87,7 +87,8 @@ _CLASSIFY = ("classify",)
 # Every config key, once: (parser of its config-file text, default, the
 # commands that read it).  A flag of the same name (dashes for
 # underscores) overrides the file; a key only other commands read is
-# ignored, so one file can drive both score and classify.
+# ignored, so one file can drive both score and classify.  A report's
+# config block, and so its fingerprint, holds every key its command reads.
 KEYS = {
     "input": (str, None, _ALL),
     "out": (str, ".", _RUNS),
@@ -250,14 +251,6 @@ def score(config_path, **flags):
             target_list = tuple(t.strip() for t in cfg["targets"].split(",") if t.strip())
         else:
             target_list = tuple(c for c in table.feature_names if c not in cause_columns)
-        fit_config = FitConfig(
-            mc_samples_per_step=cfg["mc_samples"],
-            learning_rate=cfg["learning_rate"],
-            max_iterations=cfg["max_iterations"],
-            convergence_window=cfg["convergence_window"],
-            relative_tolerance=cfg["relative_tolerance"],
-            final_elbo_samples=cfg["final_elbo_samples"],
-        )
         config = ScoringConfig(
             cause_spec=cause_spec,
             targets=target_list,
@@ -266,7 +259,13 @@ def score(config_path, **flags):
             confounded_model=ConfoundedModelSpec(
                 k=cfg["k"], sigma_z=cfg["sigma_z"], sigma_w=cfg["sigma_w"],
                 sigma_obs=cfg["sigma_obs"]),
-            fit_config=fit_config,
+            fit_config=FitConfig(
+                mc_samples_per_step=cfg["mc_samples"],
+                learning_rate=cfg["learning_rate"],
+                max_iterations=cfg["max_iterations"],
+                convergence_window=cfg["convergence_window"],
+                relative_tolerance=cfg["relative_tolerance"],
+                final_elbo_samples=cfg["final_elbo_samples"]),
             master_seed=cfg["seed"],
             controls_only=cfg["controls_only"],
             causal_method=cfg["method"].replace("-", "_"),
@@ -275,17 +274,6 @@ def score(config_path, **flags):
         )
         out = _make_out_dir(cfg["out"])
 
-    resolved = {
-        "command": "score", "input": str(cfg["input"]), "out": str(cfg["out"]),
-        "seed": cfg["seed"], "jobs": cfg["jobs"], "controls_only": cfg["controls_only"],
-        "k": cfg["k"], "family": cfg["family"], "method": cfg["method"],
-        "causes": cfg["causes"], "targets": ",".join(target_list),
-        "fit": asdict(fit_config) | {"seed": "per-record"},
-        "sigma": {"x": cfg["sigma_x"], "w": cfg["sigma_w"], "y": cfg["sigma_y"],
-                  "z": cfg["sigma_z"], "obs": cfg["sigma_obs"]},
-    }
-    fp = fingerprint(resolved, 16)
-
     records = score_all(table, config)
     ok = [r for r in records if not isinstance(r, FailedScore)]
     failed = [r for r in records if isinstance(r, FailedScore)]
@@ -293,8 +281,9 @@ def score(config_path, **flags):
         click.echo("error: every (dataset, target) fit failed", err=True)
         sys.exit(EXIT_FAILURE)
 
+    resolved = {"command": "score", **cfg, "targets": ",".join(target_list)}
     payload = {
-        "fingerprint": fp,
+        "fingerprint": fingerprint(resolved),
         "config": resolved,
         "records": [
             {"dataset": r.dataset, "target": r.target, "n": r.n,
@@ -340,22 +329,16 @@ def classify(config_path, **flags):
         cfg = resolve_config("classify", config_path, flags)
         table, _ = _load_table(cfg)
         feature_sets = _feature_sets(table.feature_names, cfg["feature_prefixes"])
-        rf_config = RFConfig(n_trees=cfg["trees"])
         out = _make_out_dir(cfg["out"])
         results = name_that_dataset(
             table, feature_sets, fractions=cfg["fractions"],
-            repetitions=cfg["repetitions"], seed=cfg["seed"], rf_config=rf_config,
+            repetitions=cfg["repetitions"], seed=cfg["seed"],
+            rf_config=RFConfig(n_trees=cfg["trees"]),
             controls_only=cfg["controls_only"], jobs=cfg["jobs"])
 
-    resolved = {
-        "command": "classify", "input": str(cfg["input"]), "out": str(cfg["out"]),
-        "seed": cfg["seed"], "jobs": cfg["jobs"], "controls_only": cfg["controls_only"],
-        "repetitions": cfg["repetitions"], "fractions": list(cfg["fractions"]),
-        "forest": rf_config.fingerprint(),
-        "feature_sets": {name: list(cols) for name, cols in feature_sets.items()},
-    }
+    resolved = {"command": "classify", **cfg, "feature_sets": feature_sets}
     (out / "classify.json").write_text(
-        json.dumps({"fingerprint": fingerprint(resolved, 16), "config": resolved},
+        json.dumps({"fingerprint": fingerprint(resolved), "config": resolved},
                    indent=2, sort_keys=True) + "\n", encoding="utf-8")
     curve_rows = []
     for fs_name in feature_sets:

@@ -34,10 +34,6 @@ class RFConfig:
         if self.n_trees < 1:
             raise ValueError("n_trees must be >= 1")
 
-    def fingerprint(self) -> str:
-        return (f"trees={self.n_trees},gini,sqrt-features,depth=none,"
-                "min_leaf=1,bootstrap=True")
-
 
 class DecisionTree:
     """CART tree stored as flat node arrays.

@@ -12,11 +12,11 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .advi import FitConfig, FULL_RANK
+from .advi import FitConfig, FULL_RANK, MEAN_FIELD
 from .errors import BiasAuditError
 from .models import (CausalModelSpec, ConfoundedModelSpec, JointVector,
                      causal_code_length, confounded_code_length)
-from .seeding import derive_seed, fingerprint, map_tasks
+from .seeding import derive_seed, map_tasks
 from .tabular import CauseSpec, Table, build_design, standardize_column
 
 log = logging.getLogger(__name__)
@@ -71,6 +71,12 @@ class ScoringConfig:
         _require_no_cause_targets(self.cause_spec, self.targets)
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
+        if self.causal_method not in ("advi", "closed_form"):
+            raise ValueError("causal_method must be advi or closed_form, "
+                             f"got {self.causal_method!r}")
+        if self.causal_family not in (MEAN_FIELD, FULL_RANK):
+            raise ValueError(f"causal_family must be {MEAN_FIELD} or {FULL_RANK}, "
+                             f"got {self.causal_family!r}")
 
 
 def _require_no_cause_targets(cause_spec: CauseSpec, targets) -> None:
@@ -133,9 +139,6 @@ def score_target(table: Table, cause_spec: CauseSpec, target: str,
             "confounded": _fit_diag(confounded),
             "seed": seed,
             "controls_only": controls_only,
-            # per-record seeds are recorded separately; hash the shared knobs
-            "config_fingerprint": fingerprint(
-                {k: v for k, v in asdict(fit_config).items() if k != "seed"}, 12),
         },
     )
 

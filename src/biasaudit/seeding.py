@@ -23,10 +23,10 @@ def derive_seed(master_seed: int, *parts) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def fingerprint(config, digits: int) -> str:
-    """The first ``digits`` hex digits of the sha256 of ``config`` as sorted JSON."""
+def fingerprint(config) -> str:
+    """The first 16 hex digits of the sha256 of ``config`` as sorted JSON."""
     canon = json.dumps(config, sort_keys=True, default=str)
-    return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:digits]
+    return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
 
 
 def map_tasks(fn, tasks: list, jobs: int) -> list:

@@ -40,8 +40,8 @@ class GenSpec:
             raise ValueError("need n >= 10")
         if self.m < 1 or self.k < 1:
             raise ValueError("need m >= 1 and k >= 1")
-        if self.noise_sd <= 0:
-            raise ValueError("noise_sd must be positive")
+        if not 0.0 < self.noise_sd < np.inf:
+            raise ValueError(f"noise_sd must be finite and positive, got {self.noise_sd}")
 
 
 @dataclass
@@ -125,6 +125,10 @@ class MultiDatasetSpec:
     def __post_init__(self):
         if len(self.shifts) < 2:
             raise ValueError("need at least 2 datasets")
+        if self.n_per_dataset < 1:
+            raise ValueError(f"n_per_dataset must be >= 1, got {self.n_per_dataset}")
+        if not np.isfinite(self.shifts).all():
+            raise ValueError(f"shifts must be finite, got {self.shifts}")
 
     @property
     def n_datasets(self) -> int:

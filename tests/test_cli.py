@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from biasaudit.cli import KEYS, main, read_config_file
+from biasaudit.cli import KEYS, main, read_config_file, resolve_config
 from biasaudit.errors import SchemaError
 from biasaudit.gaussmath import log_bingham_constant
 from biasaudit.models import ConfoundedModelSpec, JointVector
+from biasaudit.seeding import fingerprint
 from biasaudit.tabular import CauseSpec, build_design, load_csv, standardize_column
 
 VALID_CSV = (
@@ -237,14 +238,14 @@ class TestClassify:
         assert (outs[0] / "curve.csv").read_bytes() == (outs[1] / "curve.csv").read_bytes()
         assert (outs[0] / "confusion.csv").read_bytes() == (outs[1] / "confusion.csv").read_bytes()
 
-    def test_json_report_embeds_forest_fingerprint(self, runner, tmp_path):
+    def test_json_report_records_tree_count(self, runner, tmp_path):
         data = self.setup_data(runner, tmp_path)
         out = tmp_path / "fp"
         invoke(runner, ["classify", "--input", str(data), "--out", str(out),
                         "--seed", "1", "--repetitions", "1", "--trees", "7"])
         payload = json.loads((out / "classify.json").read_text())
         assert payload["fingerprint"]
-        assert "trees=7" in payload["config"]["forest"]
+        assert payload["config"]["trees"] == 7
 
     @pytest.mark.parametrize("lo, hi", [(1.0000000000000002, 1.0000000000000004),
                                         (1.5e308, 1.7e308), (-5e-324, 0.0)])
@@ -323,6 +324,23 @@ class TestSimulate:
                                               @ np.array(sidecar["latent_loadings"]))
                   + np.array(sidecar["noise"]))
         np.testing.assert_array_equal(replay, table.column(sidecar["target_column"]))
+
+    @pytest.mark.parametrize("flags, field", [
+        (["--kind", "multidataset", "--n", "0"], "n_per_dataset"),
+        (["--kind", "multidataset", "--n", "-3"], "n_per_dataset"),
+        (["--noise-sd", "nan"], "noise_sd"),
+        (["--noise-sd", "inf"], "noise_sd"),
+        (["--kind", "multidataset", "--shift", "nan"], "shifts"),
+    ])
+    def test_bad_generator_value_exits_2_naming_the_field(self, runner, tmp_path,
+                                                          flags, field):
+        result = invoke(runner, ["simulate", "--out", str(tmp_path), "--name", "bad",
+                                 *flags])
+        assert result.exit_code == 2
+        errors = [line for line in result.output.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and field in errors[0], result.output
+        assert "Traceback" not in result.output
+        assert not (tmp_path / "bad.csv").exists()
 
     def test_rerun_byte_identical(self, runner, tmp_path):
         for sub in ("a", "b"):
@@ -434,16 +452,14 @@ def test_report_config_and_fingerprint_are_pinned(runner, tmp_path, monkeypatch)
                              "--targets", "vol_y", "--method", "closed-form"])
     assert result.exit_code == 0
     payload = json.loads(Path("run/scores.json").read_text())
-    assert payload["config"] == {
+    assert payload["config"] == SCHEMA_DEFAULTS | {
         "causes": "vol_x1", "command": "score", "controls_only": True,
-        "family": "full-rank",
-        "fit": {"convergence_window": 200, "final_elbo_samples": 2000,
-                "learning_rate": 0.01, "max_iterations": 400, "mc_samples_per_step": 8,
-                "relative_tolerance": 0.0001, "seed": "per-record"},
-        "input": "sim.csv", "jobs": 1, "k": 1, "method": "closed-form", "out": "run",
-        "seed": 3, "sigma": {"obs": 1.0, "w": 1.0, "x": 1.0, "y": 0.5, "z": 1.0},
-        "targets": "vol_y"}
-    assert payload["fingerprint"] == "c14365d2a703b4c6"
+        "convergence_window": 200, "family": "full-rank", "final_elbo_samples": 2000,
+        "input": "sim.csv", "jobs": 1, "k": 1, "learning_rate": 0.01,
+        "max_iterations": 400, "mc_samples": 8, "method": "closed-form", "out": "run",
+        "relative_tolerance": 0.0001, "seed": 3, "sigma_obs": 1.0, "sigma_w": 1.0,
+        "sigma_x": 1.0, "sigma_y": 0.5, "sigma_z": 1.0, "targets": "vol_y"}
+    assert payload["fingerprint"] == "a5e96dafbd373855"
 
     invoke(runner, ["simulate", "--kind", "multidataset", "--n-datasets", "2", "--n", "40",
                     "--shift", "2.0", "--out", ".", "--name", "multi", "--seed", "4"])
@@ -451,15 +467,87 @@ def test_report_config_and_fingerprint_are_pinned(runner, tmp_path, monkeypatch)
                              "1", "--repetitions", "1", "--trees", "3", "--with-disease"])
     assert result.exit_code == 0
     payload = json.loads(Path("cls/classify.json").read_text())
-    assert payload["config"] == {
+    assert payload["config"] == SCHEMA_DEFAULTS | {
         "command": "classify", "controls_only": False,
         "feature_sets": {"age_sex": ["age", "sex"], "thickness": ["thick_f1", "thick_f2"],
                          "volume": ["vol_f1", "vol_f2"],
                          "volume_thickness": ["vol_f1", "vol_f2", "thick_f1", "thick_f2"]},
-        "forest": "trees=3,gini,sqrt-features,depth=none,min_leaf=1,bootstrap=True",
         "fractions": [0.001, 0.005, 0.01, 0.05, 0.1, 0.3, 0.5, 0.7],
-        "input": "multi.csv", "jobs": 1, "out": "cls", "repetitions": 1, "seed": 1}
-    assert payload["fingerprint"] == "88c005ea49470dd2"
+        "input": "multi.csv", "jobs": 1, "out": "cls", "repetitions": 1, "seed": 1,
+        "trees": 3}
+    assert payload["fingerprint"] == "2365c1e44028446b"
+
+
+SCHEMA_DEFAULTS = {"age_column": "age", "dataset_column": "dataset",
+                   "diagnosis_column": "diagnosis", "feature_prefixes": ["vol_", "thick_"],
+                   "healthy_label": "control", "id_column": "subject_id",
+                   "sex_column": "sex"}
+# extra entries each report's config block carries besides the keys its command reads
+DERIVED = {"score": {"command"}, "classify": {"command", "feature_sets"}}
+
+
+@pytest.fixture(scope="module")
+def audit_runs(tmp_path_factory):
+    """One score and one classify report per schema setting of a shared input.
+
+    54 of the input's 80 rows per dataset are controls: the default keeps
+    those, ``healthy_label = patient`` keeps the other 26, and a
+    ``diagnosis_column`` the file lacks keeps all 80.
+    """
+    runner, tmp_path = CliRunner(), tmp_path_factory.mktemp("audit")
+    invoke(runner, ["simulate", "--kind", "multidataset", "--n-datasets", "2", "--n", "80",
+                    "--shift", "1.0", "--out", str(tmp_path), "--name", "multi",
+                    "--seed", "4"])
+    data = tmp_path / "multi.csv"
+    lines = data.read_text().splitlines()
+    lines[1:] = [line.replace(",control,", ",patient,") if i % 80 % 3 == 2 else line
+                 for i, line in enumerate(lines[1:])]
+    data.write_text("\n".join(lines) + "\n")
+    payloads = {}
+    for name, extra in {"default": [], "patients": ["healthy_label = patient"],
+                        "all_rows": ["diagnosis_column = no_such_column"]}.items():
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text("".join(f"{line}\n" for line in ["fractions = 0.5", *extra]))
+        common = ["--input", str(data), "--config", str(cfg), "--seed", "1"]
+        for command, flags in {
+                "score": ["--causes", "vol_f1", "--targets", "vol_f2",
+                          "--method", "closed-form"],
+                "classify": ["--repetitions", "1", "--trees", "2"]}.items():
+            out = tmp_path / command  # one --out, so only the schema key differs
+            result = invoke(runner, [command, *common, "--out", str(out), *flags])
+            assert result.exit_code == 0, result.output
+            report = "scores.json" if command == "score" else "classify.json"
+            payloads[command, name] = json.loads((out / report).read_text())
+    return payloads
+
+
+def test_fingerprint_sees_every_key(audit_runs):
+    """Runs that differ only in a schema key differ in rows and in fingerprint."""
+    assert [r["n"] for name in ("default", "patients", "all_rows")
+            for r in audit_runs["score", name]["records"]] == [54, 54, 26, 26, 80, 80]
+    for command in ("score", "classify"):
+        fingerprints = {audit_runs[command, name]["fingerprint"]
+                        for name in ("default", "patients", "all_rows")}
+        assert len(fingerprints) == 3, command
+
+
+@pytest.mark.parametrize("command", DERIVED)
+def test_config_block_is_the_keys_the_command_reads(audit_runs, command):
+    block = audit_runs[command, "default"]["config"]
+    read = {key for key, (_, _, commands) in KEYS.items() if command in commands}
+    assert set(block) == read | DERIVED[command]
+    assert audit_runs[command, "default"]["fingerprint"] == fingerprint(block)
+
+
+@pytest.mark.parametrize("command", DERIVED)
+def test_config_block_round_trips_through_a_config_file(audit_runs, tmp_path, command):
+    block = audit_runs[command, "patients"]["config"]
+    keys = {key: value for key, value in block.items() if key not in DERIVED[command]}
+    cfg = tmp_path / "replay.cfg"
+    cfg.write_text("".join(
+        f"{key} = {','.join(map(str, value)) if isinstance(value, list) else value}\n"
+        for key, value in keys.items()), encoding="utf-8")
+    assert json.loads(json.dumps(resolve_config(command, cfg, {}))) == keys
 
 
 # what each command would start with once its input is checked

@@ -190,6 +190,17 @@ class TestScoreAll:
         assert all(f.target == "no_such_column" for f in failed)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("causal_method", "closed-form"), ("causal_method", "exact"),
+    ("causal_family", "full-rank"),
+])
+def test_unknown_method_or_family_rejected_naming_the_field(field, value):
+    """A misspelt estimator fails at construction, not as one failure per pair."""
+    with pytest.raises(ValueError, match=field):
+        ScoringConfig(cause_spec=CauseSpec(terms=(CauseTerm("vol_x1"),)),
+                      targets=("vol_y",), **{field: value})
+
+
 def make_record(dataset, target, delta, n=100):
     return ScoreRecord(dataset=dataset, target=target, causal_nats=1000.0,
                        confounded_nats=1000.0 + delta, delta=delta, n=n,
