@@ -40,7 +40,7 @@ def require_positive_finite(config, *names: str) -> None:
 class FitConfig:
     """Optimization knobs for a variational fit."""
 
-    mc_samples_per_step: int = 8
+    mc_samples: int = 8
     learning_rate: float = 0.01
     max_iterations: int = 20_000
     convergence_window: int = 200
@@ -49,7 +49,7 @@ class FitConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.mc_samples_per_step, self.max_iterations,
+        if min(self.mc_samples, self.max_iterations,
                self.convergence_window) < 1:
             raise ValueError("all counts must be positive")
         if self.final_elbo_samples < 100:
@@ -176,7 +176,7 @@ def fit(log_joint, d: int, config: FitConfig,
         raise ValueError("log_joint is not finite at the starting mean")
 
     rng = np.random.default_rng(config.seed)
-    S, window, lr = config.mc_samples_per_step, config.convergence_window, config.learning_rate
+    S, window, lr = config.mc_samples, config.convergence_window, config.learning_rate
     full_rank = family == FULL_RANK
     entropy_const = 0.5 * d * (1.0 + LOG_2PI)
     tril = q._tril

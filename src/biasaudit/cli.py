@@ -1,10 +1,13 @@
 """Command-line surface: validate, score, classify, simulate.
 
 Every run is driven by a resolved configuration (flags override a flat
-``key = value`` config file, which overrides defaults) and a master
-seed; reports embed a fingerprint of the resolved configuration and
-rerunning any command with the same configuration produces
-byte-identical file bodies.
+``key = value`` config file, which overrides defaults; :data:`KEYS`
+declares each key, its flag and its parser once) and a master seed.
+Reports embed the resolved configuration, the SHA-256 of the input
+file, and a fingerprint that names the audit: the configuration and
+input digest without the input path, the output path and the worker
+count, which leave the results as they are.  Rerunning any command
+with the same configuration produces byte-identical file bodies.
 
 Exit codes: 0 success (possibly with partial failures listed), 2 for
 usage or schema errors, 3 for total computational failure.
@@ -84,51 +87,60 @@ _RUNS = ("score", "classify")
 _SCORE = ("score",)
 _CLASSIFY = ("classify",)
 
-# Every config key, once: (parser of its config-file text, default, the
-# commands that read it).  A flag of the same name (dashes for
-# underscores) overrides the file; a key only other commands read is
-# ignored, so one file can drive both score and classify.  A report's
-# config block, and so its fingerprint, holds every key its command reads.
+# Every config key, once: (parser of its text, default, the commands that
+# read it, help of its flag or None for a file-only key).  A flag of the
+# same name (dashes for underscores) overrides the file; a key only other
+# commands read is ignored, so one file can drive both score and classify.
+# A report's config block holds every key its command reads.
 KEYS = {
-    "input": (str, None, _ALL),
-    "out": (str, ".", _RUNS),
-    "seed": (int, 0, _RUNS),
-    "jobs": (int, 1, _RUNS),
-    "controls_only": (_parse_bool, True, _RUNS),
-    "k": (int, ConfoundedModelSpec.k, _SCORE),
-    "family": (_choice(FAMILIES), "full-rank", _SCORE),
-    "method": (_choice(METHODS), "advi", _SCORE),
-    "causes": (str, "age,age:square,sex", _SCORE),
-    "targets": (str, None, _SCORE),  # None: every feature that is not a cause
-    "sigma_x": (float, CausalModelSpec.sigma_x, _SCORE),
-    "sigma_w": (float, CausalModelSpec.sigma_w, _SCORE),  # both models' loadings
-    "sigma_y": (float, CausalModelSpec.sigma_y, _SCORE),
-    "sigma_z": (float, ConfoundedModelSpec.sigma_z, _SCORE),
-    "sigma_obs": (float, ConfoundedModelSpec.sigma_obs, _SCORE),
-    "mc_samples": (int, FitConfig.mc_samples_per_step, _SCORE),
-    "learning_rate": (float, FitConfig.learning_rate, _SCORE),
-    "max_iterations": (int, FitConfig.max_iterations, _SCORE),
-    "convergence_window": (int, FitConfig.convergence_window, _SCORE),
-    "relative_tolerance": (float, FitConfig.relative_tolerance, _SCORE),
-    "final_elbo_samples": (int, FitConfig.final_elbo_samples, _SCORE),
-    "repetitions": (int, 50, _CLASSIFY),
-    "trees": (int, RFConfig.n_trees, _CLASSIFY),
-    "fractions": (_comma_list(float), DEFAULT_FRACTIONS, _CLASSIFY),
+    "input": (str, None, _ALL, "Input CSV file."),
+    "out": (str, ".", _RUNS, "Output directory."),
+    "seed": (int, 0, _RUNS, "Master seed."),
+    "jobs": (int, 1, _RUNS, "Parallel workers."),
+    "controls_only": (_parse_bool, True, _RUNS, "Healthy rows only (default) or all rows."),
+    "k": (int, ConfoundedModelSpec.k, _SCORE, "Latent confounder dimension."),
+    "family": (_choice(FAMILIES), "full-rank", _SCORE,
+               "Variational family for the causal model fit: mean-field or full-rank."),
+    "method": (_choice(METHODS), "closed-form", _SCORE,
+               "Estimator: closed-form (default; exact at k=1) or advi (fits both models)."),
+    "causes": (str, "age,age:square,sex", _SCORE, "Cause terms, e.g. 'age,age:square,sex'."),
+    "targets": (str, None, _SCORE,
+                "Comma-separated target columns (default: all features not used as causes)."),
+    "sigma_x": (float, CausalModelSpec.sigma_x, _SCORE, None),
+    "sigma_w": (float, CausalModelSpec.sigma_w, _SCORE, None),  # both models' loadings
+    "sigma_y": (float, CausalModelSpec.sigma_y, _SCORE, None),
+    "sigma_z": (float, ConfoundedModelSpec.sigma_z, _SCORE, None),
+    "sigma_obs": (float, ConfoundedModelSpec.sigma_obs, _SCORE, None),
+    "mc_samples": (int, FitConfig.mc_samples, _SCORE, None),
+    "learning_rate": (float, FitConfig.learning_rate, _SCORE, None),
+    "max_iterations": (int, FitConfig.max_iterations, _SCORE, None),
+    "convergence_window": (int, FitConfig.convergence_window, _SCORE, None),
+    "relative_tolerance": (float, FitConfig.relative_tolerance, _SCORE, None),
+    "final_elbo_samples": (int, FitConfig.final_elbo_samples, _SCORE, None),
+    "repetitions": (int, 50, _CLASSIFY, "Repetitions per fraction."),
+    "trees": (int, RFConfig.n_trees, _CLASSIFY, "Trees per forest."),
+    "fractions": (_comma_list(float), DEFAULT_FRACTIONS, _CLASSIFY, None),
     # the CSV schema: one key per SchemaConfig field
-    "id_column": (str, SchemaConfig.id_column, _ALL),
-    "dataset_column": (str, SchemaConfig.dataset_column, _ALL),
-    "age_column": (str, SchemaConfig.age_column, _ALL),
-    "sex_column": (str, SchemaConfig.sex_column, _ALL),
-    "diagnosis_column": (str, SchemaConfig.diagnosis_column, _ALL),
-    "feature_prefixes": (_comma_list(str), SchemaConfig.feature_prefixes, _ALL),
-    "healthy_label": (str, SchemaConfig.healthy_label, _ALL),
+    "id_column": (str, SchemaConfig.id_column, _ALL, None),
+    "dataset_column": (str, SchemaConfig.dataset_column, _ALL, None),
+    "age_column": (str, SchemaConfig.age_column, _ALL, None),
+    "sex_column": (str, SchemaConfig.sex_column, _ALL, None),
+    "diagnosis_column": (str, SchemaConfig.diagnosis_column, _ALL, None),
+    "feature_prefixes": (_comma_list(str), SchemaConfig.feature_prefixes, _ALL, None),
+    "healthy_label": (str, SchemaConfig.healthy_label, _ALL, None),
 }
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
 
 def resolve_config(command: str, config_path, flags: dict) -> dict:
     """Every key ``command`` reads: the flag if given, else the config
-    file's value, else the default.  A file key in no row of
-    :data:`KEYS`, or a value its parser refuses, is a :class:`SchemaError`.
+    file's value, else the default.  Flag and file text go through the
+    key's parser alike; a file key in no row of :data:`KEYS`, or text
+    the parser refuses, is a :class:`SchemaError` naming the flag or the
+    file and key.
     """
     file_values = read_config_file(config_path) if config_path else {}
     unknown = [key for key in file_values if key not in KEYS]
@@ -136,28 +148,47 @@ def resolve_config(command: str, config_path, flags: dict) -> dict:
         raise SchemaError(f"{config_path}: unknown config key "
                           + ", ".join(repr(key) for key in unknown))
     resolved = {}
-    for name, (parse, default, commands) in KEYS.items():
+    for name, (parse, default, commands, _) in KEYS.items():
         if command not in commands:
             continue
         if flags.get(name) is not None:
-            resolved[name] = flags[name]
+            where, text = _flag(name), str(flags[name])  # a --controls-only pair gives a bool
         elif name in file_values:
-            try:
-                resolved[name] = parse(file_values[name])
-            except ValueError as exc:
-                raise SchemaError(f"{config_path}: {name}: {exc}") from None
+            where, text = f"{config_path}: {name}", file_values[name]
         else:
             resolved[name] = default
+            continue
+        try:
+            resolved[name] = parse(text)
+        except ValueError as exc:
+            raise SchemaError(f"{where}: {exc}") from None
     return resolved
 
 
+def _from_keys(cls, cfg: dict, **given):
+    """A ``cls`` whose fields are ``given``, else the resolved key of the same name."""
+    return cls(**{f.name: cfg[f.name] for f in fields(cls) if f.name in cfg} | given)
+
+
+def _flags(command: str):
+    """``--config`` and a text flag for each key ``command`` reads that has help."""
+    def apply(fn):
+        for name, (_, _, commands, help_text) in reversed(KEYS.items()):
+            if command in commands and help_text:
+                decl = _flag(name) + ("/--with-disease" if name == "controls_only" else "")
+                fn = click.option(decl, name, default=None, help=help_text)(fn)
+        return click.option("--config", "config_path", help="Flat key=value config file.")(fn)
+    return apply
+
+
 @contextmanager
-def _usage_errors():
+def _usage_errors(errors=(BiasAuditError, ValueError, OSError)):
     """Turn bad input or configuration into one ``error:`` line and exit 2."""
     try:
         yield
-    except (BiasAuditError, ValueError, OSError) as exc:
-        click.echo(f"error: {exc}", err=True)
+    except errors as exc:
+        message = exc.format_message() if isinstance(exc, click.UsageError) else exc
+        click.echo(f"error: {message}", err=True)
         sys.exit(EXIT_USAGE)
 
 
@@ -166,11 +197,22 @@ def _load_table(cfg: dict):
     path = cfg["input"]
     if path is None:
         raise SchemaError("no input file given")
-    schema = SchemaConfig(**{f.name: cfg[f.name] for f in fields(SchemaConfig)})
+    schema = _from_keys(SchemaConfig, cfg)
     try:
         return load_csv(path, schema)
     except ValueError as exc:  # undecodable bytes, duplicate subject ids
         raise SchemaError(f"{path}: {exc}") from None
+
+
+def _report_head(command: str, cfg: dict, input_sha256: str, **derived) -> dict:
+    """A JSON report's config block and the fingerprint of the audit it names.
+
+    The fingerprint leaves out where the run read and wrote and how many
+    workers it used, which leave its results as they are.
+    """
+    block = {"command": command, **cfg, "input_sha256": input_sha256, **derived}
+    audit = {key: value for key, value in block.items() if key not in ("input", "out", "jobs")}
+    return {"fingerprint": fingerprint(audit), "config": block}
 
 
 def _make_out_dir(path) -> Path:
@@ -180,29 +222,23 @@ def _make_out_dir(path) -> Path:
     return out
 
 
-def _options(*options):
-    """Several click options as one decorator, for flags commands share."""
-    def apply(command):
-        for option in reversed(options):
-            command = option(command)
-        return command
-    return apply
+class _Main(click.Group):
+    """The command group.  click's own usage errors (an unknown command or
+    option, a missing or malformed flag value) exit 2 on one ``error:``
+    line, like every other bad input."""
+
+    def parse_args(self, ctx, args):
+        if not args:  # a bare `biasaudit` prints the help
+            return super().parse_args(ctx, args)
+        with _usage_errors(click.UsageError):
+            return super().parse_args(ctx, args)
+
+    def invoke(self, ctx):
+        with _usage_errors(click.UsageError):
+            return super().invoke(ctx)
 
 
-_input_options = _options(
-    click.option("--input", type=click.Path(), help="Input CSV file."),
-    click.option("--config", "config_path", type=click.Path(),
-                 help="Flat key=value config file."))
-_run_options = _options(
-    _input_options,
-    click.option("--out", type=click.Path(), help="Output directory."),
-    click.option("--seed", type=int, help="Master seed."),
-    click.option("--jobs", type=int, help="Parallel workers."),
-    click.option("--controls-only/--with-disease", "controls_only", default=None,
-                 help="Restrict to healthy rows (default) or keep all."))
-
-
-@click.group()
+@click.group(cls=_Main)
 def main():
     """Quantify confounding bias and detect dataset bias in tabular data."""
     logging.basicConfig(level=logging.INFO, stream=sys.stderr,
@@ -210,7 +246,7 @@ def main():
 
 
 @main.command()
-@_input_options
+@_flags("validate")
 def validate(config_path, **flags):
     """Ingest a CSV file and print a per-dataset summary."""
     with _usage_errors():
@@ -226,21 +262,12 @@ def validate(config_path, **flags):
 
 
 @main.command()
-@_run_options
-@click.option("--k", type=int, help="Latent confounder dimension.")
-@click.option("--family", type=click.Choice(list(FAMILIES)),
-              help="Variational family for the causal model fit.")
-@click.option("--method", type=click.Choice(METHODS),
-              help="Estimator: advi fits both models; closed-form is exact for the causal "
-                   "model and, at k=1, for the confounded one.")
-@click.option("--causes", help="Cause terms, e.g. 'age,age:square,sex'.")
-@click.option("--targets",
-              help="Comma-separated target columns (default: all features not used as causes).")
+@_flags("score")
 def score(config_path, **flags):
     """Score every (dataset, target) pair and write the reports."""
     with _usage_errors():
         cfg = resolve_config("score", config_path, flags)
-        table, _ = _load_table(cfg)
+        table, loaded = _load_table(cfg)
         cause_spec = CauseSpec.parse(cfg["causes"])
         cause_columns = {t.column for t in cause_spec.terms}
         missing = sorted(cause_columns - {"age", "sex", *table.feature_names})
@@ -251,27 +278,15 @@ def score(config_path, **flags):
             target_list = tuple(t.strip() for t in cfg["targets"].split(",") if t.strip())
         else:
             target_list = tuple(c for c in table.feature_names if c not in cause_columns)
-        config = ScoringConfig(
-            cause_spec=cause_spec,
-            targets=target_list,
-            causal_model=CausalModelSpec(
-                sigma_x=cfg["sigma_x"], sigma_w=cfg["sigma_w"], sigma_y=cfg["sigma_y"]),
-            confounded_model=ConfoundedModelSpec(
-                k=cfg["k"], sigma_z=cfg["sigma_z"], sigma_w=cfg["sigma_w"],
-                sigma_obs=cfg["sigma_obs"]),
-            fit_config=FitConfig(
-                mc_samples_per_step=cfg["mc_samples"],
-                learning_rate=cfg["learning_rate"],
-                max_iterations=cfg["max_iterations"],
-                convergence_window=cfg["convergence_window"],
-                relative_tolerance=cfg["relative_tolerance"],
-                final_elbo_samples=cfg["final_elbo_samples"]),
+        config = _from_keys(
+            ScoringConfig, cfg, cause_spec=cause_spec, targets=target_list,
+            causal_model=_from_keys(CausalModelSpec, cfg),
+            confounded_model=_from_keys(ConfoundedModelSpec, cfg),
+            # each fit derives its own FitConfig.seed; the seed key is master_seed
+            fit_config=_from_keys(FitConfig, cfg, seed=FitConfig.seed),
             master_seed=cfg["seed"],
-            controls_only=cfg["controls_only"],
             causal_method=cfg["method"].replace("-", "_"),
-            causal_family=FAMILIES[cfg["family"]],
-            jobs=cfg["jobs"],
-        )
+            causal_family=FAMILIES[cfg["family"]])
         out = _make_out_dir(cfg["out"])
 
     records = score_all(table, config)
@@ -281,10 +296,8 @@ def score(config_path, **flags):
         click.echo("error: every (dataset, target) fit failed", err=True)
         sys.exit(EXIT_FAILURE)
 
-    resolved = {"command": "score", **cfg, "targets": ",".join(target_list)}
     payload = {
-        "fingerprint": fingerprint(resolved),
-        "config": resolved,
+        **_report_head("score", cfg, loaded.sha256, targets=",".join(target_list)),
         "records": [
             {"dataset": r.dataset, "target": r.target, "n": r.n,
              "L_ca": r.causal_nats, "L_co": r.confounded_nats,
@@ -320,14 +333,12 @@ def score(config_path, **flags):
 
 
 @main.command()
-@_run_options
-@click.option("--repetitions", type=int, help="Repetitions per fraction.")
-@click.option("--trees", type=int, help="Trees per forest.")
+@_flags("classify")
 def classify(config_path, **flags):
     """Run the dataset-membership experiment and write curve/confusion reports."""
     with _usage_errors():
         cfg = resolve_config("classify", config_path, flags)
-        table, _ = _load_table(cfg)
+        table, loaded = _load_table(cfg)
         feature_sets = _feature_sets(table.feature_names, cfg["feature_prefixes"])
         out = _make_out_dir(cfg["out"])
         results = name_that_dataset(
@@ -336,10 +347,9 @@ def classify(config_path, **flags):
             rf_config=RFConfig(n_trees=cfg["trees"]),
             controls_only=cfg["controls_only"], jobs=cfg["jobs"])
 
-    resolved = {"command": "classify", **cfg, "feature_sets": feature_sets}
+    head = _report_head("classify", cfg, loaded.sha256, feature_sets=feature_sets)
     (out / "classify.json").write_text(
-        json.dumps({"fingerprint": fingerprint(resolved), "config": resolved},
-                   indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        json.dumps(head, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     curve_rows = []
     for fs_name in feature_sets:
         for p in results[fs_name].curve.points:

@@ -9,8 +9,10 @@ rejected and reported, never imputed.
 
 import copy
 import csv
+import hashlib
+import io
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,6 +40,22 @@ class SchemaConfig:
 class RejectionReport:
     n_rejected: int
     reasons: tuple[str, ...]
+    sha256: str = field(default="", compare=False)  # hex digest of the file's bytes
+
+
+class _HashingReader(io.RawIOBase):
+    """A binary file that feeds every byte read from it to a SHA-256."""
+
+    def __init__(self, raw):
+        self.raw, self.hash = raw, hashlib.sha256()
+
+    def readable(self):
+        return True
+
+    def readinto(self, buffer):
+        n = self.raw.readinto(buffer)
+        self.hash.update(memoryview(buffer)[:n])
+        return n
 
 
 class Table:
@@ -174,12 +192,16 @@ def load_csv(path, schema: SchemaConfig | None = None) -> tuple[Table, Rejection
     each rejection names the file line its record starts on and the
     first rule the record breaks.  Records are read by columns, a block
     at a time, by :func:`_parse_block`.  A UTF-8 byte-order mark is
-    skipped.  Raises :class:`SchemaError` when a required column is
+    skipped.  The report carries the SHA-256 of the file's bytes, hashed
+    as they are read.  Raises :class:`SchemaError` when a required column is
     missing or a column it reads is named twice, and :class:`EmptyTableError`
     when no row survives validation.
     """
     schema = schema or SchemaConfig()
-    with open(path, newline="", encoding="utf-8-sig") as fh:
+    with open(path, "rb", buffering=0) as raw:
+        hashing = _HashingReader(raw)
+        fh = io.TextIOWrapper(io.BufferedReader(hashing, 1 << 16), encoding="utf-8-sig",
+                              newline="")
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
@@ -207,8 +229,9 @@ def load_csv(path, schema: SchemaConfig | None = None) -> tuple[Table, Rejection
 
     if not sum(part[0].size for part in parts):
         raise EmptyTableError(f"{path}: no valid rows after ingestion")
-    ids, labels, ages, sexes, feats, diags = (np.concatenate(field) for field in zip(*parts))
-    report = RejectionReport(n_rejected=len(reasons), reasons=tuple(reasons))
+    ids, labels, ages, sexes, feats, diags = (np.concatenate(column) for column in zip(*parts))
+    report = RejectionReport(n_rejected=len(reasons), reasons=tuple(reasons),
+                             sha256=hashing.hash.hexdigest())
     if report.n_rejected:
         log.info("%s: rejected %d row(s)", path, report.n_rejected)
     table = Table(

@@ -62,7 +62,7 @@ class TestFit:
     def test_recovers_gaussian_target(self):
         target = gaussian_target([3.0], [[1.0]])
         posterior, _ = fit(target, 1,
-                           quick_fit_config(seed=1, mc_samples_per_step=32))
+                           quick_fit_config(seed=1, mc_samples=32))
         assert posterior.mean[0] == pytest.approx(3.0, abs=0.05)
         assert sd(posterior)[0] == pytest.approx(1.0, abs=0.05)
 
@@ -308,7 +308,7 @@ def _reference_fit(log_joint, d, config, family=FULL_RANK, start=None):
 
     t = 0
     for t in range(config.max_iterations):
-        eps = rng.standard_normal((config.mc_samples_per_step, d))
+        eps = rng.standard_normal((config.mc_samples, d))
         theta = _reference_push(q, eps)
         values, grads = log_joint(theta)
         elbo_t = float(np.mean(values)) + q.entropy()
@@ -401,7 +401,7 @@ class TestLoopMatchesReference:
     @pytest.mark.parametrize("family", [FULL_RANK, MEAN_FIELD])
     @pytest.mark.parametrize("config", [
         # 6 draws a step: a division by it is inexact, unlike one by 8
-        FitConfig(seed=31, max_iterations=700, relative_tolerance=1e-12, mc_samples_per_step=6),
+        FitConfig(seed=31, max_iterations=700, relative_tolerance=1e-12, mc_samples=6),
         FitConfig(seed=32),
     ], ids=["fixed_budget", "default_tolerance"])
     def test_bit_identical_to_reference_loop(self, case, family, config):

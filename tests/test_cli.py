@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -123,7 +124,7 @@ def simulate_and_score(runner, tmp_path, out_name, seed="5", alpha="1.0",
 
 class TestScore:
     def test_writes_reports_and_positive_delta(self, runner, tmp_path):
-        result, out = simulate_and_score(runner, tmp_path, "run")
+        result, out = simulate_and_score(runner, tmp_path, "run", extra=("--method", "advi"))
         assert result.exit_code == 0
         scores = (out / "scores.csv").read_text().splitlines()
         assert scores[0] == "dataset,target,n,L_ca,L_co,delta,delta_per_sample,converged"
@@ -406,6 +407,19 @@ MALFORMED = {
     "method_choice": (["score", "--input", "{csv}"], "method = closed_form", "method"),
     "misspelled_cause": (["score", "--input", "{csv}", "--causes", "age,vol_xx"], None,
                          "vol_xx"),
+    # a flag's text goes through its key's parser, as the file's text does
+    "int_flag": (["score", "--input", "{csv}", "--k", "abc"], None, "--k"),
+    "fractional_jobs_flag": (["classify", "--input", "{csv}", "--jobs", "1.5"], None,
+                             "--jobs"),
+    "method_flag_choice": (["score", "--input", "{csv}", "--method", "closed_form"], None,
+                           "--method"),
+    "family_flag_choice": (["score", "--input", "{csv}", "--family", "full_rank"], None,
+                           "--family"),
+    # click's own usage errors
+    "unknown_option": (["score", "--input", "{csv}", "--foo", "1"], None, "--foo"),
+    "missing_flag_value": (["score", "--input", "{csv}", "--k"], None, "--k"),
+    "unknown_command": (["frobnicate"], None, "frobnicate"),
+    "simulate_int_flag": (["simulate", "--out", "{missing}", "--n", "abc"], None, "--n"),
 }
 
 
@@ -455,11 +469,11 @@ def test_report_config_and_fingerprint_are_pinned(runner, tmp_path, monkeypatch)
     assert payload["config"] == SCHEMA_DEFAULTS | {
         "causes": "vol_x1", "command": "score", "controls_only": True,
         "convergence_window": 200, "family": "full-rank", "final_elbo_samples": 2000,
-        "input": "sim.csv", "jobs": 1, "k": 1, "learning_rate": 0.01,
-        "max_iterations": 400, "mc_samples": 8, "method": "closed-form", "out": "run",
-        "relative_tolerance": 0.0001, "seed": 3, "sigma_obs": 1.0, "sigma_w": 1.0,
+        "input": "sim.csv", "input_sha256": sha256_of("sim.csv"), "jobs": 1, "k": 1,
+        "learning_rate": 0.01, "max_iterations": 400, "mc_samples": 8,
+        "method": "closed-form", "out": "run", "relative_tolerance": 0.0001, "seed": 3, "sigma_obs": 1.0, "sigma_w": 1.0,
         "sigma_x": 1.0, "sigma_y": 0.5, "sigma_z": 1.0, "targets": "vol_y"}
-    assert payload["fingerprint"] == "a5e96dafbd373855"
+    assert payload["fingerprint"] == "04ae045b47fac70c"
 
     invoke(runner, ["simulate", "--kind", "multidataset", "--n-datasets", "2", "--n", "40",
                     "--shift", "2.0", "--out", ".", "--name", "multi", "--seed", "4"])
@@ -473,9 +487,13 @@ def test_report_config_and_fingerprint_are_pinned(runner, tmp_path, monkeypatch)
                          "volume": ["vol_f1", "vol_f2"],
                          "volume_thickness": ["vol_f1", "vol_f2", "thick_f1", "thick_f2"]},
         "fractions": [0.001, 0.005, 0.01, 0.05, 0.1, 0.3, 0.5, 0.7],
-        "input": "multi.csv", "jobs": 1, "out": "cls", "repetitions": 1, "seed": 1,
-        "trees": 3}
-    assert payload["fingerprint"] == "2365c1e44028446b"
+        "input": "multi.csv", "input_sha256": sha256_of("multi.csv"), "jobs": 1, "out": "cls",
+        "repetitions": 1, "seed": 1, "trees": 3}
+    assert payload["fingerprint"] == "b7ac7234c0e14abb"
+
+
+def sha256_of(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 SCHEMA_DEFAULTS = {"age_column": "age", "dataset_column": "dataset",
@@ -483,7 +501,8 @@ SCHEMA_DEFAULTS = {"age_column": "age", "dataset_column": "dataset",
                    "healthy_label": "control", "id_column": "subject_id",
                    "sex_column": "sex"}
 # extra entries each report's config block carries besides the keys its command reads
-DERIVED = {"score": {"command"}, "classify": {"command", "feature_sets"}}
+DERIVED = {"score": {"command", "input_sha256"},
+           "classify": {"command", "input_sha256", "feature_sets"}}
 
 
 @pytest.fixture(scope="module")
@@ -534,9 +553,11 @@ def test_fingerprint_sees_every_key(audit_runs):
 @pytest.mark.parametrize("command", DERIVED)
 def test_config_block_is_the_keys_the_command_reads(audit_runs, command):
     block = audit_runs[command, "default"]["config"]
-    read = {key for key, (_, _, commands) in KEYS.items() if command in commands}
+    read = {key for key, (_, _, commands, _) in KEYS.items() if command in commands}
     assert set(block) == read | DERIVED[command]
-    assert audit_runs[command, "default"]["fingerprint"] == fingerprint(block)
+    audit = {key: value for key, value in block.items()
+             if key not in ("input", "out", "jobs")}
+    assert audit_runs[command, "default"]["fingerprint"] == fingerprint(audit)
 
 
 @pytest.mark.parametrize("command", DERIVED)
@@ -548,6 +569,70 @@ def test_config_block_round_trips_through_a_config_file(audit_runs, tmp_path, co
         f"{key} = {','.join(map(str, value)) if isinstance(value, list) else value}\n"
         for key, value in keys.items()), encoding="utf-8")
     assert json.loads(json.dumps(resolve_config(command, cfg, {}))) == keys
+
+
+@pytest.mark.parametrize("command", DERIVED)
+def test_flag_and_file_text_resolve_alike(audit_runs, tmp_path, command):
+    """The same block, its flagged keys given as flags, resolves as from one file."""
+    block = audit_runs[command, "patients"]["config"]
+    texts = {key: ",".join(map(str, value)) if isinstance(value, list) else str(value)
+             for key, value in block.items() if key not in DERIVED[command]}
+    flags = {key: text for key, text in texts.items() if KEYS[key][3]}
+    whole, rest = tmp_path / "whole.cfg", tmp_path / "rest.cfg"
+    whole.write_text("".join(f"{key} = {text}\n" for key, text in texts.items()))
+    rest.write_text("".join(f"{key} = {text}\n" for key, text in texts.items()
+                            if key not in flags))
+    assert flags and len(flags) < len(texts)
+    assert resolve_config(command, rest, flags) == resolve_config(command, whole, {})
+
+
+FLAGS = {
+    "validate": "--config --input",
+    "score": "--causes --config --controls-only --family --input --jobs --k --method --out "
+             "--seed --targets --with-disease",
+    "classify": "--config --controls-only --input --jobs --out --repetitions --seed --trees "
+                "--with-disease",
+}
+
+
+@pytest.mark.parametrize("command", FLAGS)
+def test_flags_of_each_command_are_pinned(command):
+    params = main.commands[command].params
+    assert " ".join(sorted(opt for p in params for opt in p.opts + p.secondary_opts)) \
+        == FLAGS[command]
+
+
+def test_bare_command_prints_help_and_exits_2(runner):
+    result = runner.invoke(main, [])
+    assert result.exit_code == 2
+    assert "Usage:" in result.output and "error:" not in result.output
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("score", ["--causes", "vol_f1", "--targets", "vol_f2"]),
+    ("classify", ["--repetitions", "1", "--trees", "2"]),
+])
+def test_fingerprint_names_the_audit_not_the_paths(runner, tmp_path, command, flags):
+    """Same bytes at another path, another --out or --jobs: one fingerprint.
+    One changed input byte: another."""
+    invoke(runner, ["simulate", "--kind", "multidataset", "--n", "30", "--out",
+                    str(tmp_path), "--name", "a", "--seed", "4"])
+    data = (tmp_path / "a.csv").read_bytes()
+    (tmp_path / "b.csv").write_bytes(data)
+    body = data.rstrip()  # ends in a digit of the last feature value
+    (tmp_path / "c.csv").write_bytes(body[:-1] + str((int(body[-1:]) + 1) % 10).encode()
+                                     + data[len(body):])
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("fractions = 0.5\n")
+    report = "scores.json" if command == "score" else "classify.json"
+    fingerprints = {}
+    for run, (name, jobs) in {"a": ("a", "1"), "b": ("b", "2"), "c": ("c", "1")}.items():
+        out = tmp_path / f"out_{run}"
+        result = invoke(runner, [command, "--input", str(tmp_path / f"{name}.csv"), "--out",
+                                 str(out), "--jobs", jobs, "--config", str(cfg), *flags])
+        assert result.exit_code == 0, result.output
+        fingerprints[run] = json.loads((out / report).read_text())["fingerprint"]
+    assert fingerprints["a"] == fingerprints["b"] != fingerprints["c"]
 
 
 # what each command would start with once its input is checked

@@ -39,7 +39,8 @@ forest.train_tree(np.arange(8.0).reshape(4, 2), np.array(list("aabb")), 0)
 write_table_csv(gen_mixed(GenSpec(n=40, m=2, seed=1))[0], work / "mixed.csv")
 (work / "score.cfg").write_text("max_iterations = 400\\nfinal_elbo_samples = 100\\n")
 run(["score", "--input", str(work / "mixed.csv"), "--out", str(work / "scores"),
-     "--config", str(work / "score.cfg"), "--causes", "vol_x1,vol_x2", "--targets", "vol_y"])
+     "--config", str(work / "score.cfg"), "--causes", "vol_x1,vol_x2", "--targets", "vol_y",
+     "--method", "advi"])
 run(["score", "--input", str(work / "mixed.csv"), "--out", str(work / "closed"),
      "--config", str(work / "score.cfg"), "--causes", "vol_x1,vol_x2", "--targets", "vol_y",
      "--method", "closed-form"])
