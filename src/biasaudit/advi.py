@@ -136,13 +136,7 @@ class VariationalPosterior:
 
     def entropy(self) -> float:
         """Closed-form differential entropy in nats."""
-        log_scale = self.log_scale
-        if self.family == FULL_RANK:
-            # log of the factor diagonal as scale_tril holds it: exp then log
-            # can differ from the stored log-scales in the last bit, and code
-            # lengths stay reproducible only if this sum keeps its bits
-            log_scale = np.log(np.exp(log_scale))
-        return 0.5 * self.dim * (1.0 + LOG_2PI) + float(np.add.reduce(log_scale))
+        return 0.5 * self.dim * (1.0 + LOG_2PI) + float(np.add.reduce(self.log_scale))
 
 
 def fit(log_joint, d: int, config: FitConfig,
@@ -156,11 +150,11 @@ def fit(log_joint, d: int, config: FitConfig,
     two consecutive non-overlapping windows of per-step ELBO estimates
     have averages within ``config.relative_tolerance`` (relative) of
     each other; the check runs once per window.  At the default
-    tolerance, the README walkthrough's n=500 ``score`` stopped its
-    full-rank causal fit at 3,200 and its mean-field confounded fit at
-    400 of 20,000 iterations.  A fit that spends its budget reports
-    ``converged=False``, leaving the decision to the caller.  Fifty
-    consecutive non-finite steps raise :class:`DivergenceError`.
+    tolerance, the README walkthrough's n=500 ``score --method advi``
+    stops its full-rank causal fit at 3,200 and its mean-field
+    confounded fit at 400 of 20,000 iterations.  A fit that spends its
+    budget reports ``converged=False``, leaving the decision to the
+    caller.  Fifty consecutive non-finite steps raise :class:`DivergenceError`.
     """
     if start is None:
         start = VariationalPosterior.isotropic(family, np.zeros(d), 1.0)
@@ -178,13 +172,12 @@ def fit(log_joint, d: int, config: FitConfig,
     rng = np.random.default_rng(config.seed)
     S, window, lr = config.mc_samples, config.convergence_window, config.learning_rate
     full_rank = family == FULL_RANK
-    entropy_const = 0.5 * d * (1.0 + LOG_2PI)
     tril = q._tril
     # every per-step temporary lives in a buffer allocated here
     grad, moment1, moment2, step, denom = (np.zeros_like(flat) for _ in range(5))
     grad_mean, grad_scale, grad_off = grad[:d], grad[d:2 * d], grad[2 * d:]
     eps, theta, weighted = np.empty((S, d)), np.empty((S, d)), np.empty((S, d))
-    scale, log_diagonal = np.empty(d), np.empty(d)
+    scale = np.empty(d)
     factor, cross = np.zeros((d, d)), np.empty((d, d))
     factor_flat, cross_flat = factor.reshape(-1), cross.reshape(-1)
 
@@ -204,14 +197,11 @@ def fit(log_joint, d: int, config: FitConfig,
             factor_flat[tril] = off_diagonal
             factor_flat[::d + 1] = scale
             np.matmul(eps, factor.T, out=theta)
-            # log(exp(log_scale)), as entropy() sums it
-            half_logdet = np.add.reduce(np.log(scale, out=log_diagonal))
         else:
             np.multiply(scale, eps, out=theta)
-            half_logdet = np.add.reduce(log_scale)
         theta += mean
         values, grads = log_joint(theta)
-        elbo_t = float(np.add.reduce(values)) / S + (entropy_const + float(half_logdet))
+        elbo_t = float(np.add.reduce(values)) / S + q.entropy()
 
         if math.isfinite(elbo_t) and np.logical_and.reduce(np.isfinite(grads), axis=None):
             nonfinite_streak = 0

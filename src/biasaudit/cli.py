@@ -15,6 +15,7 @@ usage or schema errors, 3 for total computational failure.
 
 import json
 import logging
+import re
 import sys
 from contextlib import contextmanager
 from dataclasses import asdict, fields
@@ -25,7 +26,7 @@ import numpy as np
 
 from .advi import FitConfig, FULL_RANK, MEAN_FIELD
 from .errors import BiasAuditError, SchemaError
-from .forest import DEFAULT_FRACTIONS, RFConfig, name_that_dataset
+from .forest import DEFAULT_FRACTIONS, DEFAULT_REPETITIONS, RFConfig, name_that_dataset
 from .models import CausalModelSpec, ConfoundedModelSpec
 from .scoring import (FailedScore, ScoringConfig, aggregate_by_dataset,
                       score_all)
@@ -40,18 +41,19 @@ EXIT_USAGE = 2
 EXIT_FAILURE = 3
 
 FAMILIES = {"mean-field": MEAN_FIELD, "full-rank": FULL_RANK}
-METHODS = ("advi", "closed-form")
+METHODS = {"advi": "advi", "closed-form": "closed_form"}
 
 
 def read_config_file(path) -> dict[str, str]:
-    """Parse a flat ``key = value`` config file; '#' starts a comment."""
+    """Parse a flat ``key = value`` config file.  A '#' at the start of a line
+    or after whitespace starts a comment; inside a value (``d#1.csv``) it is text."""
     try:
         text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{path}: {exc}") from None
     values = {}
     for line_no, line in enumerate(text.splitlines(), 1):
-        line = line.split("#", 1)[0].strip()
+        line = re.split(r"(?:^|\s)#", line, maxsplit=1)[0].strip()
         if not line:
             continue
         if "=" not in line:
@@ -117,7 +119,7 @@ KEYS = {
     "convergence_window": (int, FitConfig.convergence_window, _SCORE, None),
     "relative_tolerance": (float, FitConfig.relative_tolerance, _SCORE, None),
     "final_elbo_samples": (int, FitConfig.final_elbo_samples, _SCORE, None),
-    "repetitions": (int, 50, _CLASSIFY, "Repetitions per fraction."),
+    "repetitions": (int, DEFAULT_REPETITIONS, _CLASSIFY, "Repetitions per fraction."),
     "trees": (int, RFConfig.n_trees, _CLASSIFY, "Trees per forest."),
     "fractions": (_comma_list(float), DEFAULT_FRACTIONS, _CLASSIFY, None),
     # the CSV schema: one key per SchemaConfig field
@@ -274,7 +276,7 @@ def score(config_path, **flags):
         if missing:  # fail here, not once per fit
             raise SchemaError(f"{cfg['input']}: no cause column "
                               + ", ".join(repr(column) for column in missing))
-        if cfg["targets"]:
+        if cfg["targets"] is not None:
             target_list = tuple(t.strip() for t in cfg["targets"].split(",") if t.strip())
         else:
             target_list = tuple(c for c in table.feature_names if c not in cause_columns)
@@ -285,7 +287,7 @@ def score(config_path, **flags):
             # each fit derives its own FitConfig.seed; the seed key is master_seed
             fit_config=_from_keys(FitConfig, cfg, seed=FitConfig.seed),
             master_seed=cfg["seed"],
-            causal_method=cfg["method"].replace("-", "_"),
+            causal_method=METHODS[cfg["method"]],
             causal_family=FAMILIES[cfg["family"]])
         out = _make_out_dir(cfg["out"])
 
@@ -390,18 +392,19 @@ def _feature_sets(feature_names, prefixes) -> dict[str, list[str]]:
 
 @main.command()
 @click.option("--out", "out_dir", type=click.Path(), default=".", help="Output directory.")
-@click.option("--name", type=str, default="synthetic", help="Base name for the files.")
+@click.option("--name", type=str, default=GenSpec.dataset, help="Base name for the files.")
 @click.option("--kind", type=click.Choice(["mixed", "multidataset"]), default="mixed")
-@click.option("--alpha", type=float, default=1.0,
+@click.option("--alpha", type=float, default=GenSpec.alpha,
               help="Causal mixing weight (1 = pure causal, 0 = pure confounded).")
-@click.option("--n", type=int, default=500, help="Rows (per dataset for multidataset).")
-@click.option("--m", type=int, default=3, help="Cause columns (mixed kind).")
-@click.option("--k", type=int, default=1, help="Latent confounder dimension.")
-@click.option("--noise-sd", type=float, default=0.5, help="Target noise SD (mixed kind).")
+@click.option("--n", type=int, default=GenSpec.n, help="Rows (per dataset for multidataset).")
+@click.option("--m", type=int, default=GenSpec.m, help="Cause columns (mixed kind).")
+@click.option("--k", type=int, default=GenSpec.k, help="Latent confounder dimension.")
+@click.option("--noise-sd", type=float, default=GenSpec.noise_sd,
+              help="Target noise SD (mixed kind).")
 @click.option("--n-datasets", type=int, default=2, help="Datasets (multidataset kind).")
 @click.option("--shift", type=float, default=0.0,
               help="Feature mean shift step between consecutive datasets.")
-@click.option("--seed", type=int, default=0, help="Generator seed.")
+@click.option("--seed", type=int, default=GenSpec.seed, help="Generator seed.")
 def simulate(out_dir, name, kind, alpha, n, m, k, noise_sd, n_datasets, shift, seed):
     """Generate a synthetic dataset plus a ground-truth sidecar."""
     with _usage_errors():

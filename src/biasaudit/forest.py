@@ -400,6 +400,7 @@ class FeatureSetResult:
 
 
 DEFAULT_FRACTIONS = (0.001, 0.005, 0.01, 0.05, 0.1, 0.3, 0.5, 0.7)
+DEFAULT_REPETITIONS = 50
 
 
 def _run_repetition(args):
@@ -420,7 +421,7 @@ def _run_repetition(args):
 
 
 def name_that_dataset(table: Table, feature_sets: dict[str, list[str]],
-                      fractions=DEFAULT_FRACTIONS, repetitions: int = 50,
+                      fractions=DEFAULT_FRACTIONS, repetitions: int = DEFAULT_REPETITIONS,
                       seed: int = 0, rf_config: RFConfig = RFConfig(),
                       controls_only: bool = True,
                       jobs: int = 1) -> dict[str, FeatureSetResult]:

@@ -377,13 +377,13 @@ def confounded_code_length(V: JointVector, spec: ConfoundedModelSpec,
     ``"advi"`` returns the negative ELBO of a mean-field Gaussian fit over
     the loadings, with the confounders integrated out exactly
     (:func:`make_collapsed_target`); the fit starts at the PPCA
-    maximum-likelihood loadings.  ``"exact"`` (k=1 only) integrates the
-    loadings out too, by :func:`confounded_evidence_k1`.
+    maximum-likelihood loadings.  ``"closed_form"`` (k=1 only) integrates
+    the loadings out too, by :func:`confounded_evidence_k1`.
     """
     m = V.width - 1
     if V.n < m + 2:
         raise ValueError(f"need at least m+2={m + 2} rows, have {V.n}")
-    if method == "exact":
+    if method == "closed_form":
         return CodeLength(nats=-confounded_evidence_k1(V.values.T @ V.values, V.n, spec),
                           method=method)
     if method != "advi":

@@ -121,11 +121,10 @@ def score_target(table: Table, cause_spec: CauseSpec, target: str,
     causal = causal_code_length(
         X, y, causal_model, method=causal_method, family=causal_family,
         fit_config=replace(fit_config, seed=derive_seed(seed, "causal")))
-    exact = causal_method == "closed_form" and confounded_model.k == 1
     confounded = confounded_code_length(
         joint, confounded_model,
         fit_config=replace(fit_config, seed=derive_seed(seed, "confounded")),
-        method="exact" if exact else "advi")
+        method=causal_method if confounded_model.k == 1 else "advi")
 
     return ScoreRecord(
         dataset=labels[0],

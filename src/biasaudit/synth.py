@@ -165,11 +165,9 @@ def write_table_csv(table: Table, path) -> None:
     Floats are written with full round-trip precision so a reloaded
     table is bit-identical.
     """
-    header = ["subject_id", "dataset", "age", "sex"]
-    columns = [table.ids, table.dataset_labels, map(float, table.ages), map(int, table.sexes)]
-    if table.diagnosis_labels is not None:
-        header.append("diagnosis")
-        columns.append(table.diagnosis_labels)
+    header = ["subject_id", "dataset", "age", "sex", "diagnosis"]
+    columns = [table.ids, table.dataset_labels, map(float, table.ages), map(int, table.sexes),
+               table.diagnosis_labels]
     # one row at a time, in Python numbers: a numpy float's repr names its type
     rows = ([*fields, *values] for fields, values
             in zip(zip(*columns), map(np.ndarray.tolist, table.features)))

@@ -62,27 +62,28 @@ class Table:
     """Immutable column-oriented table of validated subjects.
 
     Numeric payloads are stored as read-only numpy arrays so tables can
-    be shared across threads.
+    be shared across threads.  Without diagnosis labels every row's
+    label is ``""``, which reads as healthy.
     """
 
     def __init__(self, ids, dataset_labels, ages, sexes, features,
-                 feature_names, diagnosis_labels=None, healthy_label="control"):
+                 feature_names, diagnosis_labels=(), healthy_label="control"):
         self.ids = tuple(map(str, ids))
         self.dataset_labels = np.asarray(dataset_labels, dtype=object)
         self.ages = np.asarray(ages, dtype=float)
         self.sexes = np.asarray(sexes, dtype=int)
         self.features = np.asarray(features, dtype=float).reshape(len(self.ids), -1)
         self.feature_names = tuple(feature_names)
-        self.diagnosis_labels = (
-            None if diagnosis_labels is None
-            else np.asarray(diagnosis_labels, dtype=object)
-        )
+        self.diagnosis_labels = np.asarray(diagnosis_labels, dtype=object)
+        if self.diagnosis_labels.size == 0:
+            self.diagnosis_labels = np.full(len(self.ids), "", dtype=object)
         self.healthy_label = healthy_label
         self._validate()
         self._freeze()
 
     def _freeze(self):
-        for arr in (self.dataset_labels, self.ages, self.sexes, self.features):
+        for arr in (self.dataset_labels, self.ages, self.sexes, self.features,
+                    self.diagnosis_labels):
             arr.flags.writeable = False
 
     def _validate(self):
@@ -93,6 +94,9 @@ class Table:
             raise ValueError("subject ids are not unique")
         if self.features.shape != (n, len(self.feature_names)):
             raise ValueError("feature matrix shape does not match declared columns")
+        for name in ("dataset_labels", "ages", "sexes", "diagnosis_labels"):
+            if getattr(self, name).shape != (n,):
+                raise ValueError(f"{name} must hold one value per row")
         if not np.all(np.isfinite(self.features)):
             raise ValueError("non-finite feature values")
         if not np.all(np.isfinite(self.ages)) or np.any(self.ages <= 0):
@@ -110,8 +114,6 @@ class Table:
 
     def diseased_mask(self) -> np.ndarray:
         """True for rows carrying a diagnosis other than the healthy label."""
-        if self.diagnosis_labels is None:
-            return np.zeros(self.n_rows, dtype=bool)
         return np.array([
             bool(d) and str(d) != self.healthy_label for d in self.diagnosis_labels
         ])
@@ -146,8 +148,7 @@ class Table:
         sub.ages = self.ages[idx]
         sub.sexes = self.sexes[idx]
         sub.features = self.features[idx]
-        if self.diagnosis_labels is not None:
-            sub.diagnosis_labels = self.diagnosis_labels[idx]
+        sub.diagnosis_labels = self.diagnosis_labels[idx]
         sub._freeze()
         return sub
 
@@ -164,7 +165,6 @@ def concat_tables(tables) -> Table:
     names = tables[0].feature_names
     if any(t.feature_names != names for t in tables):
         raise ValueError("tables have mismatched feature columns")
-    has_diag = all(t.diagnosis_labels is not None for t in tables)
     return Table(
         ids=[i for t in tables for i in t.ids],
         dataset_labels=np.concatenate([t.dataset_labels for t in tables]),
@@ -172,8 +172,7 @@ def concat_tables(tables) -> Table:
         sexes=np.concatenate([t.sexes for t in tables]),
         features=np.vstack([t.features for t in tables]),
         feature_names=names,
-        diagnosis_labels=np.concatenate([t.diagnosis_labels for t in tables])
-        if has_diag else None,
+        diagnosis_labels=np.concatenate([t.diagnosis_labels for t in tables]),
         healthy_label=tables[0].healthy_label,
     )
 
@@ -236,8 +235,7 @@ def load_csv(path, schema: SchemaConfig | None = None) -> tuple[Table, Rejection
         log.info("%s: rejected %d row(s)", path, report.n_rejected)
     table = Table(
         ids=ids, dataset_labels=labels, ages=ages, sexes=sexes, features=feats,
-        feature_names=feature_cols,
-        diagnosis_labels=diags if has_diagnosis else None,
+        feature_names=feature_cols, diagnosis_labels=diags,
         healthy_label=schema.healthy_label,
     )
     return table, report

@@ -70,6 +70,16 @@ class TestConfigFile:
         values = read_config_file(cfg)
         assert values == {"seed": "7", "family": "mean-field"}
 
+    def test_hash_inside_a_value_is_text(self, runner, tmp_path):
+        csv_path = tmp_path / "d#1.csv"
+        csv_path.write_text(VALID_CSV, encoding="utf-8")
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"  # a whole-line comment\ninput = {csv_path}\nseed = 3  # note\n",
+                       encoding="utf-8")
+        assert read_config_file(cfg) == {"input": str(csv_path), "seed": "3"}
+        assert resolve_config("score", cfg, {})["seed"] == 3
+        assert invoke(runner, ["validate", "--config", str(cfg)]).exit_code == 0
+
     def test_byte_order_mark_skipped(self, tmp_path):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("max_iterations = 5\nseed = 7\n", encoding="utf-8-sig")
@@ -390,6 +400,8 @@ MALFORMED = {
     "repeated_target": (["score", "--input", "{csv}", "--targets", "vol_a,vol_a"], None,
                         "targets"),
     "empty_targets": (["score", "--input", "{csv}", "--targets", ","], None, "targets"),
+    "blank_targets_flag": (["score", "--input", "{csv}", "--targets", ""], None, "targets"),
+    "blank_targets_key": (["score", "--input", "{csv}"], "targets =", "targets"),
     "unsplittable_largest_fraction": (["classify", "--input", "{twenty}"],
                                       "fractions = 0.1,0.99", "fractions"),
     "bad_bool": (["score", "--input", "{csv}"], "controls_only = maybe", "controls_only"),

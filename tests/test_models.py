@@ -544,8 +544,8 @@ class TestConfoundedEvidenceK1:
 
     def test_exact_code_length_record(self):
         V = _grid_instance(3)
-        got = confounded_code_length(V, CSPEC, method="exact")
+        got = confounded_code_length(V, CSPEC, method="closed_form")
         assert got.nats == -confounded_evidence_k1(V.values.T @ V.values, V.n, CSPEC)
-        assert (got.method, got.elbo_se, got.iterations) == ("exact", 0.0, 0)
+        assert (got.method, got.elbo_se, got.iterations) == ("closed_form", 0.0, 0)
         with pytest.raises(ValueError):
             confounded_code_length(V, CSPEC, method="mcmc")

@@ -122,7 +122,7 @@ class TestMethodRouting:
         table, _ = gen_mixed(GenSpec(n=120, alpha=0.5, seed=12))
         record = self.score(table, "closed_form")
         assert record.diagnostics["confounded"] == {
-            "method": "exact", "family": None, "converged": True, "elbo_se": 0.0,
+            "method": "closed_form", "family": None, "converged": True, "elbo_se": 0.0,
             "iterations": 0}
         V = scored_joint(table)
         assert record.confounded_nats == -confounded_evidence_k1(

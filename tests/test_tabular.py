@@ -241,8 +241,7 @@ def _reference_load_csv(path):
                  for starts, records in tabular._record_blocks(reader)]
     ids, labels, ages, sexes, feats, diags = (np.concatenate(field) for field in zip(*parts))
     table = Table(ids=ids, dataset_labels=labels, ages=ages, sexes=sexes, features=feats,
-                  feature_names=feature_cols,
-                  diagnosis_labels=diags if has_diagnosis else None,
+                  feature_names=feature_cols, diagnosis_labels=diags,
                   healthy_label=schema.healthy_label)
     return table, RejectionReport(n_rejected=len(reasons), reasons=tuple(reasons))
 
@@ -496,6 +495,24 @@ class TestTableBasics:
             Table(ids=["a", "b"], dataset_labels=["A", "A"], ages=[30, 40],
                   sexes=[0, 1], features=np.array([[np.nan], [1.0]]),
                   feature_names=("vol_a",))
+
+    @pytest.mark.parametrize("column, values", [
+        ("diagnosis_labels", ["control"]), ("diagnosis_labels", ["control"] * 3),
+        ("dataset_labels", ["A"]), ("ages", [30, 40, 50]), ("sexes", [[0, 1]])])
+    def test_column_of_wrong_length_rejected(self, column, values):
+        columns = {"dataset_labels": ["A", "A"], "ages": [30, 40], "sexes": [0, 1],
+                   "diagnosis_labels": ["control", "control"]} | {column: values}
+        with pytest.raises(ValueError, match=f"{column} must hold one value per row"):
+            Table(ids=["a", "b"], features=[[1.0], [2.0]], feature_names=("vol_a",),
+                  **columns)
+
+    def test_missing_diagnosis_labels_read_as_healthy(self):
+        table = Table(ids=["a", "b"], dataset_labels=["A", "A"], ages=[30, 40],
+                      sexes=[0, 1], features=[[1.0], [2.0]], feature_names=("vol_a",))
+        assert table.diagnosis_labels.tolist() == ["", ""]
+        assert table.diseased_mask().tolist() == [False, False]
+        assert table.take([1]).diagnosis_labels.tolist() == [""]
+        assert not table.diagnosis_labels.flags.writeable
 
     def test_take_equals_constructor_on_the_same_rows(self):
         table = make_table(n=12)
