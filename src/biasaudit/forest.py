@@ -1,17 +1,20 @@
 """From-scratch random forest and the dataset-membership experiment.
 
 CART trees with Gini impurity, random feature subsets per node and
-bootstrap resampling per tree.  Trees grow level by level, all trees of
-a forest together: each depth stacks every open node's rows once per
-candidate feature and rates every threshold of every node in one
-segmented Gini scan (prefix class counts over sorted feature values),
-so the number of numpy calls grows with depth, not with node count.
-Each column is ranked once per forest, so that scan orders all its
-segments with one integer sort per depth.  Each tree draws its nodes'
-feature orders from its own seed, one block per depth.  The membership
-harness ("which dataset does this row come from?") trains forests over
-a grid of training fractions and reports learning curves plus a
-confusion matrix at the largest fraction.
+bootstrap resampling per tree.  A tree sees its bootstrap as row
+counts: each distinct row once, with the number of times it was drawn.
+Trees grow level by level, all trees of a forest together: each depth
+stacks every open node's rows once per candidate feature and rates
+every threshold of every node in one segmented Gini scan (count-weighted
+prefix class counts over sorted feature values), so the number of
+numpy calls grows with depth, not with node count.  Each column is
+ranked once per forest, so that scan orders all its segments with one
+integer sort per depth; each (segment, rank) key occurs once, so the
+sort need not be stable.  Each tree draws its nodes' feature orders
+from its own seed, one block per depth.  The membership harness
+("which dataset does this row come from?") trains forests over a grid
+of training fractions and reports learning curves plus a confusion
+matrix at the largest fraction.
 """
 
 from dataclasses import dataclass
@@ -98,64 +101,78 @@ def _heads(a):
     return head
 
 
-def _segment_splits(flat, rank, at, y, sizes):
+def _segment_splits(flat, rank, at, y, copies, sizes):
     """Best Gini split of every segment: ``(gini, threshold)`` arrays.
 
     The segments lie back to back, ``sizes`` (all nonzero) their
-    lengths: entry i is cell ``at[i]`` of ``flat`` (feature values) with
-    class code ``y[i]``, and ``rank`` holds each cell's place in its
-    column (:func:`_column_ranks`).  One integer sort, by segment and
-    then rank, orders every segment by value; tied values fall in row
-    order, and only repeats of one row share a key.  One scan then
+    lengths: entry i is cell ``at[i]`` of ``flat`` (feature values),
+    class code ``y[i]``, standing for ``copies[i]`` rows; ``rank`` holds
+    each cell's place in its column (:func:`_column_ranks`).  A
+    segment lists each cell at most once, so every key (segment, rank)
+    is unique and one integer sort, which need not be stable, orders
+    every segment by value, tied values in row order.  One scan then
     rates every boundary between distinct values, so the order among
     ties changes no result; a segment without one gets gini ``inf``.
-    Each segment's result equals its own one-segment call bit for bit:
-    the sums of squared class counts on either side are exact integers.
+    Each segment's result equals, bit for bit, its own one-segment call
+    and the call with every entry repeated ``copies`` times: the sizes
+    and the sums of squared class counts on either side are exact
+    integers.
     """
     n = at.size
     starts = np.cumsum(sizes) - sizes
     seg = np.repeat(np.arange(sizes.size), sizes)
     key = seg * rank.size
     key += rank[at]
-    order = np.argsort(key, kind="stable")
+    order = np.argsort(key)
     del key  # each rows-long temporary goes as soon as it is used up
-    y = y[order]
+    y, copies = y[order], copies[order]
     x = flat[at[order]]
     del order
 
-    # Runs of one class within one segment, in sorted order: a row's
-    # place a in its run counts the earlier same-class rows of its
-    # segment, and the run's length is the segment's total T_k of that
-    # class.  sum_k left_k^2 grows by 2a + 1 as the row joins the left
-    # side, and sum_k right_k^2 = sum_k T_k^2 + the left rows' sum of
-    # 2a + 1 - 2 T_k, where sum_k T_k^2 is the left sum over the segment.
+    # Runs of one class within one segment, in sorted order, with w the
+    # running total of copies over the runs: an entry of c copies spans
+    # w_i..w_i + c, its segment holds a = w_i - w_start rows of its class
+    # before it, and the run's length is the segment's total T_k = w_end
+    # - w_start of that class.  sum_k left_k^2 grows by c (2a + c) as the
+    # entry joins the left side, and sum_k right_k^2 = sum_k T_k^2 + the
+    # left entries' sum of c (2a + c - 2 T_k), where sum_k T_k^2 is the
+    # left sum over the segment.
     n_classes = int(y.max()) + 1
     by_class = np.argsort(y.astype(np.min_scalar_type(n_classes)), kind="stable")
     new_run = _heads((seg * n_classes + y)[by_class])
-    bound = 2 * np.concatenate([[0], np.flatnonzero(new_run), [n]])
-    run = np.cumsum(new_run)  # 1 + the run's number: bound[run] = 2 * its start
+    c = copies[by_class]
+    w = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(c, out=w[1:])
+    bound = 2 * w[np.concatenate([[0], np.flatnonzero(new_run), [n]])]
+    run = np.cumsum(new_run)  # 1 + the run's number: bound[run] = 2 w_start
     del new_run
-    odd = np.arange(1, 2 * n, 2)
-    # prefix sums over all segments: entry i + 1 sums sorted rows 0..i
+    twice_mid = w[:-1] + w[1:]  # 2 w_i + c
+    del w
+    # prefix sums over all segments: entry i + 1 sums sorted entries 0..i
     left, right = np.zeros(n + 1, dtype=np.int64), np.zeros(n + 1, dtype=np.int64)
-    left[1:][by_class] = odd - bound[run]
-    right[1:][by_class] = odd - bound[1:][run]
-    del by_class, run, odd
+    left[1:][by_class] = c * (twice_mid - bound[run])
+    right[1:][by_class] = c * (twice_mid - bound[1:][run])
+    del by_class, run, twice_mid, c
     np.cumsum(left, out=left)
     np.cumsum(right, out=right)
+    cum_rows = np.zeros(n + 1, dtype=np.int64)  # rows before each sorted entry
+    np.cumsum(copies, out=cum_rows[1:])
+    del copies
 
     valid = np.empty(n, dtype=bool)
     np.greater(x[1:], x[:-1], out=valid[:-1])
-    valid[starts + sizes - 1] = False  # a segment's last row has no boundary
+    valid[starts + sizes - 1] = False  # a segment's last entry has no boundary
     at = np.flatnonzero(valid)
     del valid
     seg = seg[at]
-    size, after = sizes[seg], at + 1
-    size_left = after - starts[seg]
+    after, ends = at + 1, starts + sizes
+    before = cum_rows[starts]
+    size = (cum_rows[ends] - before)[seg]
+    size_left = cum_rows[after] - before[seg]
     size_right = size - size_left
     base = left[starts]
     sq_left = left[after] - base[seg]
-    sq_right = right[after] + (left[starts + sizes] - base - right[starts])[seg]
+    sq_right = right[after] + (left[ends] - base - right[starts])[seg]
     gini_left = 1.0 - sq_left / size_left ** 2
     gini_right = 1.0 - sq_right / size_right ** 2
     weighted = (size_left * gini_left + size_right * gini_right) / size
@@ -177,23 +194,24 @@ def _segment_splits(flat, rank, at, y, sizes):
     return gini, threshold
 
 
-def _feature_scan(flat, rank, m, rows, y, sizes, features):
+def _feature_scan(flat, rank, m, rows, y, copies, sizes, features):
     """Best split of each node on each of its listed features.
 
-    Node ``j`` owns ``sizes[j]`` consecutive entries of ``rows`` and
-    ``y``; ``features[j]`` lists the features to rate for it.  Returns
-    ``(gini, threshold)``, both shaped like ``features``.
+    Node ``j`` owns ``sizes[j]`` consecutive entries of ``rows``, ``y``
+    and ``copies``; ``features[j]`` lists the features to rate for it.
+    Returns ``(gini, threshold)``, both shaped like ``features``.
     """
     n_nodes, width = features.shape
     # segment (k, j) holds node j's rows on its k-th listed feature
     at = features.T.take(np.repeat(np.arange(n_nodes), sizes), axis=1)
     at += m * rows
     gini, threshold = _segment_splits(flat, rank, at.ravel(), np.concatenate([y] * width),
+                                      np.concatenate([copies] * width),
                                       np.concatenate([sizes] * width))
     return gini.reshape(width, n_nodes).T, threshold.reshape(width, n_nodes).T
 
 
-def _choose_splits(flat, rank, m, rows, y, sizes, feature_order):
+def _choose_splits(flat, rank, m, rows, y, copies, sizes, feature_order):
     """Feature and threshold of each node's split; feature -1 for none.
 
     A node rates the first ceil(sqrt(m)) features of its order and
@@ -202,7 +220,7 @@ def _choose_splits(flat, rank, m, rows, y, sizes, feature_order):
     """
     n_candidates = int(np.ceil(np.sqrt(m)))
     candidates = feature_order[:, :n_candidates]
-    gini, threshold = _feature_scan(flat, rank, m, rows, y, sizes, candidates)
+    gini, threshold = _feature_scan(flat, rank, m, rows, y, copies, sizes, candidates)
     nodes = np.arange(sizes.size)
     pick = np.argmin(gini, axis=1)
     feature = np.where(np.isfinite(gini[nodes, pick]), candidates[nodes, pick], -1)
@@ -211,8 +229,8 @@ def _choose_splits(flat, rank, m, rows, y, sizes, feature_order):
     if stuck.size and m > n_candidates:
         in_stuck = np.repeat(feature < 0, sizes)
         rest = feature_order[stuck, n_candidates:]
-        gini, rest_threshold = _feature_scan(flat, rank, m, rows[in_stuck],
-                                             y[in_stuck], sizes[stuck], rest)
+        gini, rest_threshold = _feature_scan(flat, rank, m, rows[in_stuck], y[in_stuck],
+                                             copies[in_stuck], sizes[stuck], rest)
         admits = np.isfinite(gini)
         pick = np.argmax(admits, axis=1)
         found = admits[np.arange(stuck.size), pick]
@@ -224,24 +242,27 @@ def _choose_splits(flat, rank, m, rows, y, sizes, feature_order):
 def _grow_trees(X, y, samples, seeds, n_classes):
     """Grow one CART tree per (row sample, seed), all trees a depth at a time.
 
-    ``y`` holds class codes; ``samples[t]`` lists the rows of ``X`` that
-    tree ``t`` trains on, repeats allowed.  Each depth rates the open
-    nodes of every tree together (:func:`_choose_splits`), so the numpy
-    calls scale with depth, not with node count.  Tree ``t`` draws
-    one uniform (open nodes x m) block per depth from
-    ``default_rng(seeds[t])``; each row's argsort is that node's
-    feature order.  Nodes are numbered breadth-first within their tree,
-    so a tree depends only on its own rows and seed.  Every depth's
-    scan reads one ranking of the columns of ``X``.
+    ``y`` holds class codes; ``samples[t]`` is a pair ``(rows, copies)``:
+    tree ``t`` trains on ``copies[i]`` copies of row ``rows[i]`` of ``X``,
+    each row listed once.  A node holds each of its rows once, with its
+    count, so no scan key repeats, and node sizes and leaf counts are
+    sums of counts.  Each depth rates the open nodes of every tree
+    together (:func:`_choose_splits`), so the numpy calls scale with
+    depth, not with node count.  Tree ``t`` draws one uniform (open
+    nodes x m) block per depth from ``default_rng(seeds[t])``; each
+    row's argsort is that node's feature order.  Nodes are numbered
+    breadth-first within their tree, so a tree depends only on its own
+    rows and seed.  Every depth's scan reads one ranking of the columns
+    of ``X``.
     """
     flat = np.ascontiguousarray(X).ravel()
     rank = _column_ranks(X)
     m = X.shape[1]
     n_trees = len(samples)
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    rows = np.concatenate(samples)
+    rows, copies = map(np.concatenate, zip(*samples))
     codes = y[rows]
-    sizes = np.array([sample.size for sample in samples])
+    sizes = np.array([tree_rows.size for tree_rows, _ in samples])
     tree_of = np.arange(n_trees)
     node_id = np.zeros(n_trees, dtype=int)
     n_nodes = np.ones(n_trees, dtype=int)
@@ -249,9 +270,11 @@ def _grow_trees(X, y, samples, seeds, n_classes):
     while sizes.size:
         n_level = sizes.size
         node_of = np.repeat(np.arange(n_level), sizes)
-        counts = np.bincount(node_of * n_classes + codes,
-                             minlength=n_level * n_classes).reshape(n_level, n_classes)
-        is_open = counts.max(axis=1) < sizes  # impure, so at least 2 rows
+        # float sums of integer counts are exact
+        counts = np.bincount(node_of * n_classes + codes, weights=copies,
+                             minlength=n_level * n_classes).astype(np.int64)
+        counts = counts.reshape(n_level, n_classes)
+        is_open = counts.max(axis=1) < counts.sum(axis=1)  # impure: 2+ distinct rows
         feature = np.full(n_level, -1)
         threshold = np.zeros(n_level)
         opened = np.flatnonzero(is_open)
@@ -261,7 +284,7 @@ def _grow_trees(X, y, samples, seeds, n_classes):
                                    for t in np.flatnonzero(per_tree)])
             in_open = is_open[node_of]
             feature[opened], threshold[opened] = _choose_splits(
-                flat, rank, m, rows[in_open], codes[in_open], sizes[opened],
+                flat, rank, m, rows[in_open], codes[in_open], copies[in_open], sizes[opened],
                 np.argsort(keys, axis=1, kind="stable"))
         split = np.flatnonzero(feature >= 0)
         leaf = np.flatnonzero(feature < 0)
@@ -279,12 +302,13 @@ def _grow_trees(X, y, samples, seeds, n_classes):
         # rows of split nodes move to their children: node j's children
         # are entries 2j and 2j + 1 of the next level
         in_split = feature[node_of] >= 0
-        rows, codes, node_of = rows[in_split], codes[in_split], node_of[in_split]
+        rows, codes, copies = rows[in_split], codes[in_split], copies[in_split]
+        node_of = node_of[in_split]
         go_left = flat[rows * m + feature[node_of]] <= threshold[node_of]
         child = 2 * (np.cumsum(feature >= 0) - 1)[node_of] + ~go_left
         sizes = np.bincount(child, minlength=2 * split.size)
         order = np.argsort(child, kind="stable")
-        rows, codes = rows[order], codes[order]
+        rows, codes, copies = rows[order], codes[order], copies[order]
         tree_of = np.repeat(split_tree, 2)
         node_id = np.column_stack([left[split], right[split]]).ravel()
 
@@ -334,7 +358,9 @@ def train_tree(X, labels, seed: int, class_labels=None) -> DecisionTree:
     when every feature is constant within it.
     """
     X, y, class_labels = _training_arrays(X, labels, class_labels)
-    return _grow_trees(X, y, [np.arange(X.shape[0])], [seed], len(class_labels))[0]
+    n = X.shape[0]
+    return _grow_trees(X, y, [(np.arange(n), np.ones(n, dtype=np.int64))], [seed],
+                       len(class_labels))[0]
 
 
 @dataclass(frozen=True)
@@ -361,12 +387,18 @@ def train_forest(X, labels, config: RFConfig, seed: int, class_labels=None) -> F
     :func:`_grow_trees`).  Tree ``t`` draws its bootstrap rows from
     ``derive_seed(seed, "bootstrap", t)`` and its per-depth feature
     orders from ``derive_seed(seed, "tree", t)``, so each tree equals
-    the same tree grown alone.
+    the same tree grown alone.  A tree sees its draw as row counts, each
+    distinct row once with the number of times it was drawn, so the
+    scan sorts and rates each distinct row once.
     """
     X, y, class_labels = _training_arrays(X, labels, class_labels)
     n, tree_ids = X.shape[0], range(config.n_trees)
-    samples = [np.random.default_rng(derive_seed(seed, "bootstrap", t)).integers(0, n, size=n)
-               for t in tree_ids]
+    samples = []
+    for t in tree_ids:
+        draw = np.random.default_rng(derive_seed(seed, "bootstrap", t)).integers(0, n, size=n)
+        copies = np.bincount(draw)
+        rows = np.flatnonzero(copies)
+        samples.append((rows, copies[rows]))
     trees = _grow_trees(X, y, samples, [derive_seed(seed, "tree", t) for t in tree_ids],
                         len(class_labels))
     return Forest(trees=tuple(trees), class_labels=tuple(class_labels))

@@ -1,12 +1,14 @@
+import hashlib
 from functools import partial
 
 import numpy as np
 import pytest
 
-from biasaudit.forest import (Forest, RFConfig, _column_ranks, _segment_splits,
+from biasaudit.forest import (Forest, RFConfig, _column_ranks, _grow_trees, _segment_splits,
                               name_that_dataset, train_forest, train_tree)
 from biasaudit.seeding import derive_seed
 from biasaudit.synth import MultiDatasetSpec, gen_multidataset
+from biasaudit.tabular import label_codes
 
 QUICK_RF = RFConfig(n_trees=20)
 # pairs whose float midpoint 0.5 * (lo + hi) is not below hi, so every row
@@ -24,10 +26,10 @@ def blob_data(rng, n_per_class=120, shift=2.0, n_features=4):
 
 
 def _scan(x, y, sizes):
-    """:func:`_segment_splits` on segments of one column ``x``, entry i being row i."""
+    """:func:`_segment_splits` on segments of one column ``x``, entry i being row i once."""
     x = np.asarray(x, dtype=float)
     return _segment_splits(x, _column_ranks(x[:, None]), np.arange(x.size),
-                           np.asarray(y), np.asarray(sizes))
+                           np.asarray(y), np.ones(x.size, dtype=np.int64), np.asarray(sizes))
 
 
 class TestGiniSplit:
@@ -371,7 +373,7 @@ def _oracle_layout(layout, m, n_classes):
     rows, so trees stay shallow; ``duplicated`` repeats 75 rows with a
     fresh label on each copy, so impure nodes with no boundary between
     distinct values become leaves; ``bootstrap`` draws 150 rows with
-    replacement, as :func:`train_forest` feeds each tree;
+    replacement, as :func:`train_forest` draws for each tree;
     ``signed_zero_inf`` does the same after :func:`_signed_zero_inf`.
     """
     seed = 100 * m + 10 + n_classes
@@ -419,6 +421,27 @@ class TestLevelGrowerOracle:
         for seed in (0, 1):
             tree = train_tree(X, labels, seed)
             _assert_same_tree(tree, _reference_train_tree(X, labels, seed))
+
+    @pytest.mark.parametrize("m", [1, 2, 4, 9])
+    @pytest.mark.parametrize("n_classes", [2, 15])
+    @pytest.mark.parametrize("layout", ORACLE_LAYOUTS)
+    def test_row_counts_equal_reference_on_repeated_rows(self, m, n_classes, layout):
+        # two trees in one call, each fed its distinct rows and their
+        # counts (0 to 3 copies of each row of the layout)
+        X, labels = _oracle_layout(layout, m, n_classes)
+        classes = sorted(set(labels.tolist()))
+        y = label_codes(labels, classes)
+        rng = np.random.default_rng(m + n_classes)
+        samples = []
+        for _ in range(2):
+            copies = rng.integers(0, 4, size=X.shape[0])
+            rows = np.flatnonzero(copies)
+            samples.append((rows, copies[rows]))
+        trees = _grow_trees(X, y, samples, [0, 1], len(classes))
+        for seed, (tree, (rows, copies)) in enumerate(zip(trees, samples)):
+            expanded = np.repeat(rows, copies)
+            _assert_same_tree(tree, _reference_train_tree(X[expanded], labels[expanded], seed,
+                                                          class_labels=classes))
 
     def test_forest_trees_equal_trees_grown_alone(self):
         X, labels = _oracle_data(7, 120, 4, 5)
@@ -508,7 +531,9 @@ class TestRankKeyedScan:
     @pytest.mark.parametrize("seed", range(6))
     def test_equals_lexsort_scan_bit_for_bit(self, seed):
         # 60 rows of tied, signed-zero and infinite values; each segment
-        # is one feature of a bootstrap draw of rows, as a tree's node is
+        # is one feature of a draw of rows with replacement, so a cell can
+        # repeat in a segment (no grower node holds a row twice, but the
+        # order among equal keys changes no result either)
         rng = np.random.default_rng(seed)
         n_rows, m = 60, 5
         X = _signed_zero_inf(rng.standard_normal((n_rows, m)), rng)
@@ -518,11 +543,80 @@ class TestRankKeyedScan:
         rows = rng.integers(0, n_rows, size=sizes.sum())
         at = rows * m + np.repeat(rng.integers(0, m, size=sizes.size), sizes)
         flat = X.ravel()
-        gini, threshold = _segment_splits(flat, _column_ranks(X), at, codes[rows], sizes)
+        gini, threshold = _segment_splits(flat, _column_ranks(X), at, codes[rows],
+                                          np.ones(at.size, dtype=np.int64), sizes)
         want_gini, want_threshold = _lexsort_segment_splits(flat[at], codes[rows], sizes)
         assert gini.tobytes() == want_gini.tobytes()
         assert threshold.tobytes() == want_threshold.tobytes()
         assert np.isfinite(gini).any() and np.isinf(gini).any()
+
+
+def _expanded(at, y, copies, sizes):
+    """Scan arguments with entry i repeated ``copies[i]`` times, each copy counted once."""
+    return (np.repeat(at, copies), np.repeat(y, copies), np.ones(copies.sum(), dtype=np.int64),
+            np.add.reduceat(copies, np.cumsum(sizes) - sizes))
+
+
+class TestWeightedScan:
+    @pytest.mark.parametrize("n_classes", [2, 15])
+    @pytest.mark.parametrize("grid", ["rounded", "signed_zero_inf"])
+    def test_counts_equal_repeated_entries_bit_for_bit(self, grid, n_classes):
+        # each segment lists distinct rows of one feature with 1 to 5
+        # copies each; segment 0 lies on a constant column
+        rng = np.random.default_rng(n_classes)
+        n_rows, m = 80, 5
+        X = rng.standard_normal((n_rows, m))
+        X = np.round(X, 1) if grid == "rounded" else _signed_zero_inf(X, rng)
+        X[:, m - 1] = 0.25
+        codes = rng.integers(0, n_classes, size=n_rows)
+        sizes = rng.integers(1, 40, size=60)
+        sizes[0] = 7
+        rows = np.concatenate([rng.choice(n_rows, size, replace=False) for size in sizes])
+        feature = rng.integers(0, m - 1, size=sizes.size)
+        feature[0] = m - 1
+        at = rows * m + np.repeat(feature, sizes)
+        copies = rng.integers(1, 6, size=at.size)
+        flat, rank = X.ravel(), _column_ranks(X)
+        gini, threshold = _segment_splits(flat, rank, at, codes[rows], copies, sizes)
+        want_gini, want_threshold = _segment_splits(flat, rank,
+                                                    *_expanded(at, codes[rows], copies, sizes))
+        assert gini.tobytes() == want_gini.tobytes()
+        assert threshold.tobytes() == want_threshold.tobytes()
+        at, y, _, sizes = _expanded(at, codes[rows], copies, sizes)
+        want_gini, want_threshold = _lexsort_segment_splits(flat[at], y, sizes)
+        assert gini.tobytes() == want_gini.tobytes()
+        assert threshold.tobytes() == want_threshold.tobytes()
+        assert gini[0] == np.inf
+        assert np.isfinite(gini).any()
+
+
+def _forest_digest(forest):
+    """SHA-256 of every tree's feature, threshold, left, right and leaf_counts."""
+    digest = hashlib.sha256()
+    for tree in forest.trees:
+        for part, dtype in ((tree.feature, "<i8"), (tree.threshold, "<f8"), (tree.left, "<i8"),
+                            (tree.right, "<i8"), (tree.leaf_counts, "<i8")):
+            digest.update(np.ascontiguousarray(part, dtype=dtype).tobytes())
+    return digest.hexdigest()
+
+
+# 20-tree, 15-class forests, digested when each tree still sorted and
+# scanned every bootstrap copy of a row on its own: a change that is
+# meant to leave every tree as it is must keep these
+@pytest.mark.parametrize("data, seed, digest", [
+    pytest.param(lambda: _oracle_data(7, 300, 9, 15), 3,
+                 "21b7994fe8d8581571606149dd13d9601198e9b35fedd27a1eb78be16ab52651",
+                 id="oracle_data"),
+    pytest.param(lambda: _oracle_layout("signed_zero_inf", 4, 15), 5,
+                 "d1f7ec1b917a4ef60f859f00abd520c322193945cee2d9a09bd39c5e050ec467",
+                 id="signed_zero_inf_m4"),
+    pytest.param(lambda: _oracle_layout("signed_zero_inf", 9, 15), 6,
+                 "126f859dec93d0b0a80b475c3703bd9c2d04f615a438c5f65f5d62f88d0e13b2",
+                 id="signed_zero_inf_m9"),
+])
+def test_pinned_forest_digest(data, seed, digest):
+    X, labels = data()
+    assert _forest_digest(train_forest(X, labels, RFConfig(n_trees=20), seed=seed)) == digest
 
 
 def _reference_predict_codes(tree, X):
