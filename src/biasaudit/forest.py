@@ -54,14 +54,17 @@ class DecisionTree:
         self.leaf_counts = np.asarray(leaf_counts, dtype=int)
         self._leaf_pred = np.argmax(self.leaf_counts, axis=1)
 
-        # walk tables: entry 2i + go of ``_child`` is where node i sends a
-        # row, go = (x <= threshold), so NaN goes right; a leaf reads
-        # feature 0 and sends a row back to itself whatever the test says
+        # walk tables, which name node i by 2i: entries 2i and 2i + 1 of
+        # ``_walk_feature`` and ``_walk_threshold`` hold node i's test, and
+        # entry 2i + go of ``_child`` is the doubled id of where node i
+        # sends a row, go = (x <= threshold), so NaN goes right; a leaf
+        # reads feature 0 and sends a row back to itself whatever the test
         leaf = self.feature < 0
         nodes = np.arange(self.n_nodes)
-        self._walk_feature = np.where(leaf, 0, self.feature)
-        self._child = np.column_stack([np.where(leaf, nodes, self.right),
-                                       np.where(leaf, nodes, self.left)]).ravel()
+        self._walk_feature = np.repeat(np.where(leaf, 0, self.feature), 2)
+        self._walk_threshold = np.repeat(self.threshold, 2)
+        self._child = 2 * np.column_stack([np.where(leaf, nodes, self.right),
+                                           np.where(leaf, nodes, self.left)]).ravel()
         # the most splits on any root-to-leaf path
         self.depth, level = 0, np.zeros(1, dtype=int)
         while (level := level[~leaf[level]]).size:
@@ -75,14 +78,15 @@ class DecisionTree:
     def predict_codes(self, X: np.ndarray) -> np.ndarray:
         """Class code of each row: ``depth`` steps of every row at once."""
         X = np.ascontiguousarray(X, dtype=float)
-        flat = X.ravel()
-        row_start = np.arange(X.shape[0]) * X.shape[1]
-        node = np.zeros(X.shape[0], dtype=np.intp)
-        feature, threshold, child = self._walk_feature, self.threshold, self._child
+        return self._walk(X.ravel(), np.arange(X.shape[0]) * X.shape[1])
+
+    def _walk(self, flat, row_start):
+        """Class code of each row of a raveled C-order matrix; row r starts at ``row_start[r]``."""
+        node = np.zeros(row_start.size, dtype=np.intp)  # doubled ids
+        feature, threshold, child = self._walk_feature, self._walk_threshold, self._child
         for _ in range(self.depth):
-            go_left = flat[row_start + feature[node]] <= threshold[node]
-            node = child[2 * node + go_left]
-        return self._leaf_pred[node]
+            node = child[node + (flat[row_start + feature[node]] <= threshold[node])]
+        return self._leaf_pred[node >> 1]
 
 
 def _column_ranks(X):
@@ -371,11 +375,12 @@ class Forest:
     def predict_codes(self, X: np.ndarray) -> np.ndarray:
         """Majority-vote class codes; ties go to the lowest class index."""
         X = np.ascontiguousarray(X, dtype=float)
-        n, n_classes = X.shape[0], len(self.class_labels)
+        (n, m), n_classes = X.shape, len(self.class_labels)
+        flat, row_start = X.ravel(), np.arange(n) * m
         votes = np.zeros(n * n_classes, dtype=int)
-        row_start = np.arange(n) * n_classes
+        vote_start = np.arange(n) * n_classes
         for tree in self.trees:
-            votes[row_start + tree.predict_codes(X)] += 1
+            votes[vote_start + tree._walk(flat, row_start)] += 1
         return np.argmax(votes.reshape(n, n_classes), axis=1)
 
 
@@ -444,7 +449,7 @@ def _run_repetition(args):
     forest = train_forest(train_X, train.dataset_labels, rf_config,
                           derive_seed(rep_seed, "forest"), class_labels=class_labels)
     pred = forest.predict_codes(test_X)
-    true = label_codes(test.dataset_labels, class_labels)
+    true = test.dataset_codes(class_labels)
     confusion = None
     if want_confusion:
         confusion = np.zeros((len(class_labels), len(class_labels)), dtype=int)

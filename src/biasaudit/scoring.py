@@ -173,8 +173,8 @@ def score_all(table: Table, config: ScoringConfig) -> list[ScoreRecord | FailedS
     run continues.
     """
     tasks = []
-    for label in table.labels():
-        sub = table.take(np.flatnonzero(table.dataset_labels == label))
+    for label, rows in table.rows_by_dataset().items():
+        sub = table.take(rows)
         for target in config.targets:
             seed = derive_seed(config.master_seed, label, target)
             tasks.append((sub, target, config, seed))

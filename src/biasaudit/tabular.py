@@ -63,34 +63,44 @@ class Table:
 
     Numeric payloads are stored as read-only numpy arrays so tables can
     be shared across threads.  Without diagnosis labels every row's
-    label is ``""``, which reads as healthy.
+    label is ``""``, which reads as healthy.  The dataset labels are
+    coded once, when a table is built: the sorted distinct labels, and
+    one small integer per row giving its label's place among them.
+    :meth:`take` gathers the codes with the rows and never codes again,
+    so a taken table may keep a label that none of its rows carries;
+    :meth:`labels` lists only the labels present.  Subject ids are held
+    as an array; ``ids``, a tuple, is built when first read.
     """
 
     def __init__(self, ids, dataset_labels, ages, sexes, features,
                  feature_names, diagnosis_labels=(), healthy_label="control"):
-        self.ids = tuple(map(str, ids))
+        self._id_array = np.array(list(map(str, ids)), dtype=object)
+        self._ids = None
         self.dataset_labels = np.asarray(dataset_labels, dtype=object)
         self.ages = np.asarray(ages, dtype=float)
         self.sexes = np.asarray(sexes, dtype=int)
-        self.features = np.asarray(features, dtype=float).reshape(len(self.ids), -1)
+        self.features = np.asarray(features, dtype=float).reshape(self.n_rows, -1)
         self.feature_names = tuple(feature_names)
         self.diagnosis_labels = np.asarray(diagnosis_labels, dtype=object)
         if self.diagnosis_labels.size == 0:
-            self.diagnosis_labels = np.full(len(self.ids), "", dtype=object)
+            self.diagnosis_labels = np.full(self.n_rows, "", dtype=object)
         self.healthy_label = healthy_label
         self._validate()
+        self._dataset_names = tuple(sorted(set(self.dataset_labels.tolist())))
+        self._dataset_codes = label_codes(self.dataset_labels, self._dataset_names).astype(
+            np.min_scalar_type(len(self._dataset_names)))
         self._freeze()
 
     def _freeze(self):
-        for arr in (self.dataset_labels, self.ages, self.sexes, self.features,
-                    self.diagnosis_labels):
+        for arr in (self._id_array, self.dataset_labels, self.ages, self.sexes, self.features,
+                    self.diagnosis_labels, self._dataset_codes):
             arr.flags.writeable = False
 
     def _validate(self):
-        n = len(self.ids)
+        n = self.n_rows
         if n == 0:
             raise EmptyTableError("table has no rows")
-        if len(set(self.ids)) != n:
+        if len(set(self._id_array.tolist())) != n:
             raise ValueError("subject ids are not unique")
         if self.features.shape != (n, len(self.feature_names)):
             raise ValueError("feature matrix shape does not match declared columns")
@@ -106,17 +116,44 @@ class Table:
 
     @property
     def n_rows(self) -> int:
-        return len(self.ids)
+        return self._id_array.size
+
+    @property
+    def ids(self) -> tuple[str, ...]:
+        """Subject ids in row order."""
+        if self._ids is None:
+            self._ids = tuple(self._id_array.tolist())
+        return self._ids
 
     def labels(self) -> list[str]:
         """Distinct dataset labels in sorted order."""
-        return sorted(set(self.dataset_labels))
+        present = np.bincount(self._dataset_codes, minlength=len(self._dataset_names))
+        return [self._dataset_names[i] for i in np.flatnonzero(present)]
+
+    def rows_by_dataset(self) -> dict[str, np.ndarray]:
+        """Each dataset label, in sorted order, with its row numbers, ascending."""
+        codes = self._dataset_codes
+        sizes = np.bincount(codes, minlength=len(self._dataset_names))
+        groups = np.split(np.argsort(codes, kind="stable"), np.cumsum(sizes)[:-1])
+        return {name: rows for name, rows in zip(self._dataset_names, groups) if rows.size}
+
+    def dataset_codes(self, labels) -> np.ndarray:
+        """Each row's dataset label as its index in ``labels``, read from the codes.
+
+        Raises KeyError, naming the label, when a row's label is not in ``labels``.
+        """
+        at = {label: i for i, label in enumerate(labels)}
+        renumber = np.array([at.get(name, -1) for name in self._dataset_names],
+                            dtype=np.min_scalar_type(-1 - len(at)))  # holds -1 and each index
+        codes = renumber[self._dataset_codes]
+        if codes.min() < 0:
+            raise KeyError(self.dataset_labels[np.argmin(codes)])
+        return codes
 
     def diseased_mask(self) -> np.ndarray:
         """True for rows carrying a diagnosis other than the healthy label."""
-        return np.array([
-            bool(d) and str(d) != self.healthy_label for d in self.diagnosis_labels
-        ])
+        labels = self.diagnosis_labels
+        return (labels != "") & (labels != self.healthy_label)
 
     def column(self, name: str) -> np.ndarray:
         """Look up a numeric column: a feature by name, or age / sex."""
@@ -131,20 +168,26 @@ class Table:
     def take(self, indices) -> "Table":
         """New table with the given rows, in the given order.
 
-        The rows were validated when this table was built, so only the
-        selection is checked: it must name at least one row and no row
-        twice, which keeps the subject ids unique.
+        ``indices`` are integer row numbers; negative ones count from
+        the end, and one out of range raises IndexError.  Any other
+        dtype, a boolean mask among them, raises TypeError.  The rows
+        were validated when this table was built, so only the selection
+        is checked: it must name at least one row and no row twice,
+        which keeps the subject ids unique.
         """
-        # as row numbers: negative indices count from the end, and an index
-        # out of range raises IndexError
-        idx = np.arange(self.n_rows)[np.asarray(indices, dtype=int)]
-        if idx.size == 0:
+        indices = np.asarray(indices)
+        if indices.size == 0:
             raise EmptyTableError("table has no rows")
+        if indices.dtype.kind not in "iu":
+            raise TypeError(f"take needs integer row numbers, got dtype {indices.dtype}")
+        idx = np.arange(self.n_rows)[indices]
         if np.bincount(idx).max() > 1:
             raise ValueError("subject ids are not unique")
         sub = copy.copy(self)
-        sub.ids = tuple(np.array(self.ids, dtype=object)[idx].tolist())
+        sub._id_array = self._id_array[idx]
+        sub._ids = None
         sub.dataset_labels = self.dataset_labels[idx]
+        sub._dataset_codes = self._dataset_codes[idx]
         sub.ages = self.ages[idx]
         sub.sexes = self.sexes[idx]
         sub.features = self.features[idx]
@@ -352,16 +395,15 @@ def summarize(table: Table) -> list[DatasetSummary]:
     """Per-dataset roster: N, age mean/SD (population), % male, N diseased."""
     diseased = table.diseased_mask()
     out = []
-    for label in table.labels():
-        mask = table.dataset_labels == label
-        ages = table.ages[mask]
+    for label, rows in table.rows_by_dataset().items():
+        ages = table.ages[rows]
         out.append(DatasetSummary(
             dataset=label,
-            n=int(np.sum(mask)),
+            n=rows.size,
             age_mean=float(np.mean(ages)),
             age_sd=float(np.std(ages)),
-            pct_male=float(100.0 * np.mean(table.sexes[mask])),
-            n_diseased=int(np.sum(diseased[mask])),
+            pct_male=float(100.0 * np.mean(table.sexes[rows])),
+            n_diseased=int(np.sum(diseased[rows])),
         ))
     return out
 
@@ -454,23 +496,23 @@ def stratify(table: Table, train_fraction: float) -> tuple[list[np.ndarray], np.
     """Each dataset's rows, in sorted label order, and its train row count.
 
     The train count is round(fraction * N_d), floored at 1 row.  Raises
-    :class:`SplitError` when a dataset has fewer than 2 rows or no row
-    is left to test; that depends only on the per-dataset counts and the
-    fraction, never on a seed.
+    :class:`SplitError`, naming the first such dataset, when a dataset
+    has fewer than 2 rows or no row left to test; that depends only on
+    the per-dataset counts and the fraction, never on a seed.
     """
     if not 0.0 < train_fraction < 1.0:
         raise ValueError("train_fraction must lie in (0, 1)")
-    labels = table.labels()
-    codes = label_codes(table.dataset_labels, labels)
-    sizes = np.bincount(codes, minlength=len(labels))
+    by_dataset = table.rows_by_dataset()
+    labels, groups = list(by_dataset), list(by_dataset.values())
+    sizes = np.array([rows.size for rows in groups])
     small = np.flatnonzero(sizes < 2)
     if small.size:
         raise SplitError(f"dataset {labels[small[0]]!r} has fewer than 2 rows")
     n_train = np.minimum(np.maximum(np.rint(train_fraction * sizes).astype(int), 1), sizes)
-    if np.array_equal(n_train, sizes):
-        raise SplitError(
-            f"train_fraction={train_fraction} leaves an empty train or test set")
-    groups = np.split(np.argsort(codes, kind="stable"), np.cumsum(sizes)[:-1])
+    all_train = np.flatnonzero(n_train == sizes)
+    if all_train.size:
+        raise SplitError(f"train_fraction={train_fraction} leaves dataset "
+                         f"{labels[all_train[0]]!r} no row to test")
     return groups, n_train
 
 

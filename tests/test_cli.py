@@ -376,10 +376,14 @@ REPEATED_COLUMN_CSV = "subject_id,dataset,age,sex,vol_a,vol_a,vol_b\n" + "".join
 # 2 datasets x 10 rows: at fraction 0.99 every row trains and none is left to test
 TWENTY_ROW_CSV = VALID_CSV.split("\n", 1)[0] + "\n" + "".join(
     f"r{i},{'AB'[i % 2]},{30 + i},M,control,{i},{i % 3}\n" for i in range(20))
+# datasets of 2 and 100 rows: at fraction 0.8 both ds00 rows train
+UNEVEN_CSV = VALID_CSV.split("\n", 1)[0] + "\n" + "".join(
+    f"u{i},ds{min(i // 2, 1):02d},{30 + i % 40},F,control,{i % 7},{i % 5}\n"
+    for i in range(102))
 
 # (command and flags, config file text or None, a word the error line must name);
-# "{csv}", "{dup}", "{latin1}", "{twenty}", "{repeated}" and "{missing}" stand for
-# files the test writes (or not)
+# "{csv}", "{dup}", "{latin1}", "{twenty}", "{uneven}", "{repeated}" and "{missing}"
+# stand for files the test writes (or not)
 MALFORMED = {
     "validate_duplicate_ids": (["validate", "--input", "{dup}"], None, "dup.csv"),
     "classify_duplicate_ids": (["classify", "--input", "{dup}"], None, "dup.csv"),
@@ -404,6 +408,8 @@ MALFORMED = {
     "blank_targets_key": (["score", "--input", "{csv}"], "targets =", "targets"),
     "unsplittable_largest_fraction": (["classify", "--input", "{twenty}"],
                                       "fractions = 0.1,0.99", "fractions"),
+    "dataset_left_untested": (["classify", "--input", "{uneven}"], "fractions = 0.1,0.8",
+                              "'ds00' no row to test"),
     "bad_bool": (["score", "--input", "{csv}"], "controls_only = maybe", "controls_only"),
     "zero_k": (["score", "--input", "{csv}", "--k", "0"], None, "k must"),
     "zero_trees": (["classify", "--input", "{csv}", "--trees", "0"], None, "n_trees"),
@@ -439,10 +445,12 @@ MALFORMED = {
 def test_malformed_input_exits_2_naming_the_culprit(runner, tmp_path, args, config, names):
     paths = {"csv": tmp_path / "ok.csv", "dup": tmp_path / "dup.csv",
              "latin1": tmp_path / "latin1.csv", "twenty": tmp_path / "twenty.csv",
-             "repeated": tmp_path / "repeated.csv", "missing": tmp_path / "missing.cfg"}
+             "uneven": tmp_path / "uneven.csv", "repeated": tmp_path / "repeated.csv",
+             "missing": tmp_path / "missing.cfg"}
     paths["csv"].write_text(TWO_DATASET_CSV, encoding="utf-8")
     paths["repeated"].write_text(REPEATED_COLUMN_CSV, encoding="utf-8")
     paths["twenty"].write_text(TWENTY_ROW_CSV, encoding="utf-8")
+    paths["uneven"].write_text(UNEVEN_CSV, encoding="utf-8")
     paths["dup"].write_text(DUPLICATE_ID_CSV, encoding="utf-8")
     paths["latin1"].write_bytes(VALID_CSV.replace("s3,", "s\xe9,").encode("latin-1"))
     args = [arg.format(**paths) for arg in args]

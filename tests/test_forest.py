@@ -8,7 +8,7 @@ from biasaudit.forest import (Forest, RFConfig, _column_ranks, _grow_trees, _seg
                               name_that_dataset, train_forest, train_tree)
 from biasaudit.seeding import derive_seed
 from biasaudit.synth import MultiDatasetSpec, gen_multidataset
-from biasaudit.tabular import label_codes
+from biasaudit.tabular import Table, label_codes
 
 QUICK_RF = RFConfig(n_trees=20)
 # pairs whose float midpoint 0.5 * (lo + hi) is not below hi, so every row
@@ -250,6 +250,44 @@ class TestNameThatDataset:
         with pytest.raises(ValueError, match="fractions.*0.96"):
             name_that_dataset(table, {"vol": ["vol_f1"]}, fractions=(0.96, 0.5),
                               repetitions=1, seed=11, rf_config=RFConfig(n_trees=2))
+
+
+def _pinned_table():
+    """108 rows of datasets of 13, 30, 41 and 24 rows, shuffled; every ds_b row is
+    diseased, so under ``controls_only`` the class codes skip its place."""
+    rng = np.random.default_rng(19)
+    sizes = {"ds_a": 13, "ds_b": 30, "ds_c": 41, "ds_d": 24}
+    labels = np.repeat(list(sizes), list(sizes.values()))[rng.permutation(108)]
+    shift = np.searchsorted(sorted(sizes), labels) * 0.8
+    diagnosis = np.where(labels == "ds_b", "scz",
+                         np.where(rng.random(108) < 0.15, "scz", "control"))
+    return Table(ids=[f"s{i:03d}" for i in range(108)], dataset_labels=labels,
+                 ages=rng.uniform(20, 70, size=108), sexes=rng.integers(0, 2, size=108),
+                 features=rng.standard_normal((108, 3)) + shift[:, None],
+                 feature_names=("vol_a", "vol_b", "thick_c"), diagnosis_labels=diagnosis)
+
+
+# computed at the commit before the dataset labels were coded once per table
+PINNED_RESULTS = {
+    "vol": ([0.56, 0.6133333333333334], [0.09092121131323905, 0.1049867716534908],
+            [[14, 1, 0], [6, 21, 9], [0, 13, 11]]),
+    "all": ([0.5466666666666667, 0.7066666666666667], [0.0771722460186015, 0.04988876515698588],
+            [[13, 2, 0], [2, 23, 11], [0, 7, 17]]),
+}
+
+
+def test_pinned_accuracies_and_confusion():
+    table = _pinned_table()
+    assert table.filter_controls().labels() == ["ds_a", "ds_c", "ds_d"]
+    results = name_that_dataset(
+        table, {"vol": ["vol_a", "vol_b"], "all": ["vol_a", "vol_b", "thick_c", "age"]},
+        fractions=(0.2, 0.6), repetitions=3, seed=5, rf_config=RFConfig(n_trees=7))
+    for name, (means, sds, confusion) in PINNED_RESULTS.items():
+        points = results[name].curve.points
+        assert [p.mean_accuracy for p in points] == means
+        assert [p.sd_accuracy for p in points] == sds
+        assert results[name].confusion.class_labels == ("ds_a", "ds_c", "ds_d")
+        assert results[name].confusion.counts.tolist() == confusion
 
 
 def _reference_gini_best_split(values, y_onehot):

@@ -10,8 +10,8 @@ from biasaudit.errors import (DegenerateColumnError, EmptyTableError,
                               SchemaError, SplitError)
 from biasaudit.tabular import (BLOCK_RECORDS, SEX_CODES, CauseSpec, CauseTerm,
                                RejectionReport, SchemaConfig, Table,
-                               build_design, concat_tables, load_csv,
-                               standardize_column, stratified_split, summarize)
+                               build_design, concat_tables, label_codes, load_csv,
+                               standardize_column, stratified_split, stratify, summarize)
 
 HEADER = "subject_id,dataset,age,sex,diagnosis,vol_a,thick_b\n"
 
@@ -478,6 +478,17 @@ class TestStratifiedSplit:
         with pytest.raises(SplitError):
             stratified_split(table, 0.5, seed=0)
 
+    def test_dataset_left_without_a_test_row_rejected(self):
+        # datasets of 2 and 100 rows: at 0.8 both ds00 rows would train
+        table = Table(ids=[f"s{i}" for i in range(102)],
+                      dataset_labels=["ds00"] * 2 + ["ds01"] * 100, ages=np.full(102, 40.0),
+                      sexes=np.zeros(102, dtype=int), features=np.arange(102.0)[:, None],
+                      feature_names=("vol_a",))
+        with pytest.raises(SplitError, match="'ds00' no row to test"):
+            stratified_split(table, 0.8, seed=0)
+        train, test = stratified_split(table, 0.7, seed=0)
+        assert train.labels() == test.labels() == ["ds00", "ds01"]
+
     def test_bad_fraction(self):
         table = make_table(n=10)
         with pytest.raises(ValueError):
@@ -528,6 +539,19 @@ class TestTableBasics:
         assert not sub.features.flags.writeable and not sub.ages.flags.writeable
         assert table.take([0, -1]).ids == ("s0", "s11")
 
+    @pytest.mark.parametrize("rows", [
+        [3, 0, -1], np.array([3, 0, -1], dtype=np.int32), np.array([3, 0, -1]),
+        np.array([3, 0, 9], dtype=np.uint8)])
+    def test_take_accepts_integer_rows(self, rows):
+        assert make_table(n=10).take(rows).ids == ("s3", "s0", "s9")
+
+    @pytest.mark.parametrize("rows, dtype", [
+        ([True, False], "bool"), (np.ones(10, dtype=bool), "bool"), ([1.7], "float64"),
+        (np.array([0.0, 2.0]), "float64"), (["1"], "<U1")])
+    def test_take_rejects_rows_that_are_not_integers(self, rows, dtype):
+        with pytest.raises(TypeError, match=f"dtype {dtype}"):
+            make_table(n=10).take(rows)
+
     def test_take_rejects_empty_selection(self):
         with pytest.raises(EmptyTableError):
             make_table(n=5).take(np.array([], dtype=int))
@@ -551,3 +575,73 @@ class TestTableBasics:
         assert table.column("vol_a").shape == (5,)
         with pytest.raises(KeyError):
             table.column("nope")
+
+
+class TestDatasetCodes:
+    """The codes a table builds once, read after takes, against :func:`label_codes`."""
+
+    @staticmethod
+    def assert_codes_match_labels(table):
+        labels = table.labels()
+        assert labels == sorted(set(table.dataset_labels.tolist()))
+        want = label_codes(table.dataset_labels, labels)
+        np.testing.assert_array_equal(table.dataset_codes(labels), want)
+        rows = table.rows_by_dataset()
+        assert list(rows) == labels
+        for code, label in enumerate(labels):
+            np.testing.assert_array_equal(rows[label], np.flatnonzero(want == code))
+
+    def test_take_of_a_take(self):
+        table = make_table(n=60, n_datasets=5, seed=2)
+        rng = np.random.default_rng(5)
+        outer, inner = rng.permutation(60)[:40], rng.permutation(40)[:25]
+        first = table.take(outer)
+        second = first.take(inner)
+        for sub in (table, first, second):
+            self.assert_codes_match_labels(sub)
+        once = table.take(outer[inner])
+        assert second.ids == once.ids
+        np.testing.assert_array_equal(second._dataset_codes, once._dataset_codes)
+
+    def test_labels_after_a_dataset_vanishes(self):
+        table = make_table(n=30, n_datasets=3, seed=1)
+        sub = table.take(np.flatnonzero(table.dataset_labels != "d1"))
+        assert sub.labels() == ["d0", "d2"]
+        self.assert_codes_match_labels(sub)
+        np.testing.assert_array_equal(sub.dataset_codes(["d0", "d1", "d2"]),
+                                      label_codes(sub.dataset_labels, ["d0", "d1", "d2"]))
+        with pytest.raises(KeyError, match="d2"):
+            sub.dataset_codes(["d0", "d1"])
+
+    @pytest.mark.parametrize("fraction", [0.2, 0.5])
+    def test_stratify_groups_follow_label_codes(self, fraction):
+        rng = np.random.default_rng(8)
+        labels = rng.choice(["a", "b", "c", "d"], size=200, p=[0.1, 0.2, 0.3, 0.4])
+        table = Table(ids=[f"s{i}" for i in range(200)], dataset_labels=labels,
+                      ages=np.full(200, 40.0), sexes=np.zeros(200, dtype=int),
+                      features=rng.standard_normal((200, 1)), feature_names=("vol_a",),
+                      diagnosis_labels=np.where(labels == "b", "scz", "control"))
+        for sub in (table, table.filter_controls(), table.take(rng.permutation(200)[:150])):
+            codes = label_codes(sub.dataset_labels, sub.labels())
+            groups, n_train = stratify(sub, fraction)
+            assert len(groups) == len(sub.labels())
+            for code, rows in enumerate(groups):
+                np.testing.assert_array_equal(rows, np.flatnonzero(codes == code))
+            np.testing.assert_array_equal(
+                n_train, np.maximum(np.rint(fraction * np.bincount(codes)), 1))
+
+    def test_codes_take_the_smallest_dtype(self):
+        table = make_table(n=300, n_datasets=260)
+        assert table._dataset_codes.dtype == np.uint16
+        assert make_table(n=20)._dataset_codes.dtype == np.uint8
+        self.assert_codes_match_labels(table.take(np.arange(255, 5, -1)))
+
+    def test_diseased_mask_equals_per_row_rule(self):
+        labels = ["control", "", "scz", "Control", "control ", "ad", ""]
+        table = Table(ids=[f"s{i}" for i in range(7)], dataset_labels=["A"] * 7,
+                      ages=np.full(7, 40.0), sexes=np.zeros(7, dtype=int),
+                      features=np.zeros((7, 1)), feature_names=("vol_a",),
+                      diagnosis_labels=labels)
+        want = [bool(d) and d != "control" for d in labels]
+        assert table.diseased_mask().tolist() == want
+        assert table.diseased_mask().dtype == bool
