@@ -46,7 +46,8 @@ METHODS = {"advi": "advi", "closed-form": "closed_form"}
 
 def read_config_file(path) -> dict[str, str]:
     """Parse a flat ``key = value`` config file.  A '#' at the start of a line
-    or after whitespace starts a comment; inside a value (``d#1.csv``) it is text."""
+    or after whitespace starts a comment; inside a value (``d#1.csv``) it is text.
+    A key set twice is a :class:`SchemaError` naming its second line."""
     try:
         text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
@@ -58,8 +59,10 @@ def read_config_file(path) -> dict[str, str]:
             continue
         if "=" not in line:
             raise SchemaError(f"{path}:{line_no}: expected 'key = value'")
-        key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
+        key, _, value = (part.strip() for part in line.partition("="))
+        if key in values:
+            raise SchemaError(f"{path}:{line_no}: repeated key {key!r}")
+        values[key] = value
     return values
 
 
@@ -379,14 +382,26 @@ PREFIX_NAMES = {"vol_": "volume", "thick_": "thickness"}
 
 
 def _feature_sets(feature_names, prefixes) -> dict[str, list[str]]:
-    """Demographics, one set per prefix that has columns, and their union."""
-    sets = {}
+    """Demographics, one set per prefix that has columns, and their union.
+
+    Two sets of one report name (``vol_`` and ``volume_``, a prefix
+    ``age_sex_``) are a :class:`SchemaError` naming both sources.
+    """
+    sets, source = {}, {"age_sex": "the age and sex columns"}
+
+    def add(name, columns, where):
+        if name in source:
+            raise SchemaError(f"feature_prefixes: {source[name]} and {where} "
+                              f"both name the feature set {name!r}")
+        sets[name], source[name] = columns, where
+
     for prefix in prefixes:
         columns = [c for c in feature_names if c.startswith(prefix)]
         if columns:
-            sets[PREFIX_NAMES.get(prefix, prefix.rstrip("_") or prefix)] = columns
+            add(PREFIX_NAMES.get(prefix, prefix.rstrip("_") or prefix), columns, repr(prefix))
     if len(sets) > 1:
-        sets["_".join(sets)] = list(dict.fromkeys(c for cs in sets.values() for c in cs))
+        add("_".join(sets), list(dict.fromkeys(c for cs in sets.values() for c in cs)),
+            "the union of " + " and ".join(source[name] for name in sets))
     return {"age_sex": ["age", "sex"]} | sets
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import SplitError
 from .seeding import derive_seed, map_tasks
-from .tabular import Table, label_codes, stratified_split, stratify
+from .tabular import Table, stratified_split, stratify
 
 
 @dataclass(frozen=True)
@@ -243,10 +243,11 @@ def _choose_splits(flat, rank, m, rows, y, copies, sizes, feature_order):
     return feature, threshold
 
 
-def _grow_trees(X, y, samples, seeds, n_classes):
+def _grow_trees(X, y, samples, seeds):
     """Grow one CART tree per (row sample, seed), all trees a depth at a time.
 
-    ``y`` holds class codes; ``samples[t]`` is a pair ``(rows, copies)``:
+    ``y`` holds class codes 0..max(y), the width of every tree's leaf
+    counts; ``samples[t]`` is a pair ``(rows, copies)``:
     tree ``t`` trains on ``copies[i]`` copies of row ``rows[i]`` of ``X``,
     each row listed once.  A node holds each of its rows once, with its
     count, so no scan key repeats, and node sizes and leaf counts are
@@ -261,7 +262,7 @@ def _grow_trees(X, y, samples, seeds, n_classes):
     """
     flat = np.ascontiguousarray(X).ravel()
     rank = _column_ranks(X)
-    m = X.shape[1]
+    m, n_classes = X.shape[1], int(y.max()) + 1
     n_trees = len(samples)
     rngs = [np.random.default_rng(seed) for seed in seeds]
     rows, copies = map(np.concatenate, zip(*samples))
@@ -333,27 +334,24 @@ def _grow_trees(X, y, samples, seeds, n_classes):
                                (feature, threshold, left, right, leaf_counts)))]
 
 
-def _training_arrays(X, labels, class_labels):
-    """``(X, class codes, class labels)``; ValueError unless one label per row."""
+def _training_arrays(X, y):
+    """``(X, class codes)``; ValueError unless one non-negative integer code per row."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] < 1 or X.shape[1] < 1:
         raise ValueError("need a nonempty 2-D feature matrix")
-    labels = np.asarray(labels)
-    if labels.shape != (X.shape[0],):
-        raise ValueError("labels must match the number of rows")
-    if class_labels is None:
-        class_labels = sorted(set(labels.tolist()))
-    try:
-        codes = label_codes(labels, class_labels)
-    except KeyError as exc:
-        raise ValueError(f"label {exc.args[0]!r} is not among the class labels") from None
-    return X, codes, class_labels
+    y = np.asarray(y)
+    if y.shape != (X.shape[0],):
+        raise ValueError("class codes must match the number of rows")
+    if not np.issubdtype(y.dtype, np.integer) or y.min() < 0:
+        raise ValueError(f"class codes must be non-negative integers, got dtype {y.dtype}")
+    return X, y.astype(np.intp)
 
 
-def train_tree(X, labels, seed: int, class_labels=None) -> DecisionTree:
+def train_tree(X, labels, seed: int) -> DecisionTree:
     """Grow a single CART tree with Gini splits.
 
-    The one-tree call of the forest's level-synchronous grower: every
+    ``labels`` are coded by their sorted distinct values.  This is the
+    one-tree call of the forest's level-synchronous grower: every
     depth draws one uniform key row per open node from
     ``default_rng(seed)`` and sorts it into that node's feature order.
     A node considers the first ceil(sqrt(m)) features of its order; if
@@ -361,21 +359,19 @@ def train_tree(X, labels, seed: int, class_labels=None) -> DecisionTree:
     in order before giving up, so a node only becomes an impure leaf
     when every feature is constant within it.
     """
-    X, y, class_labels = _training_arrays(X, labels, class_labels)
+    X, y = _training_arrays(X, np.unique(labels, return_inverse=True)[1])
     n = X.shape[0]
-    return _grow_trees(X, y, [(np.arange(n), np.ones(n, dtype=np.int64))], [seed],
-                       len(class_labels))[0]
+    return _grow_trees(X, y, [(np.arange(n), np.ones(n, dtype=np.int64))], [seed])[0]
 
 
 @dataclass(frozen=True)
 class Forest:
     trees: tuple[DecisionTree, ...]
-    class_labels: tuple
 
     def predict_codes(self, X: np.ndarray) -> np.ndarray:
-        """Majority-vote class codes; ties go to the lowest class index."""
+        """Majority-vote class codes; ties go to the lowest class code."""
         X = np.ascontiguousarray(X, dtype=float)
-        (n, m), n_classes = X.shape, len(self.class_labels)
+        (n, m), n_classes = X.shape, self.trees[0].leaf_counts.shape[1]
         flat, row_start = X.ravel(), np.arange(n) * m
         votes = np.zeros(n * n_classes, dtype=int)
         vote_start = np.arange(n) * n_classes
@@ -384,19 +380,20 @@ class Forest:
         return np.argmax(votes.reshape(n, n_classes), axis=1)
 
 
-def train_forest(X, labels, config: RFConfig, seed: int, class_labels=None) -> Forest:
-    """Train a forest of bootstrap-resampled trees.
+def train_forest(X, y, config: RFConfig, seed: int) -> Forest:
+    """Train a forest of bootstrap-resampled trees on class codes ``y``.
 
-    All trees grow together, level by level: each depth rates every
-    open node of every tree in one segmented Gini scan (see
-    :func:`_grow_trees`).  Tree ``t`` draws its bootstrap rows from
+    The classes are 0..max(y): a class without rows keeps its code and
+    is never predicted.  All trees grow together, level by level: each
+    depth rates every open node of every tree in one segmented Gini scan
+    (see :func:`_grow_trees`).  Tree ``t`` draws its bootstrap rows from
     ``derive_seed(seed, "bootstrap", t)`` and its per-depth feature
     orders from ``derive_seed(seed, "tree", t)``, so each tree equals
     the same tree grown alone.  A tree sees its draw as row counts, each
     distinct row once with the number of times it was drawn, so the
     scan sorts and rates each distinct row once.
     """
-    X, y, class_labels = _training_arrays(X, labels, class_labels)
+    X, y = _training_arrays(X, y)
     n, tree_ids = X.shape[0], range(config.n_trees)
     samples = []
     for t in tree_ids:
@@ -404,9 +401,8 @@ def train_forest(X, labels, config: RFConfig, seed: int, class_labels=None) -> F
         copies = np.bincount(draw)
         rows = np.flatnonzero(copies)
         samples.append((rows, copies[rows]))
-    trees = _grow_trees(X, y, samples, [derive_seed(seed, "tree", t) for t in tree_ids],
-                        len(class_labels))
-    return Forest(trees=tuple(trees), class_labels=tuple(class_labels))
+    return Forest(trees=tuple(_grow_trees(X, y, samples,
+                                          [derive_seed(seed, "tree", t) for t in tree_ids])))
 
 
 @dataclass(frozen=True)
@@ -441,20 +437,17 @@ DEFAULT_REPETITIONS = 50
 
 
 def _run_repetition(args):
-    """One (feature set, fraction, repetition) cell of the experiment."""
-    table, columns, class_labels, fraction, rep_seed, rf_config, want_confusion = args
+    """One (feature set, fraction, repetition) cell of the experiment: its
+    held-out confusion counts, rows true classes and columns predicted."""
+    table, columns, class_labels, fraction, rep_seed, rf_config = args
     train, test = stratified_split(table, fraction, rep_seed)
     train_X = np.column_stack([train.column(c) for c in columns])
     test_X = np.column_stack([test.column(c) for c in columns])
-    forest = train_forest(train_X, train.dataset_labels, rf_config,
-                          derive_seed(rep_seed, "forest"), class_labels=class_labels)
-    pred = forest.predict_codes(test_X)
-    true = test.dataset_codes(class_labels)
-    confusion = None
-    if want_confusion:
-        confusion = np.zeros((len(class_labels), len(class_labels)), dtype=int)
-        np.add.at(confusion, (true, pred), 1)
-    return float(np.mean(pred == true)), confusion
+    forest = train_forest(train_X, train.dataset_codes(class_labels), rf_config,
+                          derive_seed(rep_seed, "forest"))
+    confusion = np.zeros((len(class_labels),) * 2, dtype=int)
+    np.add.at(confusion, (test.dataset_codes(class_labels), forest.predict_codes(test_X)), 1)
+    return confusion
 
 
 def name_that_dataset(table: Table, feature_sets: dict[str, list[str]],
@@ -465,15 +458,17 @@ def name_that_dataset(table: Table, feature_sets: dict[str, list[str]],
     """Try to predict each row's dataset of origin from feature subsets.
 
     For every (feature set, fraction, repetition) the table is split
-    with dataset-stratified sampling, a forest is trained on the train
-    rows and scored on the held-out rows.  Accuracy near 1/|datasets|
-    means the datasets are exchangeable; anything above it is evidence
-    of dataset bias.  A largest fraction that cannot be stratified
-    raises ValueError before any forest is trained; every smaller
-    fraction then splits too, since a fraction's train counts never
-    exceed a larger one's.  Repetition seeds derive from (seed, feature
-    set, fraction, repetition), so ``jobs > 1`` changes only the wall
-    time.
+    with dataset-stratified sampling, and a forest trained on the train
+    rows is scored by the trace of its held-out confusion matrix over
+    the total.  Accuracy above 1/|datasets| is evidence of dataset bias
+    only when the datasets have equal sizes: the forest learns each
+    dataset's share, so 15 exchangeable datasets, one of 1,000 rows and
+    14 of 100, scored 0.34-0.37 against 1/15 = 0.067.  A largest
+    fraction that cannot be stratified raises ValueError before any
+    forest is trained; every smaller fraction then splits too, since a
+    fraction's train counts never exceed a larger one's.  Repetition
+    seeds derive from (seed, feature set, fraction, repetition), so
+    ``jobs > 1`` changes only the wall time.
     """
     if len(table.labels()) < 2:
         raise ValueError("need at least 2 dataset labels")
@@ -494,18 +489,17 @@ def name_that_dataset(table: Table, feature_sets: dict[str, list[str]],
         raise ValueError(f"fractions: the largest fraction, {max_fraction}, "
                          f"cannot be split: {exc}") from None
 
+    fractions = sorted(fractions)
     tasks = [(table, columns, class_labels, fraction,
-              derive_seed(seed, fs_name, fraction, rep), rf_config,
-              fraction == max_fraction)
+              derive_seed(seed, fs_name, fraction, rep), rf_config)
              for fs_name, columns in feature_sets.items()
-             for fraction in sorted(fractions)
+             for fraction in fractions
              for rep in range(repetitions)]
-    outcomes = map_tasks(_run_repetition, tasks, jobs)
-    n_sets, n_classes = len(feature_sets), len(class_labels)
-    accuracies = np.reshape([accuracy for accuracy, _ in outcomes],
-                            (n_sets, len(fractions), repetitions))
-    confusions = np.reshape([counts for _, counts in outcomes if counts is not None],
-                            (n_sets, repetitions, n_classes, n_classes)).sum(axis=1)
+    # axes: feature set, fraction, repetition, true class, predicted class
+    n = len(class_labels)
+    confusions = np.reshape(map_tasks(_run_repetition, tasks, jobs),
+                            (len(feature_sets), len(fractions), repetitions, n, n))
+    accuracies = np.trace(confusions, axis1=3, axis2=4) / confusions.sum(axis=(3, 4))
 
     results = {}
     for fs_name, fs_accuracies, counts in zip(feature_sets, accuracies, confusions):
@@ -514,9 +508,9 @@ def name_that_dataset(table: Table, feature_sets: dict[str, list[str]],
             mean_accuracy=float(np.mean(acc)),
             sd_accuracy=float(np.std(acc)),
             repetitions=repetitions,
-        ) for fraction, acc in zip(sorted(fractions), fs_accuracies))
+        ) for fraction, acc in zip(fractions, fs_accuracies))
         results[fs_name] = FeatureSetResult(
             curve=LearningCurve(points=points),
-            confusion=ConfusionMatrix(counts=counts, class_labels=class_labels),
+            confusion=ConfusionMatrix(counts=counts[-1].sum(axis=0), class_labels=class_labels),
         )
     return results

@@ -1,13 +1,14 @@
 import hashlib
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from biasaudit.cli import KEYS, main, read_config_file, resolve_config
+from biasaudit.cli import KEYS, _feature_sets, main, read_config_file, resolve_config
 from biasaudit.errors import SchemaError
 from biasaudit.gaussmath import log_bingham_constant
 from biasaudit.models import ConfoundedModelSpec, JointVector
@@ -311,6 +312,20 @@ class TestClassify:
         assert float(curve[-1][2]) > 0.6  # 2-SD shifts; chance is 1/3
 
 
+@pytest.mark.parametrize("prefixes, names", [
+    (("vol_", "volume_", "thick_"), "'vol_' and 'volume_' both name the feature set 'volume'"),
+    (("age_sex_", "vol_"), "the age and sex columns and 'age_sex_'"),
+    (("age_", "sex_"), "the age and sex columns and the union of 'age_' and 'sex_'"),
+], ids=["two_prefixes", "demographic_prefix", "demographic_union"])
+def test_feature_sets_of_one_name_rejected(prefixes, names):
+    columns = ("vol_a", "volume_b", "thick_c", "age_sex_d", "age_e", "sex_f")
+    with pytest.raises(SchemaError, match=re.escape(names)):
+        _feature_sets(columns, prefixes)
+    # a prefix without columns makes no set, so names none
+    assert list(_feature_sets(columns, ("vol_", "volume_x", "thick_"))) == [
+        "age_sex", "volume", "thickness", "volume_thickness"]
+
+
 class TestSimulate:
     def test_writes_csv_and_sidecar(self, runner, tmp_path):
         result = invoke(runner, ["simulate", "--out", str(tmp_path), "--name",
@@ -421,6 +436,12 @@ MALFORMED = {
                               "run.cfg"),
     "unknown_key": (["score", "--input", "{csv}"], "max_iteratoins = 50", "max_iteratoins"),
     "unknown_key_validate": (["validate", "--input", "{csv}"], "sead = 1", "sead"),
+    "repeated_key": (["score", "--input", "{csv}"], "seed = 1\nseed = 2",
+                     "run.cfg:2: repeated key 'seed'"),
+    "repeated_key_validate": (["validate", "--input", "{csv}"],
+                              "age_column = age\n# note\n age_column=age", "run.cfg:3:"),
+    "feature_sets_of_one_name": (["classify", "--input", "{csv}"],
+                                 "feature_prefixes = vol_,thick_,vol_", "'vol_' and 'vol_'"),
     "family_choice": (["score", "--input", "{csv}"], "family = full_rank", "family"),
     "method_choice": (["score", "--input", "{csv}"], "method = closed_form", "method"),
     "misspelled_cause": (["score", "--input", "{csv}", "--causes", "age,vol_xx"], None,

@@ -1,4 +1,5 @@
 import hashlib
+import re
 from functools import partial
 
 import numpy as np
@@ -21,8 +22,12 @@ EDGE_PAIRS = [(1.0000000000000002, 1.0000000000000004), (1.5e308, 1.7e308),
 def blob_data(rng, n_per_class=120, shift=2.0, n_features=4):
     X = np.vstack([rng.standard_normal((n_per_class, n_features)),
                    rng.standard_normal((n_per_class, n_features)) + shift])
-    labels = np.array(["a"] * n_per_class + ["b"] * n_per_class)
-    return X, labels
+    return X, np.repeat([0, 1], n_per_class)
+
+
+def _codes(labels):
+    """Each label's index among the sorted distinct labels."""
+    return np.unique(labels, return_inverse=True)[1]
 
 
 def _scan(x, y, sizes):
@@ -90,16 +95,31 @@ class TestForest:
     @pytest.mark.parametrize("n_rows, n_labels", [(10, 12), (10, 8), (0, 0)],
                              ids=["more_labels", "fewer_labels", "no_rows"])
     def test_labels_not_one_per_row_rejected(self, train, n_rows, n_labels):
-        labels = np.array(["a", "b"] * 6)[:n_labels]
+        labels = np.array([0, 1] * 6)[:n_labels]
         with pytest.raises(ValueError, match="feature matrix|number of rows"):
             train(np.zeros((n_rows, 2)), labels)
 
-    @pytest.mark.parametrize("train", [partial(train_tree, seed=0),
-                                       partial(train_forest, config=RFConfig(n_trees=1), seed=0)],
-                             ids=["train_tree", "train_forest"])
-    def test_label_outside_class_labels_rejected(self, train):
-        with pytest.raises(ValueError, match="label 'c' is not among the class labels"):
-            train(np.zeros((2, 1)), np.array(["a", "c"]), class_labels=["a", "b"])
+    @pytest.mark.parametrize("codes", [np.array([0.0, 1.0]), np.array(["0", "1"]),
+                                       np.array([0, -1]), np.array([True, False])],
+                             ids=["float", "string", "negative", "bool"])
+    def test_codes_that_are_not_non_negative_integers_rejected(self, codes):
+        with pytest.raises(ValueError, match=re.escape(f"got dtype {codes.dtype}")):
+            train_forest(np.zeros((2, 1)), codes, RFConfig(n_trees=1), seed=0)
+
+    def test_class_missing_below_max_keeps_its_code(self, rng):
+        # codes 0 and 2, none 1: every leaf is three counts wide, and the
+        # forest is the one trained on codes 0 and 1 with class 1 renamed 2
+        X, y = blob_data(rng, n_per_class=40)
+        gap = train_forest(X, 2 * y, QUICK_RF, seed=9)
+        dense = train_forest(X, y, QUICK_RF, seed=9)
+        for tree, twin in zip(gap.trees, dense.trees):
+            assert tree.leaf_counts.shape == (tree.n_nodes, 3)
+            assert not tree.leaf_counts[:, 1].any()
+            np.testing.assert_array_equal(tree.leaf_counts[:, [0, 2]], twin.leaf_counts)
+        probe = np.vstack([X, 3.0 * rng.standard_normal((200, 4)) + 1.0])
+        pred = gap.predict_codes(probe)
+        assert set(pred.tolist()) == {0, 2}
+        np.testing.assert_array_equal(pred, 2 * dense.predict_codes(probe))
 
     def test_one_tree_forest_votes_as_its_tree(self, rng):
         X, labels = blob_data(rng, n_per_class=40)
@@ -119,13 +139,10 @@ class TestForest:
         accs = []
         for rep in range(50):
             X = rng.standard_normal((80, 3))
-            labels = np.array(["a", "b"] * 40)
-            rng.shuffle(labels)
-            forest = train_forest(X[:60], labels[:60], RFConfig(n_trees=10),
-                                  seed=rep)
-            classes = sorted(set(labels.tolist()))
-            want = np.array([classes.index(v) for v in labels[60:]])
-            accs.append(float(np.mean(forest.predict_codes(X[60:]) == want)))
+            y = np.array([0, 1] * 40)
+            rng.shuffle(y)
+            forest = train_forest(X[:60], y[:60], RFConfig(n_trees=10), seed=rep)
+            accs.append(float(np.mean(forest.predict_codes(X[60:]) == y[60:])))
         assert abs(np.mean(accs) - 0.5) < 0.10
 
     def test_deterministic_given_seed(self, rng):
@@ -150,7 +167,6 @@ class TestPredict:
         X, labels = blob_data(rng, n_per_class=40)
         forest = train_forest(X, labels, QUICK_RF, seed=7)
         probe = np.full((1, 4), -2.0)
-        assert forest.class_labels == ("a", "b")
         assert forest.predict_codes(probe).tolist() == [0]
         assert all(tree.predict_codes(probe).tolist() == [0] for tree in forest.trees)
 
@@ -161,7 +177,7 @@ class TestPredict:
         t2 = train_tree(X, np.array(["b", "a"]), seed=0)
         probe = np.array([[-1.0]])
         assert [t1.predict_codes(probe)[0], t2.predict_codes(probe)[0]] == [0, 1]
-        forest = Forest(trees=(t1, t2), class_labels=("a", "b"))
+        forest = Forest(trees=(t1, t2))
         assert forest.predict_codes(probe).tolist() == [0]
 
 
@@ -475,7 +491,7 @@ class TestLevelGrowerOracle:
             copies = rng.integers(0, 4, size=X.shape[0])
             rows = np.flatnonzero(copies)
             samples.append((rows, copies[rows]))
-        trees = _grow_trees(X, y, samples, [0, 1], len(classes))
+        trees = _grow_trees(X, y, samples, [0, 1])
         for seed, (tree, (rows, copies)) in enumerate(zip(trees, samples)):
             expanded = np.repeat(rows, copies)
             _assert_same_tree(tree, _reference_train_tree(X[expanded], labels[expanded], seed,
@@ -483,13 +499,12 @@ class TestLevelGrowerOracle:
 
     def test_forest_trees_equal_trees_grown_alone(self):
         X, labels = _oracle_data(7, 120, 4, 5)
-        classes = sorted(set(labels.tolist()))
-        forest = train_forest(X, labels, RFConfig(n_trees=6), seed=21)
+        forest = train_forest(X, _codes(labels), RFConfig(n_trees=6), seed=21)
         for t, tree in enumerate(forest.trees):
             rows = np.random.default_rng(derive_seed(21, "bootstrap", t)).integers(
                 0, X.shape[0], size=X.shape[0])
-            alone = train_tree(X[rows], labels[rows], derive_seed(21, "tree", t),
-                               class_labels=classes)
+            # every bootstrap here draws each of the 5 classes
+            alone = train_tree(X[rows], labels[rows], derive_seed(21, "tree", t))
             _assert_same_tree(tree, (alone.feature, alone.threshold, alone.left,
                                      alone.right, alone.leaf_counts))
 
@@ -654,7 +669,8 @@ def _forest_digest(forest):
 ])
 def test_pinned_forest_digest(data, seed, digest):
     X, labels = data()
-    assert _forest_digest(train_forest(X, labels, RFConfig(n_trees=20), seed=seed)) == digest
+    assert _forest_digest(train_forest(X, _codes(labels), RFConfig(n_trees=20),
+                                       seed=seed)) == digest
 
 
 def _reference_predict_codes(tree, X):
@@ -706,7 +722,7 @@ class TestFixedDepthWalkOracle:
 
     def test_forest_votes_equal_compaction_walk_votes(self, rng):
         X, labels = _oracle_data(3, 200, 4, 6)
-        forest = train_forest(X, labels, RFConfig(n_trees=9), seed=8)
+        forest = train_forest(X, _codes(labels), RFConfig(n_trees=9), seed=8)
         probes = _walk_probes(forest.trees[0], X, rng)
         votes = np.zeros((probes.shape[0], 6), dtype=int)
         for tree in forest.trees:
