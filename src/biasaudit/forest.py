@@ -439,14 +439,14 @@ DEFAULT_REPETITIONS = 50
 def _run_repetition(args):
     """One (feature set, fraction, repetition) cell of the experiment: its
     held-out confusion counts, rows true classes and columns predicted."""
-    table, columns, class_labels, fraction, rep_seed, rf_config = args
+    table, columns, fraction, rep_seed, rf_config = args
     train, test = stratified_split(table, fraction, rep_seed)
     train_X = np.column_stack([train.column(c) for c in columns])
     test_X = np.column_stack([test.column(c) for c in columns])
-    forest = train_forest(train_X, train.dataset_codes(class_labels), rf_config,
+    forest = train_forest(train_X, train.dataset_codes, rf_config,
                           derive_seed(rep_seed, "forest"))
-    confusion = np.zeros((len(class_labels),) * 2, dtype=int)
-    np.add.at(confusion, (test.dataset_codes(class_labels), forest.predict_codes(test_X)), 1)
+    confusion = np.zeros((int(table.dataset_codes.max()) + 1,) * 2, dtype=int)
+    np.add.at(confusion, (test.dataset_codes, forest.predict_codes(test_X)), 1)
     return confusion
 
 
@@ -466,12 +466,12 @@ def name_that_dataset(table: Table, feature_sets: dict[str, list[str]],
     14 of 100, scored 0.34-0.37 against 1/15 = 0.067.  A largest
     fraction that cannot be stratified raises ValueError before any
     forest is trained; every smaller fraction then splits too, since a
-    fraction's train counts never exceed a larger one's.  Repetition
+    fraction's train counts never exceed a larger one's.  So does a
+    table left with fewer than 2 datasets once ``controls_only`` has
+    dropped the diseased rows.  Repetition
     seeds derive from (seed, feature set, fraction, repetition), so
     ``jobs > 1`` changes only the wall time.
     """
-    if len(table.labels()) < 2:
-        raise ValueError("need at least 2 dataset labels")
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
     if jobs < 1:
@@ -482,6 +482,9 @@ def name_that_dataset(table: Table, feature_sets: dict[str, list[str]],
     if controls_only:
         table = table.filter_controls()
     class_labels = tuple(table.labels())
+    if len(class_labels) < 2:
+        rows = "control rows" if controls_only else "rows"
+        raise ValueError(f"need {rows} from at least 2 datasets, got {len(class_labels)}")
     max_fraction = max(fractions)
     try:
         stratify(table, max_fraction)
@@ -490,15 +493,17 @@ def name_that_dataset(table: Table, feature_sets: dict[str, list[str]],
                          f"cannot be split: {exc}") from None
 
     fractions = sorted(fractions)
-    tasks = [(table, columns, class_labels, fraction,
-              derive_seed(seed, fs_name, fraction, rep), rf_config)
+    tasks = [(table, columns, fraction, derive_seed(seed, fs_name, fraction, rep), rf_config)
              for fs_name, columns in feature_sets.items()
              for fraction in fractions
              for rep in range(repetitions)]
-    # axes: feature set, fraction, repetition, true class, predicted class
-    n = len(class_labels)
-    confusions = np.reshape(map_tasks(_run_repetition, tasks, jobs),
-                            (len(feature_sets), len(fractions), repetitions, n, n))
+    # each task's counts run over every code up to the largest present; keep
+    # the codes present, in the order of class_labels.  axes: feature set,
+    # fraction, repetition, true class, predicted class
+    present = np.flatnonzero(np.bincount(table.dataset_codes))
+    confusions = np.array(map_tasks(_run_repetition, tasks, jobs))[:, present[:, None], present]
+    confusions = confusions.reshape(len(feature_sets), len(fractions), repetitions,
+                                    present.size, present.size)
     accuracies = np.trace(confusions, axis1=3, axis2=4) / confusions.sum(axis=(3, 4))
 
     results = {}

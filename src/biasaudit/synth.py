@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tabular import Table, concat_tables, write_csv
+from .tabular import SchemaConfig, Table, concat_tables, write_csv
 
 
 @dataclass(frozen=True)
@@ -160,12 +160,14 @@ def gen_multidataset(spec: MultiDatasetSpec) -> Table:
 
 
 def write_table_csv(table: Table, path) -> None:
-    """Write a table in the standard ingestion schema.
+    """Write a table under :class:`SchemaConfig`'s default column names.
 
     Floats are written with full round-trip precision so a reloaded
     table is bit-identical.
     """
-    header = ["subject_id", "dataset", "age", "sex", "diagnosis"]
+    schema = SchemaConfig()
+    header = [schema.id_column, schema.dataset_column, schema.age_column, schema.sex_column,
+              schema.diagnosis_column]
     columns = [table.ids, table.dataset_labels, map(float, table.ages), map(int, table.sexes),
                table.diagnosis_labels]
     # one row at a time, in Python numbers: a numpy float's repr names its type

@@ -1,10 +1,11 @@
 """Tabular ingestion, validation, standardization and splitting.
 
 The CSV surface: UTF-8 with a header row; required columns
-``subject_id``, ``dataset``, ``age``, ``sex`` (``M``/``F`` or ``1``/``0``),
-an optional diagnosis column, and numeric feature columns selected by
-prefix (``vol_``, ``thick_`` by default).  Rows failing validation are
-rejected and reported, never imputed.
+``subject_id``, ``dataset``, ``age``, ``sex`` (``M``/``F``,
+``male``/``female`` or ``1``/``0``), an optional diagnosis column, and
+numeric feature columns selected by prefix (``vol_``, ``thick_`` by
+default).  Rows failing validation are rejected and reported, never
+imputed.
 """
 
 import copy
@@ -64,19 +65,27 @@ class Table:
     Numeric payloads are stored as read-only numpy arrays so tables can
     be shared across threads.  Without diagnosis labels every row's
     label is ``""``, which reads as healthy.  The dataset labels are
-    coded once, when a table is built: the sorted distinct labels, and
-    one small integer per row giving its label's place among them.
+    held once, coded when a table is built: the sorted distinct labels,
+    and ``dataset_codes``, one small integer per row giving its label's
+    place among them; ``dataset_labels`` reads them back as labels.
     :meth:`take` gathers the codes with the rows and never codes again,
     so a taken table may keep a label that none of its rows carries;
-    :meth:`labels` lists only the labels present.  Subject ids are held
-    as an array; ``ids``, a tuple, is built when first read.
+    :meth:`labels` lists only the labels present.
     """
+
+    # each array with one entry per row, by the argument it is built from:
+    # take gathers them, _freeze locks them and _validate checks their length
+    _PER_ROW = {"_id_array": "ids", "dataset_codes": "dataset_labels", "ages": "ages",
+                "sexes": "sexes", "features": "features",
+                "diagnosis_labels": "diagnosis_labels"}
 
     def __init__(self, ids, dataset_labels, ages, sexes, features,
                  feature_names, diagnosis_labels=(), healthy_label="control"):
         self._id_array = np.array(list(map(str, ids)), dtype=object)
-        self._ids = None
-        self.dataset_labels = np.asarray(dataset_labels, dtype=object)
+        labels = np.asarray(dataset_labels, dtype=object)
+        self._dataset_names = tuple(sorted(set(labels.ravel().tolist())))
+        self.dataset_codes = label_codes(labels.ravel(), self._dataset_names).astype(
+            np.min_scalar_type(len(self._dataset_names))).reshape(labels.shape)
         self.ages = np.asarray(ages, dtype=float)
         self.sexes = np.asarray(sexes, dtype=int)
         self.features = np.asarray(features, dtype=float).reshape(self.n_rows, -1)
@@ -86,15 +95,11 @@ class Table:
             self.diagnosis_labels = np.full(self.n_rows, "", dtype=object)
         self.healthy_label = healthy_label
         self._validate()
-        self._dataset_names = tuple(sorted(set(self.dataset_labels.tolist())))
-        self._dataset_codes = label_codes(self.dataset_labels, self._dataset_names).astype(
-            np.min_scalar_type(len(self._dataset_names)))
         self._freeze()
 
     def _freeze(self):
-        for arr in (self._id_array, self.dataset_labels, self.ages, self.sexes, self.features,
-                    self.diagnosis_labels, self._dataset_codes):
-            arr.flags.writeable = False
+        for name in self._PER_ROW:
+            getattr(self, name).flags.writeable = False
 
     def _validate(self):
         n = self.n_rows
@@ -104,9 +109,10 @@ class Table:
             raise ValueError("subject ids are not unique")
         if self.features.shape != (n, len(self.feature_names)):
             raise ValueError("feature matrix shape does not match declared columns")
-        for name in ("dataset_labels", "ages", "sexes", "diagnosis_labels"):
-            if getattr(self, name).shape != (n,):
-                raise ValueError(f"{name} must hold one value per row")
+        for name, argument in self._PER_ROW.items():
+            shape = getattr(self, name).shape  # (n,), or (n, columns) for the features
+            if shape[:1] != (n,) or len(shape) != 1 + (name == "features"):
+                raise ValueError(f"{argument} must hold one value per row")
         if not np.all(np.isfinite(self.features)):
             raise ValueError("non-finite feature values")
         if not np.all(np.isfinite(self.ages)) or np.any(self.ages <= 0):
@@ -121,34 +127,26 @@ class Table:
     @property
     def ids(self) -> tuple[str, ...]:
         """Subject ids in row order."""
-        if self._ids is None:
-            self._ids = tuple(self._id_array.tolist())
-        return self._ids
+        return tuple(self._id_array.tolist())
+
+    @property
+    def dataset_labels(self) -> np.ndarray:
+        """Each row's dataset label, as a read-only array read from the codes."""
+        labels = np.array(self._dataset_names, dtype=object)[self.dataset_codes]
+        labels.flags.writeable = False
+        return labels
 
     def labels(self) -> list[str]:
         """Distinct dataset labels in sorted order."""
-        present = np.bincount(self._dataset_codes, minlength=len(self._dataset_names))
+        present = np.bincount(self.dataset_codes, minlength=len(self._dataset_names))
         return [self._dataset_names[i] for i in np.flatnonzero(present)]
 
     def rows_by_dataset(self) -> dict[str, np.ndarray]:
         """Each dataset label, in sorted order, with its row numbers, ascending."""
-        codes = self._dataset_codes
+        codes = self.dataset_codes
         sizes = np.bincount(codes, minlength=len(self._dataset_names))
         groups = np.split(np.argsort(codes, kind="stable"), np.cumsum(sizes)[:-1])
         return {name: rows for name, rows in zip(self._dataset_names, groups) if rows.size}
-
-    def dataset_codes(self, labels) -> np.ndarray:
-        """Each row's dataset label as its index in ``labels``, read from the codes.
-
-        Raises KeyError, naming the label, when a row's label is not in ``labels``.
-        """
-        at = {label: i for i, label in enumerate(labels)}
-        renumber = np.array([at.get(name, -1) for name in self._dataset_names],
-                            dtype=np.min_scalar_type(-1 - len(at)))  # holds -1 and each index
-        codes = renumber[self._dataset_codes]
-        if codes.min() < 0:
-            raise KeyError(self.dataset_labels[np.argmin(codes)])
-        return codes
 
     def diseased_mask(self) -> np.ndarray:
         """True for rows carrying a diagnosis other than the healthy label."""
@@ -184,14 +182,8 @@ class Table:
         if np.bincount(idx).max() > 1:
             raise ValueError("subject ids are not unique")
         sub = copy.copy(self)
-        sub._id_array = self._id_array[idx]
-        sub._ids = None
-        sub.dataset_labels = self.dataset_labels[idx]
-        sub._dataset_codes = self._dataset_codes[idx]
-        sub.ages = self.ages[idx]
-        sub.sexes = self.sexes[idx]
-        sub.features = self.features[idx]
-        sub.diagnosis_labels = self.diagnosis_labels[idx]
+        for name in self._PER_ROW:
+            setattr(sub, name, getattr(self, name)[idx])
         sub._freeze()
         return sub
 

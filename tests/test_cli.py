@@ -1,7 +1,10 @@
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -146,6 +149,22 @@ class TestScore:
         payload = json.loads((out / "scores.json").read_text())
         assert payload["fingerprint"]
         assert payload["records"][0]["diagnostics"]["causal"]["method"] == "advi"
+
+    def test_walkthrough_fit_stops_are_pinned(self, runner, tmp_path, monkeypatch):
+        # the iteration counts README's modeling notes and advi.fit quote
+        monkeypatch.chdir(tmp_path)
+        invoke(runner, ["simulate", "--out", "demo", "--name", "toy", "--alpha", "1.0",
+                        "--n", "500", "--seed", "7"])
+        stops = {}
+        for method in ("closed-form", "advi"):
+            result = invoke(runner, ["score", "--input", "demo/toy.csv", "--out", method,
+                                     "--seed", "7", "--causes", "vol_x1,vol_x2,vol_x3",
+                                     "--targets", "vol_y", "--method", method])
+            assert result.exit_code == 0
+            (record,) = json.loads(Path(method, "scores.json").read_text())["records"]
+            stops[method] = [record["diagnostics"][side]["iterations"]
+                             for side in ("causal", "confounded")]
+        assert stops == {"closed-form": [0, 0], "advi": [3200, 400]}
 
     def test_rerun_byte_identical(self, runner, tmp_path):
         _, out1 = simulate_and_score(runner, tmp_path, "rep")
@@ -385,6 +404,8 @@ TWO_DATASET_CSV = VALID_CSV + (
     "s6,B,55,0,control,2.2,3.2\n"
 )
 DUPLICATE_ID_CSV = VALID_CSV + "s1,B,35,F,control,1.2,2.2\n"
+# dataset B has diseased rows only, so controls filtering leaves A alone
+ONE_CONTROL_DATASET_CSV = VALID_CSV + "s4,B,35,F,scz,1.2,2.2\ns5,B,45,M,ad,1.7,2.7\n"
 REPEATED_COLUMN_CSV = "subject_id,dataset,age,sex,vol_a,vol_a,vol_b\n" + "".join(
     f"s{i},{'AB'[i % 2]},{30 + i},M,{i},{100 * i},{i % 3}\n" for i in range(1, 7))
 
@@ -397,8 +418,8 @@ UNEVEN_CSV = VALID_CSV.split("\n", 1)[0] + "\n" + "".join(
     for i in range(102))
 
 # (command and flags, config file text or None, a word the error line must name);
-# "{csv}", "{dup}", "{latin1}", "{twenty}", "{uneven}", "{repeated}" and "{missing}"
-# stand for files the test writes (or not)
+# "{csv}", "{dup}", "{latin1}", "{twenty}", "{uneven}", "{repeated}", "{one_control}"
+# and "{missing}" stand for files the test writes (or not)
 MALFORMED = {
     "validate_duplicate_ids": (["validate", "--input", "{dup}"], None, "dup.csv"),
     "classify_duplicate_ids": (["classify", "--input", "{dup}"], None, "dup.csv"),
@@ -425,6 +446,8 @@ MALFORMED = {
                                       "fractions = 0.1,0.99", "fractions"),
     "dataset_left_untested": (["classify", "--input", "{uneven}"], "fractions = 0.1,0.8",
                               "'ds00' no row to test"),
+    "one_dataset_after_filtering": (["classify", "--input", "{one_control}"], None,
+                                    "from at least 2 datasets, got 1"),
     "bad_bool": (["score", "--input", "{csv}"], "controls_only = maybe", "controls_only"),
     "zero_k": (["score", "--input", "{csv}", "--k", "0"], None, "k must"),
     "zero_trees": (["classify", "--input", "{csv}", "--trees", "0"], None, "n_trees"),
@@ -467,8 +490,9 @@ def test_malformed_input_exits_2_naming_the_culprit(runner, tmp_path, args, conf
     paths = {"csv": tmp_path / "ok.csv", "dup": tmp_path / "dup.csv",
              "latin1": tmp_path / "latin1.csv", "twenty": tmp_path / "twenty.csv",
              "uneven": tmp_path / "uneven.csv", "repeated": tmp_path / "repeated.csv",
-             "missing": tmp_path / "missing.cfg"}
+             "one_control": tmp_path / "one_control.csv", "missing": tmp_path / "missing.cfg"}
     paths["csv"].write_text(TWO_DATASET_CSV, encoding="utf-8")
+    paths["one_control"].write_text(ONE_CONTROL_DATASET_CSV, encoding="utf-8")
     paths["repeated"].write_text(REPEATED_COLUMN_CSV, encoding="utf-8")
     paths["twenty"].write_text(TWENTY_ROW_CSV, encoding="utf-8")
     paths["uneven"].write_text(UNEVEN_CSV, encoding="utf-8")
@@ -850,3 +874,42 @@ def test_closed_form_score_at_extreme_bingham_arguments(runner, tmp_path):
     want, largest_argument = _dense_radial_log_evidence(V, ConfoundedModelSpec(sigma_obs=0.03))
     assert largest_argument > 1e6
     assert payload["records"][0]["L_co"] == pytest.approx(-want, abs=1e-8)
+
+
+# Runs each command line of a JSON list in one process, then prints which
+# of the named modules are imported: a module loaded on the way counts
+# toward every command's peak RSS.
+MODULES_AFTER = """
+import json, sys
+from biasaudit.cli import main
+
+for args in json.loads(sys.argv[1]):
+    try:
+        main(args)
+    except SystemExit as exc:
+        assert not exc.code, (args, exc.code)
+print(json.dumps([name for name in ("numpy.ma", "numpy.polynomial") if name in sys.modules]))
+"""
+
+
+def test_commands_import_neither_numpy_ma_nor_numpy_polynomial(runner, tmp_path):
+    invoke(runner, ["simulate", "--out", str(tmp_path), "--name", "toy", "--n", "100",
+                    "--seed", "7"])
+    invoke(runner, ["simulate", "--kind", "multidataset", "--n-datasets", "3", "--n", "30",
+                    "--out", str(tmp_path), "--name", "multi", "--seed", "7"])
+    (tmp_path / "fit.cfg").write_text("max_iterations = 400\nfinal_elbo_samples = 100\n",
+                                      encoding="utf-8")
+    toy, out = str(tmp_path / "toy.csv"), str(tmp_path / "out")
+    score = ["score", "--input", toy, "--out", out, "--causes", "vol_x1,vol_x2,vol_x3",
+             "--targets", "vol_y"]
+    commands = [score,
+                score + ["--method", "advi", "--k", "2", "--config", str(tmp_path / "fit.cfg")],
+                ["classify", "--input", str(tmp_path / "multi.csv"), "--out", out,
+                 "--repetitions", "1", "--trees", "3"]]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH", "")])
+    result = subprocess.run([sys.executable, "-c", MODULES_AFTER, json.dumps(commands)],
+                            env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout.splitlines()[-1]) == []

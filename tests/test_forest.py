@@ -227,6 +227,19 @@ class TestNameThatDataset:
             name_that_dataset(solo, {"vol": ["vol_f1"]}, fractions=(0.5,),
                               repetitions=1, seed=0)
 
+    def test_one_dataset_left_after_filtering_rejected(self):
+        table = gen_multidataset(MultiDatasetSpec(n_per_dataset=20,
+                                                  shifts=(0.0, 0.0), seed=7))
+        diagnosis = np.where(table.dataset_labels == "ds01", "scz", "control")
+        table = Table(table.ids, table.dataset_labels, table.ages, table.sexes,
+                      table.features, table.feature_names, diagnosis)
+        kwargs = dict(feature_sets={"vol": ["vol_f1"]}, fractions=(0.5,), repetitions=1,
+                      seed=0, rf_config=RFConfig(n_trees=2))
+        with pytest.raises(ValueError, match="control rows from at least 2 datasets, got 1"):
+            name_that_dataset(table, **kwargs)
+        results = name_that_dataset(table, controls_only=False, **kwargs)
+        assert results["vol"].confusion.class_labels == ("ds00", "ds01")
+
     def test_deterministic_given_seed(self):
         table = gen_multidataset(MultiDatasetSpec(
             n_per_dataset=30, shifts=(0.0, 2.0), seed=8))
