@@ -11,7 +11,9 @@ numpy calls grows with depth, not with node count.  Each column is
 ranked once per forest, so that scan orders all its segments with one
 integer sort per depth; each (segment, rank) key occurs once, so the
 sort need not be stable.  Each tree draws its nodes' feature orders
-from its own seed, one block per depth.  The membership harness
+from its own seed, one block per depth.  A forest predicts each cell
+of its threshold grid once: rows that no split threshold of any tree
+separates take the same path in every tree.  The membership harness
 ("which dataset does this row come from?") trains forests over a grid
 of training fractions and reports learning curves plus a confusion
 matrix at the largest fraction.
@@ -77,7 +79,7 @@ class DecisionTree:
 
     def predict_codes(self, X: np.ndarray) -> np.ndarray:
         """Class code of each row: ``depth`` steps of every row at once."""
-        X = np.ascontiguousarray(X, dtype=float)
+        X = _feature_matrix(X, [self])
         return self._walk(X.ravel(), np.arange(X.shape[0]) * X.shape[1])
 
     def _walk(self, flat, row_start):
@@ -87,6 +89,26 @@ class DecisionTree:
         for _ in range(self.depth):
             node = child[node + (flat[row_start + feature[node]] <= threshold[node])]
         return self._leaf_pred[node >> 1]
+
+
+def _feature_matrix(X, trees):
+    """``X`` as a C-order float matrix; ValueError unless it is 2-D with a
+    column for every feature the trees split on."""
+    X = np.ascontiguousarray(X, dtype=float)
+    need = 1 + max(int(tree.feature.max()) for tree in trees)
+    if X.ndim != 2 or X.shape[1] < need:
+        raise ValueError(f"need a 2-D feature matrix of at least {need} columns, "
+                         f"got shape {X.shape}")
+    return X
+
+
+def _dense_codes(codes):
+    """``(dense, count)``: each code's rank among the ``count`` distinct codes."""
+    order = np.argsort(codes)
+    head = _heads(codes[order])
+    dense = np.empty(codes.size, dtype=np.int64)
+    dense[order] = np.cumsum(head) - 1
+    return dense, int(head.sum())
 
 
 def _column_ranks(X):
@@ -369,15 +391,43 @@ class Forest:
     trees: tuple[DecisionTree, ...]
 
     def predict_codes(self, X: np.ndarray) -> np.ndarray:
-        """Majority-vote class codes; ties go to the lowest class code."""
-        X = np.ascontiguousarray(X, dtype=float)
-        (n, m), n_classes = X.shape, self.trees[0].leaf_counts.shape[1]
-        flat, row_start = X.ravel(), np.arange(n) * m
-        votes = np.zeros(n * n_classes, dtype=int)
-        vote_start = np.arange(n) * n_classes
+        """Majority-vote class codes; ties go to the lowest class code.
+
+        Rows that no split threshold of any tree separates share a cell
+        of the forest's threshold grid and are walked once.  A row's
+        place in column j is its ``searchsorted(T_j, x, "left")`` among
+        the sorted distinct thresholds T_j of the splits on j, and
+        ``x <= T_j[k]`` exactly when that place is at most k: NaN sorts
+        past every threshold and goes right, as the walk sends it, and
+        +-0 compare equal.  So every row of a cell takes its cell's path
+        in every tree.  A cell is coded by its places in mixed radix,
+        re-ranked to dense codes before the product could pass 2**62.
+        """
+        X = _feature_matrix(X, self.trees)
+        n, m = X.shape
+        feature = np.concatenate([tree.feature for tree in self.trees])
+        threshold = np.concatenate([tree.threshold for tree in self.trees])
+        cell, size = np.zeros(n, dtype=np.int64), 1
+        for j in range(m):
+            T = np.sort(threshold[feature == j])
+            T = T[_heads(T)]
+            if size * (T.size + 1) > 2 ** 62:
+                cell, size = _dense_codes(cell)
+            cell *= T.size + 1
+            cell += np.searchsorted(T, X[:, j], side="left")
+            size *= T.size + 1
+        del feature, threshold
+        cell, n_cells = _dense_codes(cell)
+        walked = np.empty(n_cells, dtype=np.intp)  # one row of each cell
+        walked[cell] = np.arange(n)
+
+        n_classes = self.trees[0].leaf_counts.shape[1]
+        votes = np.zeros(n_cells * n_classes, dtype=np.min_scalar_type(len(self.trees)))
+        vote_start = np.arange(n_cells) * n_classes
+        flat, row_start = X.ravel(), walked * m
         for tree in self.trees:
             votes[vote_start + tree._walk(flat, row_start)] += 1
-        return np.argmax(votes.reshape(n, n_classes), axis=1)
+        return np.argmax(votes.reshape(n_cells, n_classes), axis=1)[cell]
 
 
 def train_forest(X, y, config: RFConfig, seed: int) -> Forest:

@@ -5,11 +5,11 @@ from functools import partial
 import numpy as np
 import pytest
 
-from biasaudit.forest import (Forest, RFConfig, _column_ranks, _grow_trees, _segment_splits,
-                              name_that_dataset, train_forest, train_tree)
+from biasaudit.forest import (DecisionTree, Forest, RFConfig, _column_ranks, _grow_trees,
+                              _segment_splits, name_that_dataset, train_forest, train_tree)
 from biasaudit.seeding import derive_seed
 from biasaudit.synth import MultiDatasetSpec, gen_multidataset
-from biasaudit.tabular import Table, label_codes
+from biasaudit.tabular import Table, label_codes, stratified_split
 
 QUICK_RF = RFConfig(n_trees=20)
 # pairs whose float midpoint 0.5 * (lo + hi) is not below hi, so every row
@@ -179,6 +179,22 @@ class TestPredict:
         assert [t1.predict_codes(probe)[0], t2.predict_codes(probe)[0]] == [0, 1]
         forest = Forest(trees=(t1, t2))
         assert forest.predict_codes(probe).tolist() == [0]
+
+    @pytest.mark.parametrize("model", ["tree", "forest"])
+    @pytest.mark.parametrize("shape", ["narrow", "one_d"])
+    def test_X_without_every_split_column_rejected(self, rng, model, shape):
+        # a narrower X would read a split's column from the next row
+        X = rng.standard_normal((300, 4))
+        labels = rng.integers(0, 3, size=300)
+        fitted = (train_tree(X, labels, seed=1) if model == "tree"
+                  else train_forest(X, labels, QUICK_RF, seed=1))
+        trees = [fitted] if model == "tree" else fitted.trees
+        need = 1 + max(int(tree.feature.max()) for tree in trees)
+        assert fitted.predict_codes(X[:, :need]).shape == (300,)
+        bad = X[:, need - 1] if shape == "one_d" else X[:, :need - 1]
+        with pytest.raises(ValueError, match=re.escape(
+                f"at least {need} columns, got shape {bad.shape}")):
+            fitted.predict_codes(bad)
 
 
 class TestNameThatDataset:
@@ -686,6 +702,30 @@ def test_pinned_forest_digest(data, seed, digest):
                                        seed=seed)) == digest
 
 
+def _held_out_codes(columns):
+    """A 15-tree forest's codes for the held-out rows of 15 shifted datasets of
+    1,000 rows, trained on 2 rows of each: 30 rows against 14,970."""
+    table = gen_multidataset(MultiDatasetSpec(n_per_dataset=1000,
+                                              shifts=tuple(0.3 * d for d in range(15)), seed=7))
+    train, test = stratified_split(table, 0.002, seed=11)
+    forest = train_forest(np.column_stack([train.column(c) for c in columns]),
+                          train.dataset_codes, RFConfig(n_trees=15), seed=12)
+    return forest.predict_codes(np.column_stack([test.column(c) for c in columns]))
+
+
+# held-out codes digested when the forest still walked every row
+@pytest.mark.parametrize("columns, digest", [
+    pytest.param(["age", "sex"],
+                 "a870efdc7813b77b443196ecb39f50a163df6dc49e576f95109b97f682e080ed", id="age_sex"),
+    pytest.param(["age", "sex", "vol_f1", "vol_f2", "thick_f1", "thick_f2"],
+                 "352f06b355685aa4ddbbb6733e887ca354df9259d8936cdeba832de6108b3b8b", id="all"),
+])
+def test_pinned_held_out_codes(columns, digest):
+    codes = _held_out_codes(columns)
+    assert codes.size == 14_970
+    assert hashlib.sha256(codes.astype("<i8").tobytes()).hexdigest() == digest
+
+
 def _reference_predict_codes(tree, X):
     """The compaction walk: only rows still at an internal node step on."""
     X = np.asarray(X, dtype=float)
@@ -712,6 +752,119 @@ def _walk_probes(tree, X, rng):
     return np.vstack([X, on_threshold, special])
 
 
+def _split_thresholds(forest, column):
+    """Every threshold at which some tree of ``forest`` splits ``column``."""
+    return np.concatenate([tree.threshold[tree.feature == column] for tree in forest.trees])
+
+
+def _every_tree_probes(forest, X, rng):
+    """:func:`_walk_probes` of each tree, so on-threshold rows cover every split."""
+    return np.vstack([_walk_probes(tree, X, rng) for tree in forest.trees])
+
+
+def _jittered(forest, probes, rng, copies=4):
+    """``probes`` and ``copies`` more copies of them, each finite value moved by
+    under a quarter of its distance to the nearest threshold of its column, so
+    every copy shares its probe's cell; values on a threshold stay put."""
+    gap = np.full(probes.shape, np.inf)
+    with np.errstate(invalid="ignore"):  # inf - inf
+        for j in range(probes.shape[1]):
+            T = _split_thresholds(forest, j)
+            if T.size:
+                gap[:, j] = np.abs(probes[:, j, None] - T).min(axis=1)
+    step = 0.25 * np.where(np.isfinite(gap), gap, 1.0)
+    return np.vstack([probes] + [probes + step * rng.uniform(-1.0, 1.0, size=probes.shape)
+                                 for _ in range(copies)])
+
+
+def _walk_case_tree0(rng):
+    X, labels = _oracle_data(3, 200, 4, 6)
+    forest = train_forest(X, _codes(labels), RFConfig(n_trees=9), seed=8)
+    return forest, _walk_probes(forest.trees[0], X, rng)
+
+
+def _walk_case_every_tree(rng):
+    X, labels = _oracle_data(3, 200, 4, 6)
+    forest = train_forest(X, _codes(labels), RFConfig(n_trees=9), seed=8)
+    return forest, _every_tree_probes(forest, X, rng)
+
+
+def _walk_case_signed_zero_inf(rng):
+    X, labels = _oracle_layout("signed_zero_inf", 4, 15)
+    forest = train_forest(X, _codes(labels), RFConfig(n_trees=9), seed=4)
+    return forest, _jittered(forest, _every_tree_probes(forest, X, rng), rng)
+
+
+def _walk_case_many_rows_per_cell(rng):
+    X, labels = _oracle_data(5, 60, 2, 4)
+    forest = train_forest(X, _codes(labels), RFConfig(n_trees=15), seed=2)
+    return forest, _jittered(forest, _every_tree_probes(forest, X, rng), rng, copies=20)
+
+
+def _walk_case_wide_rerank(rng):
+    # 40 columns whose threshold grid has more than 2**62 cells, so the
+    # cell codes are re-ranked on the way
+    X, labels = _oracle_data(6, 300, 40, 5)
+    forest = train_forest(X, _codes(labels), RFConfig(n_trees=12), seed=3)
+    grid = 1
+    for j in range(40):
+        grid *= np.unique(_split_thresholds(forest, j)).size + 1
+    assert grid > 2 ** 62
+    return forest, _jittered(forest, _every_tree_probes(forest, X, rng), rng)
+
+
+def _walk_case_codes_wrap_without_rerank(rng):
+    # one hand-built 40-column tree: column 0 at 0 sends a row to class 0
+    # (left) or on to column 1 at 0, class 1 (left) or a chain of splits
+    # that end in class 2 on either side and put thresholds 0, 1 and 2 on
+    # columns 1 to 39.  The grid has 2 * 4**39 cells: codes wrapped modulo
+    # 2**64 would merge rows that differ in column 0 alone, and column 1's
+    # threshold 0 equals column 0's
+    splits = [(0, 0.0), (1, 0.0), (1, 1.0), (1, 2.0)] + [
+        (j, t) for j in range(2, 40) for t in (0.0, 1.0, 2.0)]
+    n = len(splits)  # internal nodes 0..n-1; node i's left leaf is n + i
+    leaves = [-1] * (n + 1)
+    leaf_counts = np.zeros((2 * n + 1, 3), dtype=int)
+    leaf_counts[np.arange(n, 2 * n + 1), [0, 1] + [2] * (n - 1)] = 1
+    tree = DecisionTree([f for f, _ in splits] + leaves, [t for _, t in splits] + [0.0] * (n + 1),
+                        list(range(n, 2 * n)) + leaves, list(range(1, n)) + [2 * n] + leaves,
+                        leaf_counts)
+    # every (column 0, column 1, all other columns) triple of these values
+    values = [-1.0, 0.0, 0.5, 1.5, 3.0]
+    triples = np.array(np.meshgrid(values, values, values)).reshape(3, -1).T
+    return Forest(trees=(tree,)), triples[:, [0, 1] + [2] * 38]
+
+
+def _walk_case_unsplit_column(rng):
+    # column 2 is constant in training, so no tree splits it; the probes vary it
+    X, labels = _oracle_data(4, 150, 4, 3)
+    forest = train_forest(X, _codes(labels), RFConfig(n_trees=9), seed=1)
+    assert _split_thresholds(forest, 2).size == 0
+    probes = _every_tree_probes(forest, X, rng)
+    probes[:, 2] = rng.standard_normal(probes.shape[0])
+    return forest, probes
+
+
+def _walk_case_root_only(rng):
+    # one class only: every tree is a root-only leaf
+    X = rng.standard_normal((30, 3))
+    forest = train_forest(X, np.full(30, 2), RFConfig(n_trees=5), seed=0)
+    assert all(tree.depth == 0 for tree in forest.trees)
+    return forest, np.vstack([X, [[np.nan, np.inf, -0.0], [-np.inf, 0.0, 1.0]]])
+
+
+FOREST_WALK_CASES = {
+    "tree0_probes": _walk_case_tree0,
+    "every_tree_probes": _walk_case_every_tree,
+    "signed_zero_inf": _walk_case_signed_zero_inf,
+    "many_rows_per_cell": _walk_case_many_rows_per_cell,
+    "wide_rerank": _walk_case_wide_rerank,
+    "codes_wrap_without_rerank": _walk_case_codes_wrap_without_rerank,
+    "unsplit_column": _walk_case_unsplit_column,
+    "root_only": _walk_case_root_only,
+}
+
+
 class TestFixedDepthWalkOracle:
     @pytest.mark.parametrize("m", [1, 2, 4, 9])
     @pytest.mark.parametrize("n_classes", [2, 15])
@@ -733,11 +886,10 @@ class TestFixedDepthWalkOracle:
         np.testing.assert_array_equal(tree.predict_codes(probes),
                                       _reference_predict_codes(tree, probes))
 
-    def test_forest_votes_equal_compaction_walk_votes(self, rng):
-        X, labels = _oracle_data(3, 200, 4, 6)
-        forest = train_forest(X, _codes(labels), RFConfig(n_trees=9), seed=8)
-        probes = _walk_probes(forest.trees[0], X, rng)
-        votes = np.zeros((probes.shape[0], 6), dtype=int)
+    @pytest.mark.parametrize("case", FOREST_WALK_CASES)
+    def test_forest_votes_equal_compaction_walk_votes(self, rng, case):
+        forest, probes = FOREST_WALK_CASES[case](rng)
+        votes = np.zeros((probes.shape[0], forest.trees[0].leaf_counts.shape[1]), dtype=int)
         for tree in forest.trees:
             votes[np.arange(probes.shape[0]), _reference_predict_codes(tree, probes)] += 1
         np.testing.assert_array_equal(forest.predict_codes(probes), np.argmax(votes, axis=1))
