@@ -277,10 +277,16 @@ def _grow_trees(X, y, samples, seeds):
     together (:func:`_choose_splits`), so the numpy calls scale with
     depth, not with node count.  Tree ``t`` draws one uniform (open
     nodes x m) block per depth from ``default_rng(seeds[t])``; each
-    row's argsort is that node's feature order.  Nodes are numbered
-    breadth-first within their tree, so a tree depends only on its own
-    rows and seed.  Every depth's scan reads one ranking of the columns
-    of ``X``.
+    row's argsort is that node's feature order.  Every depth's scan
+    reads one ranking of the columns of ``X``.
+
+    The layout follows from the level order.  Level 0 lists the roots
+    0..T-1; each later level lists the two children of each split node
+    of the level before, in the order of those splits.  So every level
+    lists its nodes tree by tree, a stable sort of all levels by tree
+    numbers each tree's nodes breadth first, and the k-th split node of
+    all levels has its children at entries T + 2k and T + 2k + 1.  A
+    tree thus depends only on its own rows and seed.
     """
     flat = np.ascontiguousarray(X).ravel()
     rank = _column_ranks(X)
@@ -291,15 +297,15 @@ def _grow_trees(X, y, samples, seeds):
     codes = y[rows]
     sizes = np.array([tree_rows.size for tree_rows, _ in samples])
     tree_of = np.arange(n_trees)
-    node_id = np.zeros(n_trees, dtype=int)
-    n_nodes = np.ones(n_trees, dtype=int)
+    # every node's count row is kept to the end: the narrowest type that holds a sample
+    count_type = np.min_scalar_type(max(int(tree_copies.sum()) for _, tree_copies in samples))
     levels = []
     while sizes.size:
         n_level = sizes.size
         node_of = np.repeat(np.arange(n_level), sizes)
         # float sums of integer counts are exact
         counts = np.bincount(node_of * n_classes + codes, weights=copies,
-                             minlength=n_level * n_classes).astype(np.int64)
+                             minlength=n_level * n_classes).astype(count_type)
         counts = counts.reshape(n_level, n_classes)
         is_open = counts.max(axis=1) < counts.sum(axis=1)  # impure: 2+ distinct rows
         feature = np.full(n_level, -1)
@@ -314,17 +320,8 @@ def _grow_trees(X, y, samples, seeds):
                 flat, rank, m, rows[in_open], codes[in_open], copies[in_open], sizes[opened],
                 np.argsort(keys, axis=1, kind="stable"))
         split = np.flatnonzero(feature >= 0)
-        leaf = np.flatnonzero(feature < 0)
-        split_tree = tree_of[split]
-        per_tree = np.bincount(split_tree, minlength=n_trees)
-        left = np.full(n_level, -1)
-        right = np.full(n_level, -1)
-        left[split] = (n_nodes[split_tree] + 2 * np.arange(split.size)
-                       - 2 * (np.cumsum(per_tree) - per_tree)[split_tree])
-        right[split] = left[split] + 1
-        n_nodes += 2 * per_tree
-        levels.append((tree_of, node_id, feature, threshold, left, right,
-                       leaf, counts[leaf]))
+        counts[split] = 0  # only leaves keep their class counts
+        levels.append((tree_of, feature, threshold, counts))
 
         # rows of split nodes move to their children: node j's children
         # are entries 2j and 2j + 1 of the next level
@@ -336,24 +333,22 @@ def _grow_trees(X, y, samples, seeds):
         sizes = np.bincount(child, minlength=2 * split.size)
         order = np.argsort(child, kind="stable")
         rows, codes, copies = rows[order], codes[order], copies[order]
-        tree_of = np.repeat(split_tree, 2)
-        node_id = np.column_stack([left[split], right[split]]).ravel()
+        tree_of = np.repeat(tree_of[split], 2)
 
-    # one array per field for the whole forest, each tree a slice of it
+    tree_of, feature, threshold, leaf_counts = (np.concatenate(part) for part in zip(*levels))
+    del levels
+    order = np.argsort(tree_of, kind="stable")
+    place = np.empty_like(order)
+    place[order] = np.arange(order.size)
+    n_nodes = np.bincount(tree_of, minlength=n_trees)
     offsets = np.cumsum(n_nodes) - n_nodes
-    feature, left, right = (np.empty(n_nodes.sum(), dtype=int) for _ in range(3))
-    threshold = np.empty(n_nodes.sum())
-    leaf_counts = np.zeros((n_nodes.sum(), n_classes), dtype=int)
-    while levels:
-        tree_of, node_id, *columns, leaf, counts = levels.pop()
-        at = offsets[tree_of] + node_id
-        for whole, part in zip((feature, threshold, left, right), columns):
-            whole[at] = part
-        leaf_counts[at[leaf]] = counts
-    bounds = offsets[1:]
-    return [DecisionTree(*parts)
-            for parts in zip(*(np.split(whole, bounds) for whole in
-                               (feature, threshold, left, right, leaf_counts)))]
+    split = np.flatnonzero(feature >= 0)
+    left = np.full(feature.size, -1)
+    left[split] = place[n_trees + 2 * np.arange(split.size)] - offsets[tree_of[split]]
+    right = left + (feature >= 0)
+    leaf_counts = leaf_counts[order].astype(int)  # the trees' dtype, so each holds a view
+    return [DecisionTree(*parts) for parts in zip(*(np.split(whole, offsets[1:]) for whole in (
+        feature[order], threshold[order], left[order], right[order], leaf_counts)))]
 
 
 def _training_arrays(X, y):
@@ -522,6 +517,8 @@ def name_that_dataset(table: Table, feature_sets: dict[str, list[str]],
     seeds derive from (seed, feature set, fraction, repetition), so
     ``jobs > 1`` changes only the wall time.
     """
+    if not feature_sets or not all(len(columns) for columns in feature_sets.values()):
+        raise ValueError(f"need at least one feature set, each with columns, got {feature_sets}")
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
     if jobs < 1:

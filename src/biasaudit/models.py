@@ -285,11 +285,12 @@ def ppca_evidence_fixed_W(V: JointVector, W: np.ndarray,
     return mvn_logpdf(V.values, np.zeros(width), cov)
 
 
-def make_collapsed_target(V: JointVector, spec: ConfoundedModelSpec):
+def make_collapsed_target(S, n: int, spec: ConfoundedModelSpec):
     """Batched log joint over the loadings alone, confounders integrated out.
 
-    Each joint row is then a zero-mean Gaussian with covariance
-    ``C = sigma_z^2 W^T W + sigma_obs^2 I``, so with ``S = V^T V``
+    It reads the n joint rows V only through ``S = V^T V``.  Each joint
+    row is a zero-mean Gaussian with covariance ``C = sigma_z^2 W^T W +
+    sigma_obs^2 I``, so
 
         log p(V, W) = log p(W) - n/2 ((m+1) log 2 pi + log|C|) - tr(C^-1 S) / 2
 
@@ -304,11 +305,8 @@ def make_collapsed_target(V: JointVector, spec: ConfoundedModelSpec):
     + sigma_z^2 q / 2 sigma_obs^2`` and its gradient ``(sigma_z^2 / sigma_obs^2)
     (B S - sigma_z^2 q B) - n sigma_z^2 B - w / sigma_w^2``.
     """
-    data = V.values
-    n, width = data.shape
-    k = spec.k
+    width, k = S.shape[0], spec.k
     var_z, var_w, var_obs = spec.sigma_z ** 2, spec.sigma_w ** 2, spec.sigma_obs ** 2
-    S = data.T @ data
     const = (-0.5 * k * width * math.log(2.0 * math.pi * var_w)
              - 0.5 * n * width * LOG_2PI
              - 0.5 * (n * (width - k) * math.log(var_obs) + float(np.trace(S)) / var_obs))
@@ -349,8 +347,10 @@ def make_collapsed_target(V: JointVector, spec: ConfoundedModelSpec):
     return target, k * width
 
 
-def _ppca_start(V: JointVector, spec: ConfoundedModelSpec) -> VariationalPosterior:
+def _ppca_start(S, n: int, spec: ConfoundedModelSpec) -> VariationalPosterior:
     """A fit's start at the PPCA maximum-likelihood loadings, width 1/sqrt(n).
+
+    It reads the n joint rows V only through ``S = V^T V``.
 
     The loading posterior is symmetric under W -> -W (rotations for
     k > 1), so a fit started at W = 0 sits on a saddle.  Row i is
@@ -358,8 +358,8 @@ def _ppca_start(V: JointVector, spec: ConfoundedModelSpec) -> VariationalPosteri
     i-th largest eigenpair of S/n; rows beyond the m+1 eigenpairs stay
     zero.
     """
-    n, width = V.values.shape
-    lam, U = np.linalg.eigh(V.values.T @ V.values / n)
+    width = S.shape[0]
+    lam, U = np.linalg.eigh(S / n)
     r = min(spec.k, width)
     lam, U = lam[::-1][:r], U[:, ::-1][:, :r]
     # largest entry positive: the start does not hang on the LAPACK build
@@ -383,14 +383,14 @@ def confounded_code_length(V: JointVector, spec: ConfoundedModelSpec,
     m = V.width - 1
     if V.n < m + 2:
         raise ValueError(f"need at least m+2={m + 2} rows, have {V.n}")
+    S = V.values.T @ V.values
     if method == "closed_form":
-        return CodeLength(nats=-confounded_evidence_k1(V.values.T @ V.values, V.n, spec),
-                          method=method)
+        return CodeLength(nats=-confounded_evidence_k1(S, V.n, spec), method=method)
     if method != "advi":
         raise ValueError(f"unknown method {method!r}")
-    target, d = make_collapsed_target(V, spec)
+    target, d = make_collapsed_target(S, V.n, spec)
     return _fitted_code_length(target, d, 0.0, MEAN_FIELD, fit_config,
-                               start=_ppca_start(V, spec))
+                               start=_ppca_start(S, V.n, spec))
 
 
 # The radial integral: a sweep in log r, three 8-fold zooms around its

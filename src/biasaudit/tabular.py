@@ -197,6 +197,8 @@ class Table:
 def concat_tables(tables) -> Table:
     """Stack tables that share the same feature columns."""
     tables = list(tables)
+    if not tables:
+        raise ValueError("need at least one table to stack")
     names = tables[0].feature_names
     if any(t.feature_names != names for t in tables):
         raise ValueError("tables have mismatched feature columns")

@@ -368,8 +368,9 @@ def _loop_cases():
     causal, _ = make_causal_target(X, y, CausalModelSpec(sigma_w=0.8, sigma_y=1.3))
     V = JointVector(np.outer(rng.standard_normal(40), [1.0, -0.5, 0.8])
                     + 0.5 * rng.standard_normal((40, 3)))
-    collapsed, d_co = make_collapsed_target(V, ConfoundedModelSpec(k=2))
-    collapsed_k1, d_k1 = make_collapsed_target(V, ConfoundedModelSpec(k=1))
+    S = V.values.T @ V.values
+    collapsed, d_co = make_collapsed_target(S, V.n, ConfoundedModelSpec(k=2))
+    collapsed_k1, d_k1 = make_collapsed_target(S, V.n, ConfoundedModelSpec(k=1))
     normalized = gaussian_target([1.0, -2.0, 0.5],
                                  [[1.0, 0.6, 0.1], [0.6, 2.0, -0.3], [0.1, -0.3, 0.5]])
 
@@ -384,10 +385,10 @@ def _loop_cases():
         ("causal", lambda: causal, 3, None),
         ("collapsed_ppca_start", lambda: collapsed, d_co,
          lambda family: VariationalPosterior.isotropic(
-             family, _ppca_start(V, ConfoundedModelSpec(k=2)).mean, 1.0 / np.sqrt(V.n))),
+             family, _ppca_start(S, V.n, ConfoundedModelSpec(k=2)).mean, 1.0 / np.sqrt(V.n))),
         ("collapsed_k1_ppca_start", lambda: collapsed_k1, d_k1,
          lambda family: VariationalPosterior.isotropic(
-             family, _ppca_start(V, ConfoundedModelSpec(k=1)).mean, 1.0 / np.sqrt(V.n))),
+             family, _ppca_start(S, V.n, ConfoundedModelSpec(k=1)).mean, 1.0 / np.sqrt(V.n))),
         ("gaussian_start", lambda: gauss, 3,
          lambda family: VariationalPosterior.isotropic(family, np.array([0.5, 0.0, -1.0]), 0.3)),
     ]

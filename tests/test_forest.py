@@ -282,6 +282,19 @@ class TestNameThatDataset:
             np.testing.assert_array_equal(serial[fs].confusion.counts,
                                           parallel[fs].confusion.counts)
 
+    @pytest.mark.parametrize("feature_sets", [{}, {"vol": ["vol_f1"], "none": []}],
+                             ids=["no_sets", "empty_set"])
+    def test_empty_feature_sets_rejected_before_training(self, monkeypatch, feature_sets):
+        table = gen_multidataset(MultiDatasetSpec(n_per_dataset=10, shifts=(0.0, 1.0), seed=10))
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("a forest was trained")
+
+        monkeypatch.setattr("biasaudit.forest.train_forest", no_training)
+        with pytest.raises(ValueError, match=re.escape(
+                f"at least one feature set, each with columns, got {feature_sets}")):
+            name_that_dataset(table, feature_sets, fractions=(0.5,), repetitions=1, seed=0)
+
     def test_unsplittable_largest_fraction_rejected_before_training(self, monkeypatch):
         table = gen_multidataset(MultiDatasetSpec(
             n_per_dataset=10, shifts=(0.0, 1.0), seed=10))
@@ -486,6 +499,19 @@ def _signed_zero_inf(X, rng):
     return X
 
 
+def _assert_grown_trees_equal_reference(X, labels, samples):
+    """One :func:`_grow_trees` call over ``samples``, tree t seeded t: each
+    tree equals the per-node reference on its rows, repeated by their
+    counts.  Returns the trees' depths."""
+    classes = sorted(set(labels.tolist()))
+    trees = _grow_trees(X, label_codes(labels, classes), samples, range(len(samples)))
+    for seed, (tree, (rows, copies)) in enumerate(zip(trees, samples)):
+        expanded = np.repeat(rows, copies)
+        _assert_same_tree(tree, _reference_train_tree(X[expanded], labels[expanded], seed,
+                                                      class_labels=classes))
+    return [tree.depth for tree in trees]
+
+
 def _assert_same_tree(tree, want):
     feature, threshold, left, right, leaf_counts = want
     np.testing.assert_array_equal(tree.feature, feature)
@@ -512,19 +538,26 @@ class TestLevelGrowerOracle:
         # two trees in one call, each fed its distinct rows and their
         # counts (0 to 3 copies of each row of the layout)
         X, labels = _oracle_layout(layout, m, n_classes)
-        classes = sorted(set(labels.tolist()))
-        y = label_codes(labels, classes)
         rng = np.random.default_rng(m + n_classes)
         samples = []
         for _ in range(2):
             copies = rng.integers(0, 4, size=X.shape[0])
             rows = np.flatnonzero(copies)
             samples.append((rows, copies[rows]))
-        trees = _grow_trees(X, y, samples, [0, 1])
-        for seed, (tree, (rows, copies)) in enumerate(zip(trees, samples)):
-            expanded = np.repeat(rows, copies)
-            _assert_same_tree(tree, _reference_train_tree(X[expanded], labels[expanded], seed,
-                                                          class_labels=classes))
+        _assert_grown_trees_equal_reference(X, labels, samples)
+
+    def test_trees_of_mixed_depths_equal_reference(self):
+        # trees leave the level order at different depths while later
+        # trees grow on: deep, root-only (one class), shallow, root-only
+        # (one row), deep
+        X, labels = _oracle_layout("spread", 4, 3)
+        one_class = np.flatnonzero(labels == "c00")
+        shallow = np.flatnonzero(labels != "c02")[:3]
+        samples = [(rows, np.ones(rows.size, dtype=np.int64)) for rows in
+                   (np.arange(150), one_class, shallow, np.array([7]), np.arange(0, 150, 2))]
+        depths = _assert_grown_trees_equal_reference(X, labels, samples)
+        assert depths[1] == depths[3] == 0
+        assert 0 < depths[2] < min(depths[0], depths[4])
 
     def test_forest_trees_equal_trees_grown_alone(self):
         X, labels = _oracle_data(7, 120, 4, 5)

@@ -321,7 +321,7 @@ class TestSufficientStatisticTargets:
     def test_collapsed_target_equals_ppca_evidence_plus_prior(self, rng, k, width):
         spec = ConfoundedModelSpec(k=k, sigma_z=0.7, sigma_w=1.3, sigma_obs=0.8)
         V = JointVector(rng.standard_normal((11, width)) @ rng.standard_normal((width, width)))
-        target, d = make_collapsed_target(V, spec)
+        target, d = make_collapsed_target(V.values.T @ V.values, V.n, spec)
         assert d == k * width
         batch = rng.standard_normal((6, d))
         values, grads = target(batch)
@@ -337,7 +337,7 @@ class TestSufficientStatisticTargets:
     def test_collapsed_gradient_matches_finite_differences(self, rng, k, width):
         spec = ConfoundedModelSpec(k=k, sigma_z=0.7, sigma_w=1.3, sigma_obs=0.8)
         V = JointVector(rng.standard_normal((11, width)))
-        target, d = make_collapsed_target(V, spec)
+        target, d = make_collapsed_target(V.values.T @ V.values, V.n, spec)
         h = 1e-5
         for _ in range(4):
             theta = rng.standard_normal(d)
@@ -426,7 +426,7 @@ def test_k1_collapsed_target_matches_batched_form(rng, scales, width, batch):
     sigma_z, sigma_w, sigma_obs = scales
     spec = ConfoundedModelSpec(k=1, sigma_z=sigma_z, sigma_w=sigma_w, sigma_obs=sigma_obs)
     V = JointVector(rng.standard_normal((50, width)) @ rng.standard_normal((width, width)))
-    target, d = make_collapsed_target(V, spec)
+    target, d = make_collapsed_target(V.values.T @ V.values, V.n, spec)
     oracle, d_oracle = _batched_collapsed_target_k1(V, spec)
     assert d == d_oracle == width
     theta = rng.standard_normal((batch, width))

@@ -581,6 +581,10 @@ class TestTableBasics:
         combined = concat_tables([t1, t2])
         assert combined.n_rows == 10
 
+    def test_concat_of_no_tables_rejected(self):
+        with pytest.raises(ValueError, match="at least one table"):
+            concat_tables([])
+
     def test_column_lookup(self):
         table = make_table(n=5)
         assert table.column("age").shape == (5,)
