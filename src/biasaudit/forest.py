@@ -3,20 +3,21 @@
 CART trees with Gini impurity, random feature subsets per node and
 bootstrap resampling per tree.  A tree sees its bootstrap as row
 counts: each distinct row once, with the number of times it was drawn.
-Trees grow level by level, all trees of a forest together: each depth
-stacks every open node's rows once per candidate feature and rates
-every threshold of every node in one segmented Gini scan (count-weighted
-prefix class counts over sorted feature values), so the number of
-numpy calls grows with depth, not with node count.  Each column is
-ranked once per forest, so that scan orders all its segments with one
-integer sort per depth; each (segment, rank) key occurs once, so the
-sort need not be stable.  Each tree draws its nodes' feature orders
-from its own seed, one block per depth.  A forest predicts each cell
-of its threshold grid once: rows that no split threshold of any tree
-separates take the same path in every tree.  The membership harness
-("which dataset does this row come from?") trains forests over a grid
-of training fractions and reports learning curves plus a confusion
-matrix at the largest fraction.
+Trees grow level by level, all trees of one grower call together, and
+one call can grow several forests on their stacked training rows: each
+depth stacks every open node's rows once per candidate feature and
+rates every threshold of every node in one segmented Gini scan
+(count-weighted prefix class counts over sorted feature values), so the
+number of numpy calls grows with depth, not with node count.  Each
+column is ranked once per grower call, so that scan orders all its
+segments with one integer sort per depth; each (segment, rank) key
+occurs once, so the sort need not be stable.  Each tree draws its
+nodes' feature orders from its own seed, one block per depth.  A
+forest predicts each cell of its threshold grid once: rows that no
+split threshold of any tree separates take the same path in every tree.
+The membership harness ("which dataset does this row come from?")
+trains forests over a grid of training fractions and reports learning
+curves plus a confusion matrix at the largest fraction.
 """
 
 from dataclasses import dataclass
@@ -45,7 +46,8 @@ class DecisionTree:
 
     ``feature[i] == -1`` marks a leaf; internal nodes route
     ``x[feature] <= threshold`` to ``left``.  Leaves keep their class
-    counts.
+    counts.  A split node's children lie past it and are no other
+    split's, so no path cycles or merges; ValueError otherwise.
     """
 
     def __init__(self, feature, threshold, left, right, leaf_counts):
@@ -55,16 +57,22 @@ class DecisionTree:
         self.right = np.asarray(right, dtype=int)
         self.leaf_counts = np.asarray(leaf_counts, dtype=int)
         self._leaf_pred = np.argmax(self.leaf_counts, axis=1)
+        leaf = self.feature < 0
+        inner = np.flatnonzero(~leaf)
+        child = np.concatenate([self.left[inner], self.right[inner]])
+        if (not np.all((np.tile(inner, 2) < child) & (child < self.n_nodes))
+                or np.any(np.bincount(child) > 1)):
+            raise ValueError("each split node's children must lie past it, inside the tree, "
+                             "and be no other split's")
 
         # walk tables, which name node i by 2i: entries 2i and 2i + 1 of
         # ``_walk_feature`` and ``_walk_threshold`` hold node i's test, and
         # entry 2i + go of ``_child`` is the doubled id of where node i
         # sends a row, go = (x <= threshold), so NaN goes right; a leaf
         # reads feature 0 and sends a row back to itself whatever the test
-        leaf = self.feature < 0
-        nodes = np.arange(self.n_nodes)
         self._walk_feature = np.repeat(np.where(leaf, 0, self.feature), 2)
         self._walk_threshold = np.repeat(self.threshold, 2)
+        nodes = np.arange(self.n_nodes)
         self._child = 2 * np.column_stack([np.where(leaf, nodes, self.right),
                                            np.where(leaf, nodes, self.left)]).ravel()
         # the most splits on any root-to-leaf path
@@ -265,11 +273,12 @@ def _choose_splits(flat, rank, m, rows, y, copies, sizes, feature_order):
     return feature, threshold
 
 
-def _grow_trees(X, y, samples, seeds):
+def _grow_trees(X, y, samples, seeds, widths=None):
     """Grow one CART tree per (row sample, seed), all trees a depth at a time.
 
     ``y`` holds class codes 0..max(y), the width of every tree's leaf
-    counts; ``samples[t]`` is a pair ``(rows, copies)``:
+    counts, or of tree t's ``widths[t]`` when given, which must exceed
+    its rows' codes; ``samples[t]`` is a pair ``(rows, copies)``:
     tree ``t`` trains on ``copies[i]`` copies of row ``rows[i]`` of ``X``,
     each row listed once.  A node holds each of its rows once, with its
     count, so no scan key repeats, and node sizes and leaf counts are
@@ -347,8 +356,10 @@ def _grow_trees(X, y, samples, seeds):
     left[split] = place[n_trees + 2 * np.arange(split.size)] - offsets[tree_of[split]]
     right = left + (feature >= 0)
     leaf_counts = leaf_counts[order].astype(int)  # the trees' dtype, so each holds a view
-    return [DecisionTree(*parts) for parts in zip(*(np.split(whole, offsets[1:]) for whole in (
-        feature[order], threshold[order], left[order], right[order], leaf_counts)))]
+    trees = zip(*(np.split(whole, offsets[1:]) for whole in (
+        feature[order], threshold[order], left[order], right[order], leaf_counts)))
+    return [DecisionTree(*arrays, counts[:, :width]) for (*arrays, counts), width
+            in zip(trees, widths or [n_classes] * n_trees)]
 
 
 def _training_arrays(X, y):
@@ -425,29 +436,42 @@ class Forest:
         return np.argmax(votes.reshape(n_cells, n_classes), axis=1)[cell]
 
 
-def train_forest(X, y, config: RFConfig, seed: int) -> Forest:
-    """Train a forest of bootstrap-resampled trees on class codes ``y``.
+def train_forest(parts, config: RFConfig) -> list[Forest]:
+    """Train one forest of bootstrap-resampled trees per part ``(X, y, seed)``.
 
-    The classes are 0..max(y): a class without rows keeps its code and
-    is never predicted.  All trees grow together, level by level: each
+    ``y`` holds class codes: a part's classes are 0..max(y), and a class
+    without rows keeps its code and is never predicted.  Every part's
+    ``X`` has the same width, else ValueError.  All trees of all parts
+    grow together, level by level, on the parts' stacked rows: each
     depth rates every open node of every tree in one segmented Gini scan
-    (see :func:`_grow_trees`).  Tree ``t`` draws its bootstrap rows from
-    ``derive_seed(seed, "bootstrap", t)`` and its per-depth feature
-    orders from ``derive_seed(seed, "tree", t)``, so each tree equals
-    the same tree grown alone.  A tree sees its draw as row counts, each
-    distinct row once with the number of times it was drawn, so the
-    scan sorts and rates each distinct row once.
+    (see :func:`_grow_trees`).  Tree ``t`` of a part draws its bootstrap
+    rows from ``derive_seed(seed, "bootstrap", t)`` and its per-depth
+    feature orders from ``derive_seed(seed, "tree", t)``.  The stacked
+    columns' ranks keep each part's row order, so each forest equals its
+    one-part call and each tree the same tree grown alone.  A tree sees
+    its draw as row counts, each distinct row once with the number of
+    times it was drawn, so the scan sorts and rates each distinct row
+    once.
     """
-    X, y = _training_arrays(X, y)
-    n, tree_ids = X.shape[0], range(config.n_trees)
-    samples = []
-    for t in tree_ids:
-        draw = np.random.default_rng(derive_seed(seed, "bootstrap", t)).integers(0, n, size=n)
-        copies = np.bincount(draw)
-        rows = np.flatnonzero(copies)
-        samples.append((rows, copies[rows]))
-    return Forest(trees=tuple(_grow_trees(X, y, samples,
-                                          [derive_seed(seed, "tree", t) for t in tree_ids])))
+    parts = [(*_training_arrays(X, y), seed) for X, y, seed in parts]
+    if len({X.shape[1] for X, _, _ in parts}) != 1:
+        raise ValueError(f"need parts of one width, got widths {[X.shape[1] for X, _, _ in parts]}")
+    tree_ids = range(config.n_trees)
+    samples, seeds, start = [], [], 0
+    for X, _, seed in parts:
+        n = X.shape[0]
+        for t in tree_ids:
+            draw = np.random.default_rng(derive_seed(seed, "bootstrap", t)).integers(0, n, size=n)
+            copies = np.bincount(draw)
+            rows = np.flatnonzero(copies)
+            samples.append((start + rows, copies[rows]))
+        seeds += [derive_seed(seed, "tree", t) for t in tree_ids]
+        start += n
+    trees = _grow_trees(np.concatenate([X for X, _, _ in parts]),
+                        np.concatenate([y for _, y, _ in parts]), samples, seeds,
+                        [int(part_y.max()) + 1 for _, part_y, _ in parts for _ in tree_ids])
+    return [Forest(trees=tuple(trees[i:i + config.n_trees]))
+            for i in range(0, len(trees), config.n_trees)]
 
 
 @dataclass(frozen=True)
@@ -481,18 +505,43 @@ DEFAULT_FRACTIONS = (0.001, 0.005, 0.01, 0.05, 0.1, 0.3, 0.5, 0.7)
 DEFAULT_REPETITIONS = 50
 
 
+# consecutive fractions of a repetition grow in one call while their train
+# rows times trees stay under this, which bounds the grower's node arrays
+GROW_BATCH_ROWS_TREES = 2 ** 17
+
+
 def _run_repetition(args):
-    """One (feature set, fraction, repetition) cell of the experiment: its
-    held-out confusion counts, rows true classes and columns predicted."""
-    table, columns, fraction, rep_seed, rf_config = args
-    train, test = stratified_split(table, fraction, rep_seed)
-    train_X = np.column_stack([train.column(c) for c in columns])
-    test_X = np.column_stack([test.column(c) for c in columns])
-    forest = train_forest(train_X, train.dataset_codes, rf_config,
-                          derive_seed(rep_seed, "forest"))
-    confusion = np.zeros((int(table.dataset_codes.max()) + 1,) * 2, dtype=int)
-    np.add.at(confusion, (test.dataset_codes, forest.predict_codes(test_X)), 1)
-    return confusion
+    """One (feature set, repetition) of the experiment: each fraction's held-out
+    confusion counts, rows true classes and columns predicted.
+
+    The splits come first and keep only their matrices and codes; then
+    each batch of fractions grows, predicts and goes before the next.
+    """
+    table, columns, fraction_seeds, rf_config = args
+    n_codes = int(table.dataset_codes.max()) + 1
+    batches, load = [], 0
+    for fraction, rep_seed in fraction_seeds:
+        train, test = stratified_split(table, fraction, rep_seed)
+        rows_trees = train.n_rows * rf_config.n_trees
+        if not batches or load + rows_trees >= GROW_BATCH_ROWS_TREES:
+            batches.append([])
+            load = 0
+        load += rows_trees
+        train_X, test_X = (np.column_stack([part.column(c) for c in columns])
+                           for part in (train, test))
+        batches[-1].append(((train_X, train.dataset_codes, derive_seed(rep_seed, "forest")),
+                            (test_X, test.dataset_codes)))
+        del train, test  # before the next split is drawn
+
+    confusions = []
+    for batch in batches:
+        forests = train_forest([part for part, _ in batch], rf_config)
+        for forest, (_, (test_X, test_codes)) in zip(forests, batch):
+            confusion = np.zeros((n_codes, n_codes), dtype=int)
+            np.add.at(confusion, (test_codes, forest.predict_codes(test_X)), 1)
+            confusions.append(confusion)
+        del forests, forest  # a tree's arrays are views of its whole batch's
+    return confusions
 
 
 def name_that_dataset(table: Table, feature_sets: dict[str, list[str]],
@@ -513,12 +562,23 @@ def name_that_dataset(table: Table, feature_sets: dict[str, list[str]],
     forest is trained; every smaller fraction then splits too, since a
     fraction's train counts never exceed a larger one's.  So does a
     table left with fewer than 2 datasets once ``controls_only`` has
-    dropped the diseased rows.  Repetition
-    seeds derive from (seed, feature set, fraction, repetition), so
-    ``jobs > 1`` changes only the wall time.
+    dropped the diseased rows, and a feature set that names a column the
+    table lacks.  A unit of work is one (feature set, repetition): it
+    grows consecutive fractions' forests in one :func:`train_forest`
+    call while their train rows times trees stay under
+    ``GROW_BATCH_ROWS_TREES``.  Repetition seeds derive from (seed,
+    feature set, fraction, repetition), so neither the batches nor
+    ``jobs > 1`` change a result, only the wall time.
     """
     if not feature_sets or not all(len(columns) for columns in feature_sets.values()):
         raise ValueError(f"need at least one feature set, each with columns, got {feature_sets}")
+    for fs_name, columns in feature_sets.items():
+        for column in columns:
+            try:
+                table.column(column)
+            except KeyError:
+                raise ValueError(f"feature set {fs_name!r} names {column!r}, "
+                                 f"which the table lacks") from None
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
     if jobs < 1:
@@ -540,17 +600,18 @@ def name_that_dataset(table: Table, feature_sets: dict[str, list[str]],
                          f"cannot be split: {exc}") from None
 
     fractions = sorted(fractions)
-    tasks = [(table, columns, fraction, derive_seed(seed, fs_name, fraction, rep), rf_config)
+    tasks = [(table, columns,
+              [(fraction, derive_seed(seed, fs_name, fraction, rep)) for fraction in fractions],
+              rf_config)
              for fs_name, columns in feature_sets.items()
-             for fraction in fractions
              for rep in range(repetitions)]
-    # each task's counts run over every code up to the largest present; keep
-    # the codes present, in the order of class_labels.  axes: feature set,
-    # fraction, repetition, true class, predicted class
+    # each task's counts, one per fraction, run over every code up to the
+    # largest present; keep the codes present, in the order of class_labels.
+    # axes: feature set, fraction, repetition, true class, predicted class
     present = np.flatnonzero(np.bincount(table.dataset_codes))
-    confusions = np.array(map_tasks(_run_repetition, tasks, jobs))[:, present[:, None], present]
-    confusions = confusions.reshape(len(feature_sets), len(fractions), repetitions,
-                                    present.size, present.size)
+    confusions = np.array(map_tasks(_run_repetition, tasks, jobs))[..., present[:, None], present]
+    confusions = confusions.reshape(len(feature_sets), repetitions, len(fractions),
+                                    present.size, present.size).swapaxes(1, 2)
     accuracies = np.trace(confusions, axis1=3, axis2=4) / confusions.sum(axis=(3, 4))
 
     results = {}

@@ -30,6 +30,12 @@ def _codes(labels):
     return np.unique(labels, return_inverse=True)[1]
 
 
+def _forest(X, y, config, seed):
+    """The forest of a one-part :func:`train_forest` call."""
+    [forest] = train_forest([(X, y, seed)], config)
+    return forest
+
+
 def _scan(x, y, sizes):
     """:func:`_segment_splits` on segments of one column ``x``, entry i being row i once."""
     x = np.asarray(x, dtype=float)
@@ -90,7 +96,7 @@ class TestTrainTree:
 
 class TestForest:
     @pytest.mark.parametrize("train", [partial(train_tree, seed=0),
-                                       partial(train_forest, config=QUICK_RF, seed=0)],
+                                       partial(_forest, config=QUICK_RF, seed=0)],
                              ids=["train_tree", "train_forest"])
     @pytest.mark.parametrize("n_rows, n_labels", [(10, 12), (10, 8), (0, 0)],
                              ids=["more_labels", "fewer_labels", "no_rows"])
@@ -104,14 +110,14 @@ class TestForest:
                              ids=["float", "string", "negative", "bool"])
     def test_codes_that_are_not_non_negative_integers_rejected(self, codes):
         with pytest.raises(ValueError, match=re.escape(f"got dtype {codes.dtype}")):
-            train_forest(np.zeros((2, 1)), codes, RFConfig(n_trees=1), seed=0)
+            _forest(np.zeros((2, 1)), codes, RFConfig(n_trees=1), seed=0)
 
     def test_class_missing_below_max_keeps_its_code(self, rng):
         # codes 0 and 2, none 1: every leaf is three counts wide, and the
         # forest is the one trained on codes 0 and 1 with class 1 renamed 2
         X, y = blob_data(rng, n_per_class=40)
-        gap = train_forest(X, 2 * y, QUICK_RF, seed=9)
-        dense = train_forest(X, y, QUICK_RF, seed=9)
+        gap = _forest(X, 2 * y, QUICK_RF, seed=9)
+        dense = _forest(X, y, QUICK_RF, seed=9)
         for tree, twin in zip(gap.trees, dense.trees):
             assert tree.leaf_counts.shape == (tree.n_nodes, 3)
             assert not tree.leaf_counts[:, 1].any()
@@ -123,14 +129,14 @@ class TestForest:
 
     def test_one_tree_forest_votes_as_its_tree(self, rng):
         X, labels = blob_data(rng, n_per_class=40)
-        forest = train_forest(X, labels, RFConfig(n_trees=1), seed=3)
+        forest = _forest(X, labels, RFConfig(n_trees=1), seed=3)
         assert len(forest.trees) == 1
         np.testing.assert_array_equal(forest.predict_codes(X),
                                       forest.trees[0].predict_codes(X))
 
     def test_separated_blobs_accuracy(self, rng):
         X, labels = blob_data(rng)
-        forest = train_forest(X, labels, RFConfig(n_trees=50), seed=4)
+        forest = _forest(X, labels, RFConfig(n_trees=50), seed=4)
         Xt, labels_t = blob_data(rng, n_per_class=250)
         want = np.array([0] * 250 + [1] * 250)
         assert np.mean(forest.predict_codes(Xt) == want) >= 0.95
@@ -141,23 +147,23 @@ class TestForest:
             X = rng.standard_normal((80, 3))
             y = np.array([0, 1] * 40)
             rng.shuffle(y)
-            forest = train_forest(X[:60], y[:60], RFConfig(n_trees=10), seed=rep)
+            forest = _forest(X[:60], y[:60], RFConfig(n_trees=10), seed=rep)
             accs.append(float(np.mean(forest.predict_codes(X[60:]) == y[60:])))
         assert abs(np.mean(accs) - 0.5) < 0.10
 
     def test_deterministic_given_seed(self, rng):
         X, labels = blob_data(rng, n_per_class=30)
-        a = train_forest(X, labels, QUICK_RF, seed=5)
-        b = train_forest(X, labels, QUICK_RF, seed=5)
+        a = _forest(X, labels, QUICK_RF, seed=5)
+        b = _forest(X, labels, QUICK_RF, seed=5)
         probe = rng.standard_normal((20, 4))
         np.testing.assert_array_equal(a.predict_codes(probe), b.predict_codes(probe))
 
     def test_monotone_feature_transform_keeps_predictions(self, rng):
         X, labels = blob_data(rng, n_per_class=50, shift=1.0)
-        base = train_forest(X, labels, QUICK_RF, seed=6)
+        base = _forest(X, labels, QUICK_RF, seed=6)
         warped = X.copy()
         warped[:, 0] = np.exp(warped[:, 0])  # strictly monotone warp, train+test
-        alt = train_forest(warped, labels, QUICK_RF, seed=6)
+        alt = _forest(warped, labels, QUICK_RF, seed=6)
         np.testing.assert_array_equal(base.predict_codes(X),
                                       alt.predict_codes(warped))
 
@@ -165,7 +171,7 @@ class TestForest:
 class TestPredict:
     def test_unanimous_vote(self, rng):
         X, labels = blob_data(rng, n_per_class=40)
-        forest = train_forest(X, labels, QUICK_RF, seed=7)
+        forest = _forest(X, labels, QUICK_RF, seed=7)
         probe = np.full((1, 4), -2.0)
         assert forest.predict_codes(probe).tolist() == [0]
         assert all(tree.predict_codes(probe).tolist() == [0] for tree in forest.trees)
@@ -187,7 +193,7 @@ class TestPredict:
         X = rng.standard_normal((300, 4))
         labels = rng.integers(0, 3, size=300)
         fitted = (train_tree(X, labels, seed=1) if model == "tree"
-                  else train_forest(X, labels, QUICK_RF, seed=1))
+                  else _forest(X, labels, QUICK_RF, seed=1))
         trees = [fitted] if model == "tree" else fitted.trees
         need = 1 + max(int(tree.feature.max()) for tree in trees)
         assert fitted.predict_codes(X[:, :need]).shape == (300,)
@@ -195,6 +201,27 @@ class TestPredict:
         with pytest.raises(ValueError, match=re.escape(
                 f"at least {need} columns, got shape {bad.shape}")):
             fitted.predict_codes(bad)
+
+
+
+# split nodes whose children do not all lie past them inside the tree, or
+# are shared: (feature, left, right) of each node, -1 for a leaf
+BAD_LAYOUTS = {
+    "self_loop": ([0, -1], [0, -1], [1, -1]),
+    "back_edge": ([0, 0, -1, -1], [1, 0, -1, -1], [2, 3, -1, -1]),
+    "past_the_end": ([0, -1, -1], [1, -1, -1], [3, -1, -1]),
+    # each node's two children are the next node: 2**40 root-to-leaf paths
+    "shared_children": ([0] * 40 + [-1], list(range(1, 41)) + [-1],
+                        list(range(1, 41)) + [-1]),
+}
+
+
+@pytest.mark.parametrize("layout", BAD_LAYOUTS)
+def test_tree_whose_children_do_not_follow_their_node_rejected(layout):
+    feature, left, right = BAD_LAYOUTS[layout]
+    with pytest.raises(ValueError, match="children must lie past it, inside the tree"):
+        DecisionTree(feature, np.zeros(len(feature)), left, right,
+                     np.ones((len(feature), 2), dtype=int))
 
 
 class TestNameThatDataset:
@@ -308,6 +335,82 @@ class TestNameThatDataset:
         with pytest.raises(ValueError, match="fractions.*0.96"):
             name_that_dataset(table, {"vol": ["vol_f1"]}, fractions=(0.96, 0.5),
                               repetitions=1, seed=11, rf_config=RFConfig(n_trees=2))
+
+
+    def test_unknown_column_rejected_before_any_split(self, monkeypatch):
+        table = gen_multidataset(MultiDatasetSpec(n_per_dataset=10, shifts=(0.0, 1.0), seed=10))
+
+        def no_split(*args, **kwargs):
+            raise AssertionError("the table was split")
+
+        monkeypatch.setattr("biasaudit.forest.stratified_split", no_split)
+        monkeypatch.setattr("biasaudit.forest.train_forest", no_split)
+        with pytest.raises(ValueError, match=re.escape(
+                "feature set 'thick' names 'thick_f9', which the table lacks")):
+            name_that_dataset(table, {"vol": ["vol_f1"], "thick": ["thick_f1", "thick_f9"]},
+                              fractions=(0.5,), repetitions=1, seed=0)
+
+    @pytest.mark.parametrize("n_trees, batches", [(6, [3]), (200, [2, 1])],
+                             ids=["one_call", "cap_splits"])
+    def test_one_grower_call_per_batch_of_fractions(self, monkeypatch, n_trees, batches):
+        # 1,500 rows: fractions 0.05 and 0.1 train 75 and 150 rows, 0.5
+        # trains 750, and 750 x 200 trees passes GROW_BATCH_ROWS_TREES
+        calls = []
+
+        def counted(parts, config):
+            calls.append(len(parts))
+            return train_forest(parts, config)
+
+        monkeypatch.setattr("biasaudit.forest.train_forest", counted)
+        kwargs = dict(BATCHED_RUN, rf_config=RFConfig(n_trees=n_trees))
+        name_that_dataset(_batched_table(), **kwargs)
+        assert calls == batches * 2 * kwargs["repetitions"]
+
+    def test_parallel_equals_serial_where_the_cap_splits_a_repetition(self):
+        table = _batched_table()
+        kwargs = dict(BATCHED_RUN, rf_config=RFConfig(n_trees=200))
+        serial = name_that_dataset(table, jobs=1, **kwargs)
+        parallel = name_that_dataset(table, jobs=3, **kwargs)
+        for fs in kwargs["feature_sets"]:
+            assert serial[fs].curve == parallel[fs].curve
+            np.testing.assert_array_equal(serial[fs].confusion.counts,
+                                          parallel[fs].confusion.counts)
+
+
+BATCHED_RUN = dict(feature_sets={"vol": ["vol_f1", "vol_f2"], "thick": ["thick_f1"]},
+                   fractions=(0.5, 0.05, 0.1), repetitions=1, seed=14)
+
+
+def _batched_table():
+    return gen_multidataset(MultiDatasetSpec(
+        n_per_dataset=100, shifts=tuple(0.3 * d for d in range(15)), seed=15))
+
+
+class TestBatchedForests:
+    def test_each_forest_equals_its_one_part_call(self):
+        # parts of 150, 37, 90 and 12 rows; the third lacks the top two
+        # class codes and the last holds one class, so its trees are roots
+        parts = []
+        for i, (n_rows, n_classes) in enumerate([(150, 5), (37, 5), (90, 3), (12, 1)]):
+            X, labels = _oracle_data(30 + i, n_rows, 4, n_classes)
+            parts.append((X, _codes(labels), 40 + i))
+        config = RFConfig(n_trees=8)
+        forests = train_forest(parts, config)
+        assert len(forests) == len(parts)
+        for forest, (X, y, seed) in zip(forests, parts):
+            alone = _forest(X, y, config, seed)
+            assert len(forest.trees) == len(alone.trees) == 8
+            for tree, twin in zip(forest.trees, alone.trees):
+                _assert_same_tree(tree, (twin.feature, twin.threshold, twin.left,
+                                         twin.right, twin.leaf_counts))
+                assert tree.leaf_counts.shape[1] == y.max() + 1
+            assert _forest_digest(forest) == _forest_digest(alone)
+        assert all(tree.depth == 0 for tree in forests[3].trees)
+
+    def test_parts_of_two_widths_rejected(self):
+        with pytest.raises(ValueError, match=re.escape("one width, got widths [2, 3]")):
+            train_forest([(np.zeros((3, 2)), np.array([0, 1, 0]), 0),
+                          (np.zeros((3, 3)), np.array([0, 1, 1]), 1)], RFConfig(n_trees=1))
 
 
 def _pinned_table():
@@ -561,7 +664,7 @@ class TestLevelGrowerOracle:
 
     def test_forest_trees_equal_trees_grown_alone(self):
         X, labels = _oracle_data(7, 120, 4, 5)
-        forest = train_forest(X, _codes(labels), RFConfig(n_trees=6), seed=21)
+        forest = _forest(X, _codes(labels), RFConfig(n_trees=6), seed=21)
         for t, tree in enumerate(forest.trees):
             rows = np.random.default_rng(derive_seed(21, "bootstrap", t)).integers(
                 0, X.shape[0], size=X.shape[0])
@@ -731,7 +834,7 @@ def _forest_digest(forest):
 ])
 def test_pinned_forest_digest(data, seed, digest):
     X, labels = data()
-    assert _forest_digest(train_forest(X, _codes(labels), RFConfig(n_trees=20),
+    assert _forest_digest(_forest(X, _codes(labels), RFConfig(n_trees=20),
                                        seed=seed)) == digest
 
 
@@ -741,7 +844,7 @@ def _held_out_codes(columns):
     table = gen_multidataset(MultiDatasetSpec(n_per_dataset=1000,
                                               shifts=tuple(0.3 * d for d in range(15)), seed=7))
     train, test = stratified_split(table, 0.002, seed=11)
-    forest = train_forest(np.column_stack([train.column(c) for c in columns]),
+    forest = _forest(np.column_stack([train.column(c) for c in columns]),
                           train.dataset_codes, RFConfig(n_trees=15), seed=12)
     return forest.predict_codes(np.column_stack([test.column(c) for c in columns]))
 
@@ -812,25 +915,25 @@ def _jittered(forest, probes, rng, copies=4):
 
 def _walk_case_tree0(rng):
     X, labels = _oracle_data(3, 200, 4, 6)
-    forest = train_forest(X, _codes(labels), RFConfig(n_trees=9), seed=8)
+    forest = _forest(X, _codes(labels), RFConfig(n_trees=9), seed=8)
     return forest, _walk_probes(forest.trees[0], X, rng)
 
 
 def _walk_case_every_tree(rng):
     X, labels = _oracle_data(3, 200, 4, 6)
-    forest = train_forest(X, _codes(labels), RFConfig(n_trees=9), seed=8)
+    forest = _forest(X, _codes(labels), RFConfig(n_trees=9), seed=8)
     return forest, _every_tree_probes(forest, X, rng)
 
 
 def _walk_case_signed_zero_inf(rng):
     X, labels = _oracle_layout("signed_zero_inf", 4, 15)
-    forest = train_forest(X, _codes(labels), RFConfig(n_trees=9), seed=4)
+    forest = _forest(X, _codes(labels), RFConfig(n_trees=9), seed=4)
     return forest, _jittered(forest, _every_tree_probes(forest, X, rng), rng)
 
 
 def _walk_case_many_rows_per_cell(rng):
     X, labels = _oracle_data(5, 60, 2, 4)
-    forest = train_forest(X, _codes(labels), RFConfig(n_trees=15), seed=2)
+    forest = _forest(X, _codes(labels), RFConfig(n_trees=15), seed=2)
     return forest, _jittered(forest, _every_tree_probes(forest, X, rng), rng, copies=20)
 
 
@@ -838,7 +941,7 @@ def _walk_case_wide_rerank(rng):
     # 40 columns whose threshold grid has more than 2**62 cells, so the
     # cell codes are re-ranked on the way
     X, labels = _oracle_data(6, 300, 40, 5)
-    forest = train_forest(X, _codes(labels), RFConfig(n_trees=12), seed=3)
+    forest = _forest(X, _codes(labels), RFConfig(n_trees=12), seed=3)
     grid = 1
     for j in range(40):
         grid *= np.unique(_split_thresholds(forest, j)).size + 1
@@ -871,7 +974,7 @@ def _walk_case_codes_wrap_without_rerank(rng):
 def _walk_case_unsplit_column(rng):
     # column 2 is constant in training, so no tree splits it; the probes vary it
     X, labels = _oracle_data(4, 150, 4, 3)
-    forest = train_forest(X, _codes(labels), RFConfig(n_trees=9), seed=1)
+    forest = _forest(X, _codes(labels), RFConfig(n_trees=9), seed=1)
     assert _split_thresholds(forest, 2).size == 0
     probes = _every_tree_probes(forest, X, rng)
     probes[:, 2] = rng.standard_normal(probes.shape[0])
@@ -881,7 +984,7 @@ def _walk_case_unsplit_column(rng):
 def _walk_case_root_only(rng):
     # one class only: every tree is a root-only leaf
     X = rng.standard_normal((30, 3))
-    forest = train_forest(X, np.full(30, 2), RFConfig(n_trees=5), seed=0)
+    forest = _forest(X, np.full(30, 2), RFConfig(n_trees=5), seed=0)
     assert all(tree.depth == 0 for tree in forest.trees)
     return forest, np.vstack([X, [[np.nan, np.inf, -0.0], [-np.inf, 0.0, 1.0]]])
 
