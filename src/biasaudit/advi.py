@@ -49,15 +49,16 @@ class FitConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.mc_samples, self.max_iterations,
-               self.convergence_window) < 1:
-            raise ValueError("all counts must be positive")
+        for name in ("mc_samples", "max_iterations", "convergence_window"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.final_elbo_samples < 100:
             raise ValueError(
                 f"final_elbo_samples must be >= 100, got {self.final_elbo_samples}")
         require_positive_finite(self, "learning_rate")
         if not 0.0 < self.relative_tolerance < 1.0:
-            raise ValueError("relative_tolerance must lie in (0, 1)")
+            raise ValueError(
+                f"relative_tolerance must lie in (0, 1), got {self.relative_tolerance}")
 
 
 @dataclass

@@ -15,6 +15,9 @@ occurs once, so the sort need not be stable.  Each tree draws its
 nodes' feature orders from its own seed, one block per depth.  A
 forest predicts each cell of its threshold grid once: rows that no
 split threshold of any tree separates take the same path in every tree.
+A tree holds only its node arrays; the forest builds each tree's walk
+tables just before that tree's walk, and a lone tree predicts as the
+forest of itself.
 The membership harness ("which dataset does this row come from?")
 trains forests over a grid of training fractions and reports learning
 curves plus a confusion matrix at the largest fraction.
@@ -38,11 +41,11 @@ class RFConfig:
 
     def __post_init__(self):
         if self.n_trees < 1:
-            raise ValueError("n_trees must be >= 1")
+            raise ValueError(f"n_trees must be >= 1, got {self.n_trees}")
 
 
 class DecisionTree:
-    """CART tree stored as flat node arrays.
+    """CART tree stored as flat node arrays, one entry per node.
 
     ``feature[i] == -1`` marks a leaf; internal nodes route
     ``x[feature] <= threshold`` to ``left``.  Leaves keep their class
@@ -56,6 +59,12 @@ class DecisionTree:
         self.left = np.asarray(left, dtype=int)
         self.right = np.asarray(right, dtype=int)
         self.leaf_counts = np.asarray(leaf_counts, dtype=int)
+        arrays = (self.feature, self.threshold, self.left, self.right, self.leaf_counts)
+        if ([a.ndim for a in arrays] != [1, 1, 1, 1, 2]
+                or {a.shape[0] for a in arrays} != {self.n_nodes} or not self.n_nodes):
+            raise ValueError(f"need a node, and one threshold, left, right and leaf-count row "
+                             f"per node: feature, threshold, left, right and leaf_counts have "
+                             f"shapes {[a.shape for a in arrays]}")
         self._leaf_pred = np.argmax(self.leaf_counts, axis=1)
         leaf = self.feature < 0
         inner = np.flatnonzero(~leaf)
@@ -64,17 +73,6 @@ class DecisionTree:
                 or np.any(np.bincount(child) > 1)):
             raise ValueError("each split node's children must lie past it, inside the tree, "
                              "and be no other split's")
-
-        # walk tables, which name node i by 2i: entries 2i and 2i + 1 of
-        # ``_walk_feature`` and ``_walk_threshold`` hold node i's test, and
-        # entry 2i + go of ``_child`` is the doubled id of where node i
-        # sends a row, go = (x <= threshold), so NaN goes right; a leaf
-        # reads feature 0 and sends a row back to itself whatever the test
-        self._walk_feature = np.repeat(np.where(leaf, 0, self.feature), 2)
-        self._walk_threshold = np.repeat(self.threshold, 2)
-        nodes = np.arange(self.n_nodes)
-        self._child = 2 * np.column_stack([np.where(leaf, nodes, self.right),
-                                           np.where(leaf, nodes, self.left)]).ravel()
         # the most splits on any root-to-leaf path
         self.depth, level = 0, np.zeros(1, dtype=int)
         while (level := level[~leaf[level]]).size:
@@ -86,28 +84,8 @@ class DecisionTree:
         return self.feature.size
 
     def predict_codes(self, X: np.ndarray) -> np.ndarray:
-        """Class code of each row: ``depth`` steps of every row at once."""
-        X = _feature_matrix(X, [self])
-        return self._walk(X.ravel(), np.arange(X.shape[0]) * X.shape[1])
-
-    def _walk(self, flat, row_start):
-        """Class code of each row of a raveled C-order matrix; row r starts at ``row_start[r]``."""
-        node = np.zeros(row_start.size, dtype=np.intp)  # doubled ids
-        feature, threshold, child = self._walk_feature, self._walk_threshold, self._child
-        for _ in range(self.depth):
-            node = child[node + (flat[row_start + feature[node]] <= threshold[node])]
-        return self._leaf_pred[node >> 1]
-
-
-def _feature_matrix(X, trees):
-    """``X`` as a C-order float matrix; ValueError unless it is 2-D with a
-    column for every feature the trees split on."""
-    X = np.ascontiguousarray(X, dtype=float)
-    need = 1 + max(int(tree.feature.max()) for tree in trees)
-    if X.ndim != 2 or X.shape[1] < need:
-        raise ValueError(f"need a 2-D feature matrix of at least {need} columns, "
-                         f"got shape {X.shape}")
-    return X
+        """Class code of each row: the prediction of the one-tree forest."""
+        return Forest(trees=(self,)).predict_codes(X)
 
 
 def _dense_codes(codes):
@@ -396,6 +374,12 @@ def train_tree(X, labels, seed: int) -> DecisionTree:
 class Forest:
     trees: tuple[DecisionTree, ...]
 
+    def __post_init__(self):
+        widths = sorted({tree.leaf_counts.shape[1] for tree in self.trees})
+        if len(widths) != 1:
+            raise ValueError(f"need one or more trees of one leaf-count width, "
+                             f"got widths {widths}")
+
     def predict_codes(self, X: np.ndarray) -> np.ndarray:
         """Majority-vote class codes; ties go to the lowest class code.
 
@@ -408,11 +392,18 @@ class Forest:
         +-0 compare equal.  So every row of a cell takes its cell's path
         in every tree.  A cell is coded by its places in mixed radix,
         re-ranked to dense codes before the product could pass 2**62.
+        Each tree's walk tables are built here, just before its walk,
+        and go with it.  ValueError unless ``X`` is 2-D with a column for
+        every feature the trees split on.
         """
-        X = _feature_matrix(X, self.trees)
-        n, m = X.shape
+        X = np.ascontiguousarray(X, dtype=float)
         feature = np.concatenate([tree.feature for tree in self.trees])
         threshold = np.concatenate([tree.threshold for tree in self.trees])
+        need = 1 + int(feature.max())
+        if X.ndim != 2 or X.shape[1] < need:
+            raise ValueError(f"need a 2-D feature matrix of at least {need} columns, "
+                             f"got shape {X.shape}")
+        n, m = X.shape
         cell, size = np.zeros(n, dtype=np.int64), 1
         for j in range(m):
             T = np.sort(threshold[feature == j])
@@ -432,7 +423,21 @@ class Forest:
         vote_start = np.arange(n_cells) * n_classes
         flat, row_start = X.ravel(), walked * m
         for tree in self.trees:
-            votes[vote_start + tree._walk(flat, row_start)] += 1
+            # walk tables, which name node i by 2i: entries 2i and 2i + 1 of
+            # ``feature`` and ``threshold`` hold node i's test, and entry
+            # 2i + go of ``child`` is the doubled id of where node i sends a
+            # row, go = (x <= threshold), so NaN goes right; a leaf reads
+            # feature 0 and sends a row back to itself whatever the test
+            leaf = tree.feature < 0
+            feature = np.repeat(np.where(leaf, 0, tree.feature), 2)
+            threshold = np.repeat(tree.threshold, 2)
+            nodes = np.arange(tree.n_nodes)
+            child = 2 * np.column_stack([np.where(leaf, nodes, tree.right),
+                                         np.where(leaf, nodes, tree.left)]).ravel()
+            node = np.zeros(n_cells, dtype=np.intp)  # doubled ids
+            for _ in range(tree.depth):
+                node = child[node + (flat[row_start + feature[node]] <= threshold[node])]
+            votes[vote_start + tree._leaf_pred[node >> 1]] += 1
         return np.argmax(votes.reshape(n_cells, n_classes), axis=1)[cell]
 
 

@@ -3,11 +3,11 @@
 All log densities are in nats.  Matrices here are small, so everything
 is plain dense numpy: scoring factors only the m x m precision ``P`` of
 ``models.causal_evidence_closed_form`` (m = cause columns), and the
-quadrature oracle the (m+1) x (m+1) row covariance of
-``models.ppca_evidence_fixed_W``.  No n x n matrix is formed.  The
-quadrature rules (Gauss-Legendre, and the fixed Talbot contour behind
-the Bingham normalising constant) serve ``models.confounded_evidence_k1``
-and the grid oracle.
+fixed-loadings oracle ``models.ppca_evidence_fixed_W`` the (m+1) x
+(m+1) row covariance.  No n x n matrix is formed.  The quadrature rules
+(Gauss-Legendre, and the fixed Talbot contour behind the Bingham
+normalising constant) serve ``models.confounded_evidence_k1`` and the
+grid oracle.
 """
 
 import functools

@@ -195,13 +195,18 @@ class Table:
 
 
 def concat_tables(tables) -> Table:
-    """Stack tables that share the same feature columns."""
+    """Stack tables that share the same feature columns and healthy label."""
     tables = list(tables)
     if not tables:
         raise ValueError("need at least one table to stack")
     names = tables[0].feature_names
     if any(t.feature_names != names for t in tables):
         raise ValueError("tables have mismatched feature columns")
+    healthy = tables[0].healthy_label
+    for t in tables:
+        if t.healthy_label != healthy:
+            raise ValueError(f"tables have mismatched healthy labels {healthy!r} "
+                             f"and {t.healthy_label!r}")
     return Table(
         ids=[i for t in tables for i in t.ids],
         dataset_labels=np.concatenate([t.dataset_labels for t in tables]),
@@ -210,7 +215,7 @@ def concat_tables(tables) -> Table:
         features=np.vstack([t.features for t in tables]),
         feature_names=names,
         diagnosis_labels=np.concatenate([t.diagnosis_labels for t in tables]),
-        healthy_label=tables[0].healthy_label,
+        healthy_label=healthy,
     )
 
 

@@ -453,6 +453,17 @@ MALFORMED = {
     "zero_trees": (["classify", "--input", "{csv}", "--trees", "0"], None, "n_trees"),
     "zero_repetitions": (["classify", "--input", "{csv}", "--repetitions", "0"], None,
                          "repetitions"),
+    # a count field's error names the field and the value it got
+    "zero_mc_samples": (["score", "--input", "{csv}"], "mc_samples = 0",
+                        "mc_samples must be >= 1, got 0"),
+    "zero_max_iterations": (["score", "--input", "{csv}"], "max_iterations = 0",
+                            "max_iterations must be >= 1, got 0"),
+    "zero_convergence_window": (["score", "--input", "{csv}"], "convergence_window = 0",
+                                "convergence_window must be >= 1, got 0"),
+    "zero_trees_value": (["classify", "--input", "{csv}", "--trees", "0"], None,
+                         "n_trees must be >= 1, got 0"),
+    "relative_tolerance_of_one": (["score", "--input", "{csv}"], "relative_tolerance = 1",
+                                  "relative_tolerance must lie in (0, 1), got 1.0"),
     "missing_config_file": (["score", "--input", "{csv}", "--config", "{missing}"], None,
                             "missing.cfg"),
     "malformed_config_line": (["classify", "--input", "{csv}"], "just some words",

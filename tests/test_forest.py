@@ -224,6 +224,42 @@ def test_tree_whose_children_do_not_follow_their_node_rejected(layout):
                      np.ones((len(feature), 2), dtype=int))
 
 
+# a 3-node stump (root on feature 0 at 0.0, two leaves) with one array of the
+# wrong length or shape, and a tree of no nodes
+SHORT_ARRAYS = {
+    "threshold": ([0, -1, -1], [0.0], [1, -1, -1], [2, -1, -1], [[0, 0], [1, 0], [0, 1]]),
+    "left": ([0, -1, -1], [0.0] * 3, [1, -1], [2, -1, -1], [[0, 0], [1, 0], [0, 1]]),
+    "right": ([0, -1, -1], [0.0] * 3, [1, -1, -1], [2, -1, -1, -1], [[0, 0], [1, 0], [0, 1]]),
+    "leaf_counts": ([0, -1, -1], [0.0] * 3, [1, -1, -1], [2, -1, -1], [[0, 0], [1, 0]]),
+    "flat_leaf_counts": ([0, -1, -1], [0.0] * 3, [1, -1, -1], [2, -1, -1], [0, 1, 0]),
+    "no_nodes": ([], [], [], [], np.zeros((0, 2))),
+}
+
+
+@pytest.mark.parametrize("arrays", SHORT_ARRAYS)
+def test_tree_without_one_entry_per_node_rejected(arrays):
+    with pytest.raises(ValueError, match="one threshold, left, right and leaf-count row per node"):
+        DecisionTree(*SHORT_ARRAYS[arrays])
+
+
+def _stump(width):
+    """A one-split tree on feature 0 whose leaves count ``width`` classes."""
+    leaf_counts = np.zeros((3, width), dtype=int)
+    leaf_counts[[1, 2], [0, 1]] = 1
+    return DecisionTree([0, -1, -1], [0.0] * 3, [1, -1, -1], [2, -1, -1], leaf_counts)
+
+
+class TestForestTrees:
+    def test_trees_of_different_widths_rejected(self):
+        # the 3-wide tree's votes would land in the next cell's slots
+        with pytest.raises(ValueError, match=re.escape("got widths [2, 3]")):
+            Forest(trees=(_stump(2), _stump(3)))
+
+    def test_no_trees_rejected(self):
+        with pytest.raises(ValueError, match="one or more trees"):
+            Forest(trees=())
+
+
 class TestNameThatDataset:
     def test_disjoint_supports_near_perfect(self):
         table = gen_multidataset(MultiDatasetSpec(

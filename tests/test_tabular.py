@@ -581,6 +581,18 @@ class TestTableBasics:
         combined = concat_tables([t1, t2])
         assert combined.n_rows == 10
 
+    @pytest.mark.parametrize("hc_first", [True, False])
+    def test_concat_of_different_healthy_labels_rejected(self, hc_first):
+        # stacked under either label, one table's healthy rows would count as diseased
+        base = make_table(n=2)
+        hc = Table(ids=["h0", "h1"], dataset_labels=base.dataset_labels, ages=base.ages,
+                   sexes=base.sexes, features=base.features, feature_names=base.feature_names,
+                   diagnosis_labels=["HC", "AD"], healthy_label="HC")
+        tables = [hc, base] if hc_first else [base, hc]
+        want = "'HC' and 'control'" if hc_first else "'control' and 'HC'"
+        with pytest.raises(ValueError, match=f"mismatched healthy labels {want}"):
+            concat_tables(tables)
+
     def test_concat_of_no_tables_rejected(self):
         with pytest.raises(ValueError, match="at least one table"):
             concat_tables([])
