@@ -131,8 +131,6 @@ class VariationalPosterior:
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         eps = rng.standard_normal((size, self.dim))
-        if self.family == MEAN_FIELD:
-            return self.mean + np.exp(self.log_scale) * eps
         return self.mean + eps @ self.scale_tril.T
 
     def entropy(self) -> float:
@@ -194,6 +192,7 @@ def fit(log_joint, d: int, config: FitConfig,
         row %= 2
         rng.standard_normal(out=eps)
         np.exp(log_scale, out=scale)
+        # a diagonal factor skips the matmul, which costs more at these sizes
         if full_rank:
             factor_flat[tril] = off_diagonal
             factor_flat[::d + 1] = scale
@@ -242,9 +241,8 @@ def fit(log_joint, d: int, config: FitConfig,
             windows[row, col] = np.nan
 
         if nonfinite_streak >= _DIVERGENCE_PATIENCE:
-            trace = FitTrace(False, t + 1)
-            raise DivergenceError(
-                f"{_DIVERGENCE_PATIENCE} consecutive non-finite ELBO steps", trace)
+            raise DivergenceError(f"{_DIVERGENCE_PATIENCE} consecutive non-finite "
+                                  f"ELBO steps, the last at iteration {t + 1}")
 
         done = t + 1
         if done >= 2 * window and done % window == 0:

@@ -31,12 +31,9 @@ class QuadratureError(BiasAuditError):
 
 class DivergenceError(BiasAuditError):
     """A variational fit produced non-finite objectives for too many
-    consecutive steps.  Carries the fit trace for post-mortem."""
-
-    def __init__(self, message, trace=None):
-        super().__init__(message)
-        self.trace = trace
+    consecutive steps; the message names the iteration it stopped at."""
 
 
 class EstimationError(BiasAuditError):
-    """A Monte-Carlo estimate had too many non-finite samples."""
+    """An estimate is not usable: a Monte-Carlo estimate had too many
+    non-finite samples, or a code length came out non-finite."""

@@ -90,6 +90,8 @@ class DecisionTree:
 
 def _dense_codes(codes):
     """``(dense, count)``: each code's rank among the ``count`` distinct codes."""
+    # not np.unique: in numpy 2.4.6 even np.unique(np.array([3, 1, 3])) imports
+    # numpy.ma, which tests/test_cli.py keeps every command from loading
     order = np.argsort(codes)
     head = _heads(codes[order])
     dense = np.empty(codes.size, dtype=np.int64)
@@ -107,6 +109,7 @@ def _column_ranks(X):
 
 def _heads(a):
     """True where an entry differs from the one before it (always at 0)."""
+    # for sorted a, a[_heads(a)] is np.unique(a) without its numpy.ma import
     head = np.empty(a.size, dtype=bool)
     head[:1] = True
     np.not_equal(a[1:], a[:-1], out=head[1:])

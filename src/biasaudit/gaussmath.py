@@ -68,7 +68,7 @@ class SpdMatrix:
     def mahalanobis_sq(self, residuals: np.ndarray) -> np.ndarray:
         """r^T A^{-1} r for one residual vector or a batch of rows."""
         r = np.atleast_2d(np.asarray(residuals, dtype=float))
-        # forward-substitution against the lower factor
+        # a general LU solve against the lower factor, not a triangular one
         u = np.linalg.solve(self.chol, r.T)
         out = np.sum(u * u, axis=0)
         return out if np.asarray(residuals).ndim > 1 else float(out[0])

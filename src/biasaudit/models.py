@@ -30,7 +30,7 @@ import numpy as np
 from . import advi
 from .advi import (FitConfig, FULL_RANK, MEAN_FIELD, VariationalPosterior,
                    require_positive_finite)
-from .errors import QuadratureError
+from .errors import EstimationError, QuadratureError
 from .gaussmath import (LOG_2PI, SpdMatrix, gauss_legendre, grid_quadrature_2d,
                         log_bingham_constant, mvn_logpdf, normal_logpdf)
 from .seeding import derive_seed
@@ -74,13 +74,6 @@ class JointVector:
             raise ValueError("joint matrix must be finite")
         self.values = values
 
-    @classmethod
-    def from_design(cls, X: np.ndarray, y: np.ndarray) -> "JointVector":
-        y = np.asarray(y, dtype=float)
-        if y.shape != (X.shape[0],):
-            raise ValueError("target length does not match design rows")
-        return cls(np.column_stack([X, y]))
-
     @property
     def n(self) -> int:
         return self.values.shape[0]
@@ -101,6 +94,10 @@ class CodeLength:
     converged: bool = True
     elbo_se: float = 0.0
     iterations: int = 0
+
+    def __post_init__(self):
+        if not math.isfinite(self.nats):
+            raise EstimationError(f"{self.method} code length is {self.nats}, not finite")
 
 
 # ---------------------------------------------------------------------------

@@ -116,7 +116,7 @@ def score_target(table: Table, cause_spec: CauseSpec, target: str,
 
     X = build_design(table, cause_spec)
     y, _, _ = standardize_column(table.column(target))
-    joint = JointVector.from_design(X, y)
+    joint = JointVector(np.column_stack([X, y]))
 
     causal = causal_code_length(
         X, y, causal_model, method=causal_method, family=causal_family,

@@ -412,13 +412,16 @@ def standardize_column(values) -> tuple[np.ndarray, float, float]:
 
     Population SD (divide by n) keeps a standardized column's sum of
     squares exactly n, which is what the unit-scale priors downstream
-    assume.  Constant columns cannot be standardized.
+    assume.  Constant or overflowing columns cannot be standardized.
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != 1 or values.size < 2:
         raise ValueError("need a 1-D vector of length >= 2")
-    mean = float(np.mean(values))
-    sd = float(np.std(values))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(np.mean(values))
+        sd = float(np.std(values))
+    if not (np.isfinite(mean) and np.isfinite(sd)):
+        raise DegenerateColumnError(f"non-finite mean or SD (mean={mean:.3e}, sd={sd:.3e})")
     if sd <= 1e-12:
         raise DegenerateColumnError(f"column is constant (sd={sd:.3e})")
     return (values - mean) / sd, mean, sd

@@ -153,9 +153,9 @@ class TestFit:
                 return np.zeros(theta.shape[0]), np.zeros_like(theta)
             return np.full(theta.shape[0], np.inf), np.zeros_like(theta)
 
-        with pytest.raises(DivergenceError) as err:
+        # every step after the precheck is non-finite, so the 50th stops the fit
+        with pytest.raises(DivergenceError, match="steps, the last at iteration 50$"):
             fit(explodes, 1, quick_fit_config(seed=9))
-        assert err.value.trace is not None
 
 
 class TestEstimateElbo:
@@ -216,6 +216,19 @@ class TestPosterior:
                                   scale_tril=np.diag(np.exp(log_sd)))
         theta = rng.standard_normal((6, 2))
         np.testing.assert_allclose(log_prob(mf, theta), log_prob(fr, theta), atol=1e-12)
+
+    def test_mean_field_samples_match_full_rank_bit_for_bit(self):
+        mean = np.array([0.5, -1.0, 2.0])
+        log_sd = np.array([0.1, -0.3, 0.7])
+        mf = VariationalPosterior(MEAN_FIELD, mean, log_sd=log_sd)
+        fr = VariationalPosterior(FULL_RANK, mean,
+                                  scale_tril=np.diag(np.exp(log_sd)))
+        got = mf.sample(np.random.default_rng(5), 500)
+        want = fr.sample(np.random.default_rng(5), 500)
+        assert got.tobytes() == want.tobytes()
+        # and both equal the diagonal draw mean + sd * eps
+        eps = np.random.default_rng(5).standard_normal((500, 3))
+        assert got.tobytes() == (mean + np.exp(log_sd) * eps).tobytes()
 
     def test_rejects_bad_family(self):
         with pytest.raises(ValueError):
@@ -322,9 +335,8 @@ def _reference_fit(log_joint, d, config, family=FULL_RANK, start=None):
             nonfinite_streak += 1
 
         if nonfinite_streak >= 50:
-            trace = FitTrace(False, t + 1)
             raise DivergenceError(
-                f"{50} consecutive non-finite ELBO steps", trace)
+                f"{50} consecutive non-finite ELBO steps, the last at iteration {t + 1}")
 
         done = t + 1
         if done >= 2 * window and done % window == 0:
@@ -434,6 +446,5 @@ class TestLoopMatchesReference:
             _reference_fit(exploding(), 2, config, family)
         with pytest.raises(DivergenceError) as got:
             fit(exploding(), 2, config, family)
-        assert str(got.value) == str(want.value)
-        assert got.value.trace.iterations_run == want.value.trace.iterations_run == 168
-        assert got.value.trace.converged is want.value.trace.converged is False
+        assert str(got.value) == str(want.value) == (
+            "50 consecutive non-finite ELBO steps, the last at iteration 168")

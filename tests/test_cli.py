@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import math
@@ -5,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -206,6 +208,49 @@ class TestScore:
         assert len(payload["records"]) == 1
         assert len(payload["failures"]) == 1
         assert payload["failures"][0]["target"] == "no_such_column"
+
+    def test_target_whose_sd_overflows_fails_its_own_pair(self, runner, tmp_path):
+        invoke(runner, ["simulate", "--out", str(tmp_path), "--name", "sim",
+                        "--n", "60", "--seed", "2"])
+        with open(tmp_path / "sim.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        for row in rows:  # squares of 1e200 overflow, so np.std reads inf
+            row["vol_y"] = repr(1e200 * float(row["vol_y"]))
+        with open(tmp_path / "big.csv", "w", newline="", encoding="utf-8") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = invoke(runner, [
+                "score", "--input", str(tmp_path / "big.csv"), "--out", str(out),
+                "--causes", "vol_x1,vol_x2", "--targets", "vol_x3,vol_y"])
+        assert result.exit_code == 0
+        payload = json.loads((out / "scores.json").read_text())
+        assert [r["target"] for r in payload["records"]] == ["vol_x3"]
+        (failure,) = payload["failures"]
+        assert failure["target"] == "vol_y"
+        assert failure["error"].startswith("DegenerateColumnError: non-finite mean or SD")
+
+    def test_non_finite_code_length_fails_its_pair(self, runner, tmp_path, caplog):
+        # (x / sigma_x) ** 2 overflows in the cause prior, so L_ca would be inf, delta -inf
+        invoke(runner, ["simulate", "--out", str(tmp_path), "--name", "sim",
+                        "--n", "60", "--seed", "2"])
+        (tmp_path / "tiny.cfg").write_text("sigma_x = 1e-200\n", encoding="utf-8")
+        out = tmp_path / "o"
+        result = runner.invoke(main, [
+            "score", "--input", str(tmp_path / "sim.csv"), "--out", str(out),
+            "--causes", "vol_x1,vol_x2,vol_x3", "--targets", "vol_y",
+            "--config", str(tmp_path / "tiny.cfg")])
+
+        def refuse(constant):
+            raise ValueError(f"scores.json holds {constant}, which strict JSON refuses")
+
+        for report in out.glob("scores.json"):
+            json.loads(report.read_text(), parse_constant=refuse)
+        assert result.exit_code == 3
+        assert "closed_form code length is inf, not finite" in caplog.text
 
     def test_alpha_sweep_monotone_end_to_end(self, runner, tmp_path):
         """Generated files per alpha, scored through the CLI: the mean
@@ -881,7 +926,7 @@ def test_closed_form_score_at_extreme_bingham_arguments(runner, tmp_path):
     assert result.exit_code == 0
     table = load_csv(tmp_path / "sim.csv")[0].filter_controls()
     y, _, _ = standardize_column(table.column("vol_y"))
-    V = JointVector.from_design(build_design(table, CauseSpec.parse(causes)), y)
+    V = JointVector(np.column_stack([build_design(table, CauseSpec.parse(causes)), y]))
     want, largest_argument = _dense_radial_log_evidence(V, ConfoundedModelSpec(sigma_obs=0.03))
     assert largest_argument > 1e6
     assert payload["records"][0]["L_co"] == pytest.approx(-want, abs=1e-8)
@@ -903,19 +948,23 @@ print(json.dumps([name for name in ("numpy.ma", "numpy.polynomial") if name in s
 """
 
 
-def test_commands_import_neither_numpy_ma_nor_numpy_polynomial(runner, tmp_path):
-    invoke(runner, ["simulate", "--out", str(tmp_path), "--name", "toy", "--n", "100",
-                    "--seed", "7"])
-    invoke(runner, ["simulate", "--kind", "multidataset", "--n-datasets", "3", "--n", "30",
-                    "--out", str(tmp_path), "--name", "multi", "--seed", "7"])
+def test_commands_import_neither_numpy_ma_nor_numpy_polynomial(tmp_path):
+    # every command, in the order that makes each one's input
     (tmp_path / "fit.cfg").write_text("max_iterations = 400\nfinal_elbo_samples = 100\n",
                                       encoding="utf-8")
-    toy, out = str(tmp_path / "toy.csv"), str(tmp_path / "out")
+    toy, multi, out = (str(tmp_path / name) for name in ("toy.csv", "multi.csv", "out"))
+    fit = ["--method", "advi", "--config", str(tmp_path / "fit.cfg")]
     score = ["score", "--input", toy, "--out", out, "--causes", "vol_x1,vol_x2,vol_x3",
              "--targets", "vol_y"]
-    commands = [score,
-                score + ["--method", "advi", "--k", "2", "--config", str(tmp_path / "fit.cfg")],
-                ["classify", "--input", str(tmp_path / "multi.csv"), "--out", out,
+    commands = [["simulate", "--out", str(tmp_path), "--name", "toy", "--n", "100",
+                 "--seed", "7"],
+                ["simulate", "--kind", "multidataset", "--n-datasets", "3", "--n", "30",
+                 "--out", str(tmp_path), "--name", "multi", "--seed", "7"],
+                ["validate", "--input", multi],
+                score,
+                score + fit + ["--k", "2"],
+                score + fit + ["--family", "mean-field"],
+                ["classify", "--input", multi, "--out", out,
                  "--repetitions", "1", "--trees", "3"]]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

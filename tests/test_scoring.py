@@ -107,7 +107,7 @@ def scored_joint(table, target="vol_y") -> JointVector:
     """The joint matrix score_target builds: control rows, standardized columns."""
     table = table.filter_controls()
     y, _, _ = standardize_column(table.column(target))
-    return JointVector.from_design(build_design(table, CAUSES), y)
+    return JointVector(np.column_stack([build_design(table, CAUSES), y]))
 
 
 class TestMethodRouting:

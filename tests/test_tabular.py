@@ -1,4 +1,5 @@
 import csv
+import warnings
 
 import numpy as np
 import pytest
@@ -351,6 +352,14 @@ class TestStandardizeColumn:
     def test_constant_column_error(self):
         with pytest.raises(DegenerateColumnError):
             standardize_column([5.0, 5.0, 5.0])
+
+    def test_overflowing_sd_is_degenerate_and_silent(self, rng):
+        # the squares overflow, so np.std reads inf and every value would standardize to 0
+        values = 1e200 * rng.standard_normal(60)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateColumnError, match=r"non-finite mean or SD .*sd=inf"):
+                standardize_column(values)
 
     def test_too_short(self):
         with pytest.raises(ValueError):
