@@ -9,12 +9,14 @@ input digest without the input path, the output path and the worker
 count, which leave the results as they are.  Rerunning any command
 with the same configuration produces byte-identical file bodies.
 
-Exit codes: 0 success (possibly with partial failures listed), 2 for
-usage or schema errors, 3 for total computational failure.
+This module is the only one that writes to the user: the library
+returns what happened (rejected rows, failed pairs) and the commands
+print it to stderr.  Exit codes: 0 success (possibly with partial
+failures listed), 2 for usage or schema errors, 3 for total
+computational failure, reports written.
 """
 
 import json
-import logging
 import re
 import sys
 from contextlib import contextmanager
@@ -34,8 +36,6 @@ from .seeding import fingerprint
 from .synth import (MULTIDATASET_FEATURES, GenSpec, MultiDatasetSpec, gen_mixed,
                     gen_multidataset, write_table_csv)
 from .tabular import CauseSpec, SchemaConfig, load_csv, summarize, write_csv
-
-log = logging.getLogger("biasaudit")
 
 EXIT_USAGE = 2
 EXIT_FAILURE = 3
@@ -198,15 +198,19 @@ def _usage_errors(errors=(BiasAuditError, ValueError, OSError)):
 
 
 def _load_table(cfg: dict):
-    """Load the configured input CSV; every error names the file."""
+    """Load the configured input CSV and print how many rows it rejected;
+    every error names the file."""
     path = cfg["input"]
     if path is None:
         raise SchemaError("no input file given")
     schema = _from_keys(SchemaConfig, cfg)
     try:
-        return load_csv(path, schema)
+        table, report = load_csv(path, schema)
     except ValueError as exc:  # undecodable bytes, duplicate subject ids
         raise SchemaError(f"{path}: {exc}") from None
+    if report.n_rejected:
+        click.echo(f"{path}: rejected {report.n_rejected} row(s)", err=True)
+    return table, report
 
 
 def _report_head(command: str, cfg: dict, input_sha256: str, **derived) -> dict:
@@ -246,8 +250,6 @@ class _Main(click.Group):
 @click.group(cls=_Main)
 def main():
     """Quantify confounding bias and detect dataset bias in tabular data."""
-    logging.basicConfig(level=logging.INFO, stream=sys.stderr,
-                        format="%(levelname)s %(name)s: %(message)s")
 
 
 @main.command()
@@ -269,7 +271,8 @@ def validate(config_path, **flags):
 @main.command()
 @_flags("score")
 def score(config_path, **flags):
-    """Score every (dataset, target) pair and write the reports."""
+    """Score every (dataset, target) pair and write the reports, also when
+    every pair fails (exit 3); each failed pair is printed once."""
     with _usage_errors():
         cfg = resolve_config("score", config_path, flags)
         table, loaded = _load_table(cfg)
@@ -297,10 +300,6 @@ def score(config_path, **flags):
     records = score_all(table, config)
     ok = [r for r in records if not isinstance(r, FailedScore)]
     failed = [r for r in records if isinstance(r, FailedScore)]
-    if not ok:
-        click.echo("error: every (dataset, target) fit failed", err=True)
-        sys.exit(EXIT_FAILURE)
-
     payload = {
         **_report_head("score", cfg, loaded.sha256, targets=",".join(target_list)),
         "records": [
@@ -326,15 +325,20 @@ def score(config_path, **flags):
                 r.diagnostics["causal"]["converged"]
                 and r.diagnostics["confounded"]["converged"]]
                for r in ok])
+    aggregates = aggregate_by_dataset(records)
     write_csv(out / "aggregate.csv",
               ["dataset", "mean_delta", "sd_delta", "n_targets"],
-              [[a.dataset, a.mean_delta, a.sd_delta, a.n_targets]
-               for a in aggregate_by_dataset(records)])
+              [[a.dataset, a.mean_delta, a.sd_delta, a.n_targets] for a in aggregates])
 
     click.echo(f"scored {len(ok)} pairs ({len(failed)} failures) -> {out}")
-    if failed:
-        for f in failed:
-            click.echo(f"  failed ({f.dataset}, {f.target}): {f.error}", err=True)
+    for f in failed:
+        click.echo(f"  failed ({f.dataset}, {f.target}): {f.error}", err=True)
+    aggregated = {a.dataset for a in aggregates}
+    for dataset in dict.fromkeys(f.dataset for f in failed if f.dataset not in aggregated):
+        click.echo(f"dataset {dataset}: no scored pair, left out of aggregate.csv", err=True)
+    if not ok:
+        click.echo("error: every (dataset, target) fit failed", err=True)
+        sys.exit(EXIT_FAILURE)
 
 
 @main.command()

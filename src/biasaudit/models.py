@@ -45,7 +45,8 @@ class CausalModelSpec:
     sigma_y: float = 1.0  # observation noise SD of the target
 
     def __post_init__(self):
-        require_positive_finite(self, "sigma_x", "sigma_w", "sigma_y")
+        require_positive_finite(self, "sigma_x")  # never squared
+        _require_scales(self, "sigma_w", "sigma_y")
 
 
 @dataclass(frozen=True)
@@ -60,7 +61,16 @@ class ConfoundedModelSpec:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("latent dimension k must be >= 1")
-        require_positive_finite(self, "sigma_z", "sigma_w", "sigma_obs")
+        _require_scales(self, "sigma_z", "sigma_w", "sigma_obs")
+
+
+def _require_scales(spec, *names: str) -> None:
+    """Each named scale positive and finite, and so its square, which the models use."""
+    require_positive_finite(spec, *names)
+    for name in names:
+        value = getattr(spec, name)
+        if not math.isfinite(value * value):
+            raise ValueError(f"{name} must have a finite square, got {value}")
 
 
 class JointVector:
@@ -167,8 +177,10 @@ def causal_evidence_closed_form(X, y, spec: CausalModelSpec) -> float:
 
 
 def code_length_X(X, sigma_x: float) -> float:
-    """Nats to code every cause entry under its independent prior."""
-    return float(-np.sum(normal_logpdf(np.asarray(X, dtype=float), sigma_x)))
+    """Nats to code every cause entry under its independent prior.  A tiny
+    ``sigma_x`` overflows to inf, which :class:`CodeLength` refuses."""
+    with np.errstate(over="ignore"):
+        return float(-np.sum(normal_logpdf(np.asarray(X, dtype=float), sigma_x)))
 
 
 def causal_code_length(X, y, spec: CausalModelSpec,

@@ -4,10 +4,10 @@ For every target column the causal and confounded code lengths are
 computed on identical standardized rows and their difference is the
 score: positive favors the causal reading (causes drive the target),
 negative the confounded one (a shared latent drives both).  Failures
-are first-class records, never silent zeros.
+are first-class records, never silent zeros.  Nothing here writes to
+the user: the records say what happened, and the CLI reports them.
 """
 
-import logging
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -18,8 +18,6 @@ from .models import (CausalModelSpec, ConfoundedModelSpec, JointVector,
                      causal_code_length, confounded_code_length)
 from .seeding import derive_seed, map_tasks
 from .tabular import CauseSpec, Table, build_design, standardize_column
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -157,9 +155,7 @@ def _score_one(args):
             causal_method=config.causal_method,
             causal_family=config.causal_family)
     except (BiasAuditError, ValueError, KeyError) as exc:
-        dataset = table.labels()[0]
-        log.warning("scoring failed for (%s, %s): %s", dataset, target, exc)
-        return FailedScore(dataset=dataset, target=target,
+        return FailedScore(dataset=table.labels()[0], target=target,
                            error=f"{type(exc).__name__}: {exc}")
 
 
@@ -191,29 +187,15 @@ class DatasetAggregate:
 
 
 def aggregate_by_dataset(records) -> list[DatasetAggregate]:
-    """Mean and SD of the score across targets, per dataset.
+    """Mean and SD of the score across targets, per dataset, in dataset order.
 
-    Failed records are excluded from the statistics; datasets with no
-    successful record are dropped with a warning.
+    Failed records are left out, so a dataset with no scored record has
+    no aggregate.
     """
-    by_dataset: dict[str, list] = {}
+    by_dataset: dict[str, list[float]] = {}
     for rec in records:
-        if isinstance(rec, FailedScore):
-            by_dataset.setdefault(rec.dataset, [])
-        else:
-            by_dataset.setdefault(rec.dataset, []).append(rec)
-
-    out = []
-    for dataset in sorted(by_dataset):
-        recs = by_dataset[dataset]
-        if not recs:
-            log.warning("dataset %s has no successful scores; excluded", dataset)
-            continue
-        deltas = np.array([r.delta for r in recs])
-        out.append(DatasetAggregate(
-            dataset=dataset,
-            mean_delta=float(np.mean(deltas)),
-            sd_delta=float(np.std(deltas)),
-            n_targets=len(recs),
-        ))
-    return out
+        if not isinstance(rec, FailedScore):
+            by_dataset.setdefault(rec.dataset, []).append(rec.delta)
+    return [DatasetAggregate(dataset=dataset, mean_delta=float(np.mean(deltas)),
+                             sd_delta=float(np.std(deltas)), n_targets=len(deltas))
+            for dataset, deltas in sorted(by_dataset.items())]

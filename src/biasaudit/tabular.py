@@ -12,14 +12,11 @@ import copy
 import csv
 import hashlib
 import io
-import logging
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DegenerateColumnError, EmptyTableError, SchemaError, SplitError
-
-log = logging.getLogger(__name__)
 
 SEX_CODES = {"M": 1, "F": 0, "1": 1, "0": 0, "male": 1, "female": 0}
 
@@ -234,9 +231,11 @@ def load_csv(path, schema: SchemaConfig | None = None) -> tuple[Table, Rejection
     first rule the record breaks.  Records are read by columns, a block
     at a time, by :func:`_parse_block`.  A UTF-8 byte-order mark is
     skipped.  The report carries the SHA-256 of the file's bytes, hashed
-    as they are read.  Raises :class:`SchemaError` when a required column is
-    missing or a column it reads is named twice, and :class:`EmptyTableError`
-    when no row survives validation.
+    as they are read; the caller reports the rejections, as nothing here
+    logs.  Raises :class:`SchemaError` when a required column is missing
+    or a column it reads is named twice, and :class:`EmptyTableError`
+    when no row survives validation, with the rejected count and the
+    first rejection when there were rows to reject.
     """
     schema = schema or SchemaConfig()
     with open(path, "rb", buffering=0) as raw:
@@ -269,12 +268,11 @@ def load_csv(path, schema: SchemaConfig | None = None) -> tuple[Table, Rejection
                  for starts, records in _record_blocks(reader)]
 
     if not sum(part[0].size for part in parts):
-        raise EmptyTableError(f"{path}: no valid rows after ingestion")
+        detail = f" ({len(reasons)} rejected; {reasons[0]})" if reasons else ""
+        raise EmptyTableError(f"{path}: no valid rows after ingestion{detail}")
     ids, labels, ages, sexes, feats, diags = (np.concatenate(column) for column in zip(*parts))
     report = RejectionReport(n_rejected=len(reasons), reasons=tuple(reasons),
                              sha256=hashing.hash.hexdigest())
-    if report.n_rejected:
-        log.info("%s: rejected %d row(s)", path, report.n_rejected)
     table = Table(
         ids=ids, dataset_labels=labels, ages=ages, sexes=sexes, features=feats,
         feature_names=feature_cols, diagnosis_labels=diags,

@@ -233,7 +233,7 @@ class TestScore:
         assert failure["target"] == "vol_y"
         assert failure["error"].startswith("DegenerateColumnError: non-finite mean or SD")
 
-    def test_non_finite_code_length_fails_its_pair(self, runner, tmp_path, caplog):
+    def test_non_finite_code_length_fails_its_pair(self, runner, tmp_path):
         # (x / sigma_x) ** 2 overflows in the cause prior, so L_ca would be inf, delta -inf
         invoke(runner, ["simulate", "--out", str(tmp_path), "--name", "sim",
                         "--n", "60", "--seed", "2"])
@@ -247,10 +247,62 @@ class TestScore:
         def refuse(constant):
             raise ValueError(f"scores.json holds {constant}, which strict JSON refuses")
 
-        for report in out.glob("scores.json"):
-            json.loads(report.read_text(), parse_constant=refuse)
+        json.loads((out / "scores.json").read_text(), parse_constant=refuse)
         assert result.exit_code == 3
-        assert "closed_form code length is inf, not finite" in caplog.text
+        assert ("failed (sim, vol_y): EstimationError: closed_form code length is inf, "
+                "not finite") in result.output
+
+    def test_each_failed_pair_is_reported_once_alike_at_any_job_count(self, runner, tmp_path):
+        invoke(runner, ["simulate", "--kind", "multidataset", "--n-datasets", "3", "--n", "30",
+                        "--out", str(tmp_path), "--name", "multi", "--seed", "1"])
+        with open(tmp_path / "multi.csv", "a", encoding="utf-8") as fh:
+            # a dataset too small to score any target, and one rejected row
+            fh.write("t1,tiny,30,M,control,1,2,3,4\nt2,tiny,40,F,control,2,3,4,5\n"
+                     "t3,tiny,-3,F,control,2,3,4,5\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH", "")])
+        runs = {}
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}"
+            runs[jobs] = subprocess.run(
+                [sys.executable, "-m", "biasaudit.cli", "score", "--input",
+                 str(tmp_path / "multi.csv"), "--out", str(out), "--jobs", jobs,
+                 "--targets", "vol_f1,thick_f2,no_such"],
+                env=env, capture_output=True, timeout=120)
+            assert runs[jobs].returncode == 0, runs[jobs].stderr
+        failures = json.loads((tmp_path / "jobs1" / "scores.json").read_text())["failures"]
+        assert len(failures) == 6  # no_such in every dataset, and every tiny target
+        lines = runs["1"].stderr.decode().splitlines()
+        for f in failures:
+            pair = f"({f['dataset']}, {f['target']})"
+            assert [line for line in lines if pair in line] == [f"  failed {pair}: {f['error']}"]
+            assert re.match(r"(KeyError|ValueError): ", f["error"])
+        assert lines.count("dataset tiny: no scored pair, left out of aggregate.csv") == 1
+        assert f"{tmp_path / 'multi.csv'}: rejected 1 row(s)" in lines
+        assert not [line for line in lines if line.startswith(("WARNING", "INFO"))]
+        assert runs["2"].stderr == runs["1"].stderr
+
+    def test_every_pair_failed_still_writes_the_reports(self, runner, tmp_path):
+        invoke(runner, ["simulate", "--kind", "multidataset", "--n-datasets", "2", "--n", "30",
+                        "--out", str(tmp_path), "--name", "multi", "--seed", "1"])
+        out = tmp_path / "o"
+        result = runner.invoke(main, ["score", "--input", str(tmp_path / "multi.csv"),
+                                      "--out", str(out), "--targets", "no_such,gone"])
+        assert result.exit_code == 3
+        payload = json.loads((out / "scores.json").read_text())
+        assert payload["records"] == []
+        pairs = [(d, t) for d in ("ds00", "ds01") for t in ("no_such", "gone")]
+        assert [(f["dataset"], f["target"]) for f in payload["failures"]] == pairs
+        assert (out / "scores.csv").read_text().count("\n") == 1  # the header alone
+        assert (out / "aggregate.csv").read_text() == "dataset,mean_delta,sd_delta,n_targets\n"
+        # stdout's one line, then stderr: each failure once, each dataset once, the error
+        assert result.output.splitlines() == (
+            [f"scored 0 pairs (4 failures) -> {out}"]
+            + [f"  failed ({f['dataset']}, {f['target']}): {f['error']}"
+               for f in payload["failures"]]
+            + [f"dataset {d}: no scored pair, left out of aggregate.csv" for d in ("ds00", "ds01")]
+            + ["error: every (dataset, target) fit failed"])
 
     def test_alpha_sweep_monotone_end_to_end(self, runner, tmp_path):
         """Generated files per alpha, scored through the CLI: the mean
@@ -462,14 +514,20 @@ UNEVEN_CSV = VALID_CSV.split("\n", 1)[0] + "\n" + "".join(
     f"u{i},ds{min(i // 2, 1):02d},{30 + i % 40},F,control,{i % 7},{i % 5}\n"
     for i in range(102))
 
+# every row rejected: an invalid age, then an unknown sex code
+ALL_REJECTED_CSV = VALID_CSV.split("\n", 1)[0] + "\ns1,A,-3,M,control,1.0,2.0\n" + (
+    "s2,A,40,X,control,1.5,2.5\n")
+
 # (command and flags, config file text or None, a word the error line must name);
-# "{csv}", "{dup}", "{latin1}", "{twenty}", "{uneven}", "{repeated}", "{one_control}"
-# and "{missing}" stand for files the test writes (or not)
+# "{csv}", "{dup}", "{latin1}", "{twenty}", "{uneven}", "{repeated}", "{one_control}",
+# "{rejected}" and "{missing}" stand for files the test writes (or not)
 MALFORMED = {
     "validate_duplicate_ids": (["validate", "--input", "{dup}"], None, "dup.csv"),
     "classify_duplicate_ids": (["classify", "--input", "{dup}"], None, "dup.csv"),
     "score_duplicate_ids": (["score", "--input", "{dup}"], None, "dup.csv"),
     "validate_non_utf8": (["validate", "--input", "{latin1}"], None, "latin1.csv"),
+    "every_row_rejected": (["validate", "--input", "{rejected}"], None,
+                           "no valid rows after ingestion (2 rejected; line 2: invalid age -3.0)"),
     "validate_repeated_column": (["validate", "--input", "{repeated}"], None, "'vol_a'"),
     "score_repeated_column": (["score", "--input", "{repeated}"], None, "'vol_a'"),
     "classify_non_utf8": (["classify", "--input", "{latin1}"], None, "latin1.csv"),
@@ -509,6 +567,18 @@ MALFORMED = {
                          "n_trees must be >= 1, got 0"),
     "relative_tolerance_of_one": (["score", "--input", "{csv}"], "relative_tolerance = 1",
                                   "relative_tolerance must lie in (0, 1), got 1.0"),
+    # the models square these scales, so a square must not overflow (on a table
+    # where a pair would get as far as squaring one)
+    "sigma_w_square_overflows": (["score", "--input", "{twenty}", "--causes", "age"],
+                                 "sigma_w = 1e200", "sigma_w must have a finite square, got 1e+200"),
+    "sigma_y_square_overflows": (["score", "--input", "{twenty}", "--causes", "age"],
+                                 "sigma_y = 1e170", "sigma_y must have a finite square, got 1e+170"),
+    "sigma_z_square_overflows": (["score", "--input", "{twenty}", "--causes", "age",
+                                  "--method", "advi"],
+                                 "sigma_z = 1e200", "sigma_z must have a finite square, got 1e+200"),
+    "sigma_obs_square_overflows": (["score", "--input", "{twenty}", "--causes", "age"],
+                                   "sigma_obs = 1e170",
+                                   "sigma_obs must have a finite square, got 1e+170"),
     "missing_config_file": (["score", "--input", "{csv}", "--config", "{missing}"], None,
                             "missing.cfg"),
     "malformed_config_line": (["classify", "--input", "{csv}"], "just some words",
@@ -546,13 +616,15 @@ def test_malformed_input_exits_2_naming_the_culprit(runner, tmp_path, args, conf
     paths = {"csv": tmp_path / "ok.csv", "dup": tmp_path / "dup.csv",
              "latin1": tmp_path / "latin1.csv", "twenty": tmp_path / "twenty.csv",
              "uneven": tmp_path / "uneven.csv", "repeated": tmp_path / "repeated.csv",
-             "one_control": tmp_path / "one_control.csv", "missing": tmp_path / "missing.cfg"}
+             "one_control": tmp_path / "one_control.csv", "missing": tmp_path / "missing.cfg",
+             "rejected": tmp_path / "rejected.csv"}
     paths["csv"].write_text(TWO_DATASET_CSV, encoding="utf-8")
     paths["one_control"].write_text(ONE_CONTROL_DATASET_CSV, encoding="utf-8")
     paths["repeated"].write_text(REPEATED_COLUMN_CSV, encoding="utf-8")
     paths["twenty"].write_text(TWENTY_ROW_CSV, encoding="utf-8")
     paths["uneven"].write_text(UNEVEN_CSV, encoding="utf-8")
     paths["dup"].write_text(DUPLICATE_ID_CSV, encoding="utf-8")
+    paths["rejected"].write_text(ALL_REJECTED_CSV, encoding="utf-8")
     paths["latin1"].write_bytes(VALID_CSV.replace("s3,", "s\xe9,").encode("latin-1"))
     args = [arg.format(**paths) for arg in args]
     if config is not None:

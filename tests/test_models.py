@@ -117,6 +117,24 @@ class TestCodeLengthX:
         want = 200 * 4 * (0.5 * LOG_2PI + 0.5)
         assert abs(got - want) / want < 0.05
 
+    def test_tiny_sd_overflows_to_inf_without_a_warning(self):
+        # the test configuration turns a RuntimeWarning into an error
+        assert code_length_X(np.ones((2, 2)), 1e-200) == math.inf
+
+
+@pytest.mark.parametrize("spec, name", [
+    (CausalModelSpec, "sigma_w"), (CausalModelSpec, "sigma_y"),
+    (ConfoundedModelSpec, "sigma_z"), (ConfoundedModelSpec, "sigma_w"),
+    (ConfoundedModelSpec, "sigma_obs")])
+def test_a_scale_whose_square_overflows_is_refused(spec, name):
+    spec(**{name: 1e154})  # its square, 1e308, is finite
+    with pytest.raises(ValueError, match=f"{name} must have a finite square, got 1e\\+155"):
+        spec(**{name: 1e155})
+
+
+def test_sigma_x_is_never_squared_so_any_finite_value_is_accepted():
+    assert CausalModelSpec(sigma_x=1e200).sigma_x == 1e200
+
 
 class TestCausalCodeLength:
     def test_advi_upper_bounds_closed_form(self, rng):

@@ -34,6 +34,16 @@ def test_no_unused_imports(path):
     assert _unused_imports(path.read_text(encoding="utf-8")) == []
 
 
+@pytest.mark.parametrize("path", MODULES, ids=[path.stem for path in MODULES])
+def test_no_module_logs(path):
+    # the library returns what happened and the CLI alone tells the user
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    modules = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names}
+    modules |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert "logging" not in modules
+
+
 # top-level definitions that no src module reads, each with the reason it stays
 UNREAD_ALLOWED = {
     "forest.train_tree": "perfbench/spans.py wraps it and test_trace_hooks calls it",

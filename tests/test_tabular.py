@@ -86,9 +86,15 @@ class TestLoadCsv:
             load_csv(path)
 
     def test_zero_valid_rows(self, tmp_path):
-        path = write_csv(tmp_path, "s1,A,notanage,M,control,1.0,2.0\n")
-        with pytest.raises(EmptyTableError):
+        # the message names the rejected count and the first reason
+        path = write_csv(tmp_path, "s1,A,notanage,M,control,1.0,2.0\ns2,A,40,X,control,1,2\n")
+        with pytest.raises(EmptyTableError, match=r"rows after ingestion \(2 rejected; "
+                                                  r"line 2: non-numeric age 'notanage'\)$"):
             load_csv(path)
+
+    def test_header_only_file_names_no_rejection(self, tmp_path):
+        with pytest.raises(EmptyTableError, match="no valid rows after ingestion$"):
+            load_csv(write_csv(tmp_path, ""))
 
     def test_rejections_name_the_file_line_a_record_starts_on(self, tmp_path):
         path = write_csv(tmp_path,
