@@ -11,6 +11,11 @@ reparameterized samples ``theta = mu + L @ eps`` with Adam-style
 adaptive step sizes.  The entropy of the Gaussian family is always
 computed in closed form, so the Monte-Carlo noise comes from the log
 joint term alone.
+
+A step works on vectors of a few to a dozen entries, so its cost is its
+numpy calls.  Constants are 0-d arrays, which a ufunc takes as they are
+(a Python number is converted on every call), and Adam's two moments
+share one (2, p) array, so one call updates both.
 """
 
 import math
@@ -34,6 +39,11 @@ def require_positive_finite(config, *names: str) -> None:
         value = getattr(config, name)
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
+def ufunc_constants(*values: float) -> tuple[np.ndarray, ...]:
+    """Each value as a 0-d float64 array: a Python number operand costs a conversion per call."""
+    return tuple(np.array(float(v)) for v in values)
 
 
 @dataclass(frozen=True)
@@ -148,12 +158,12 @@ def fit(log_joint, d: int, config: FitConfig,
     Deterministic given ``config.seed``.  Convergence is declared when
     two consecutive non-overlapping windows of per-step ELBO estimates
     have averages within ``config.relative_tolerance`` (relative) of
-    each other; the check runs once per window.  At the default
-    tolerance, the README walkthrough's n=500 ``score --method advi``
-    stops its full-rank causal fit at 3,200 and its mean-field
-    confounded fit at 400 of 20,000 iterations.  A fit that spends its
+    each other; the check runs once per window.  A fit that spends its
     budget reports ``converged=False``, leaving the decision to the
     caller.  Fifty consecutive non-finite steps raise :class:`DivergenceError`.
+    The 0-d constants and the stacked moments only cut calls: a step makes
+    the IEEE operations of a plain Adam loop (``tests/test_advi.py`` keeps
+    one) on the same values, and its results match that loop bit for bit.
     """
     if start is None:
         start = VariationalPosterior.isotropic(family, np.zeros(d), 1.0)
@@ -169,16 +179,28 @@ def fit(log_joint, d: int, config: FitConfig,
         raise ValueError("log_joint is not finite at the starting mean")
 
     rng = np.random.default_rng(config.seed)
-    S, window, lr = config.mc_samples, config.convergence_window, config.learning_rate
-    full_rank = family == FULL_RANK
-    tril = q._tril
-    # every per-step temporary lives in a buffer allocated here
-    grad, moment1, moment2, step, denom = (np.zeros_like(flat) for _ in range(5))
-    grad_mean, grad_scale, grad_off = grad[:d], grad[d:2 * d], grad[2 * d:]
-    eps, theta, weighted = np.empty((S, d)), np.empty((S, d)), np.empty((S, d))
-    scale = np.empty(d)
-    factor, cross = np.zeros((d, d)), np.empty((d, d))
-    factor_flat, cross_flat = factor.reshape(-1), cross.reshape(-1)
+    S, window, full_rank = config.mc_samples, config.convergence_window, family == FULL_RANK
+    draws, lr, adam_eps, one = ufunc_constants(S, config.learning_rate, _ADAM_EPS, 1.0)
+    decays = np.array([[_ADAM_BETA1], [_ADAM_BETA2]])
+    gains, corrections = 1 - decays, np.empty((2, 1))
+    entropy0 = 0.5 * d * (1.0 + LOG_2PI)  # q.entropy() less the log-scales' sum
+    # every per-step temporary lives in a buffer allocated here; row 0 of each
+    # (2, p) pair serves Adam's first moment, row 1 its second
+    moments, grad_pair, corrected = (np.zeros((2, flat.size)) for _ in range(3))
+    (grad, grad_sq), (step, denom) = grad_pair, corrected
+    grad_mean, grad_scale, grad_rest = grad[:d], grad[d:2 * d], grad[d:]
+    eps, theta, finite = np.empty((S, d)), np.empty((S, d)), np.empty((S, d), bool)
+    if full_rank:
+        factor, cross = np.zeros((d, d)), np.empty((d, d))
+        factor_flat, factor_t, cross_flat = factor.reshape(-1), factor.T, cross.reshape(-1)
+        scale = factor_flat[::d + 1]  # exp(log_scale) lands on the factor's diagonal
+        tril = q._tril
+        scale_then_off = np.concatenate([np.arange(0, d * d, d + 1), tril])
+    else:
+        scale = np.empty(d)
+        # one sum for both halves; order F at d=1 keeps numpy's pairwise sum of an (S, 1) column
+        draw_terms = np.empty((S, 2 * d), order="F" if d == 1 else "C")
+        draw_grads, draw_weighted = draw_terms[:, :d], draw_terms[:, d:]
 
     # the stop rule reads the last two windows only: row j % 2 holds window j,
     # with NaN for a skipped step
@@ -191,50 +213,45 @@ def fit(log_joint, d: int, config: FitConfig,
         row, col = divmod(t, window)
         row %= 2
         rng.standard_normal(out=eps)
-        np.exp(log_scale, out=scale)
+        np.exp(log_scale, scale)
         # a diagonal factor skips the matmul, which costs more at these sizes
         if full_rank:
             factor_flat[tril] = off_diagonal
-            factor_flat[::d + 1] = scale
-            np.matmul(eps, factor.T, out=theta)
+            np.matmul(eps, factor_t, theta)
         else:
-            np.multiply(scale, eps, out=theta)
-        theta += mean
+            np.multiply(scale, eps, theta)
+        np.add(theta, mean, theta)
         values, grads = log_joint(theta)
-        elbo_t = float(np.add.reduce(values)) / S + q.entropy()
+        elbo_t = float(np.add.reduce(values)) / S + (entropy0 + float(np.add.reduce(log_scale)))
 
-        if math.isfinite(elbo_t) and np.logical_and.reduce(np.isfinite(grads), axis=None):
+        if math.isfinite(elbo_t) and np.logical_and.reduce(np.isfinite(grads, finite), None):
             nonfinite_streak = 0
             # reparameterized gradient; the +1 is the entropy's, wrt the log-scales
-            np.add.reduce(grads, axis=0, out=grad_mean)
-            grad_mean /= S
             if full_rank:
-                np.matmul(grads.T, eps, out=cross)  # S E[g_i eps_j]
-                cross /= S
-                np.multiply(cross_flat[::d + 1], scale, out=grad_scale)
-                np.take(cross_flat, tril, out=grad_off)
+                np.add.reduce(grads, 0, out=grad_mean)
+                np.matmul(grads.T, eps, cross)  # S E[g_i eps_j]
+                np.take(cross_flat, scale_then_off, out=grad_rest)
             else:
-                np.multiply(grads, eps, out=weighted)
-                np.add.reduce(weighted, axis=0, out=grad_scale)
-                grad_scale /= S
-                grad_scale *= scale
-            grad_scale += 1.0
+                np.copyto(draw_grads, grads)
+                np.multiply(grads, eps, draw_weighted)
+                np.add.reduce(draw_terms, 0, out=grad)
+            np.divide(grad, draws, grad)
+            np.multiply(grad_scale, scale, grad_scale)
+            np.add(grad_scale, one, grad_scale)
             adam_steps += 1
-            moment1 *= _ADAM_BETA1
-            np.multiply(grad, 1 - _ADAM_BETA1, out=step)
-            moment1 += step
-            moment2 *= _ADAM_BETA2
-            np.square(grad, out=step)
-            step *= 1 - _ADAM_BETA2
-            moment2 += step
+            np.square(grad, grad_sq)
+            np.multiply(moments, decays, moments)
+            np.multiply(grad_pair, gains, grad_pair)
+            np.add(moments, grad_pair, moments)
             # bias corrections as Python floats: numpy's ** can differ in the last bit
-            np.divide(moment2, 1 - _ADAM_BETA2 ** adam_steps, out=denom)
-            np.sqrt(denom, out=denom)
-            denom += _ADAM_EPS
-            np.divide(moment1, 1 - _ADAM_BETA1 ** adam_steps, out=step)
-            step *= lr
-            step /= denom
-            flat += step
+            corrections[0, 0] = 1 - _ADAM_BETA1 ** adam_steps
+            corrections[1, 0] = 1 - _ADAM_BETA2 ** adam_steps
+            np.divide(moments, corrections, corrected)
+            np.sqrt(denom, denom)
+            np.add(denom, adam_eps, denom)
+            np.multiply(step, lr, step)
+            np.divide(step, denom, step)
+            np.add(flat, step, flat)
             windows[row, col] = elbo_t
         else:
             nonfinite_streak += 1

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import advi
 from .advi import (FitConfig, FULL_RANK, MEAN_FIELD, VariationalPosterior,
-                   require_positive_finite)
+                   require_positive_finite, ufunc_constants)
 from .errors import EstimationError, QuadratureError
 from .gaussmath import (LOG_2PI, SpdMatrix, gauss_legendre, grid_quadrature_2d,
                         log_bingham_constant, mvn_logpdf, normal_logpdf)
@@ -136,14 +136,16 @@ def make_causal_target(X, y, spec: CausalModelSpec):
     n, m = np.shape(X)
     P, b, yty = _regression_terms(X, y, spec)
     var_w, var_y = spec.sigma_w ** 2, spec.sigma_y ** 2
-    const = (-0.5 * m * math.log(2.0 * math.pi * var_w)
-             - 0.5 * n * math.log(2.0 * math.pi * var_y)
-             - 0.5 * yty / var_y)
+    const, half = ufunc_constants(-0.5 * m * math.log(2.0 * math.pi * var_w)
+                                  - 0.5 * n * math.log(2.0 * math.pi * var_y)
+                                  - 0.5 * yty / var_y, 0.5)
 
     def target(weights: np.ndarray):
         weights = weights if weights.ndim == 2 else np.atleast_2d(weights)
         Pw = weights @ P
-        return const + weights @ b - 0.5 * np.add.reduce(weights * Pw, axis=1), b - Pw
+        quad = np.add.reduce(np.multiply(weights, Pw), 1)
+        values = np.subtract(np.add(const, weights @ b), np.multiply(half, quad, quad), quad)
+        return values, np.subtract(b, Pw, Pw)
 
     return target, m
 
@@ -316,27 +318,29 @@ def make_collapsed_target(S, n: int, spec: ConfoundedModelSpec):
     """
     width, k = S.shape[0], spec.k
     var_z, var_w, var_obs = spec.sigma_z ** 2, spec.sigma_w ** 2, spec.sigma_obs ** 2
-    const = (-0.5 * k * width * math.log(2.0 * math.pi * var_w)
-             - 0.5 * n * width * LOG_2PI
-             - 0.5 * (n * (width - k) * math.log(var_obs) + float(np.trace(S)) / var_obs))
+    noise = var_obs * np.eye(k)
+    const, var_z, var_w, var_obs, half_w, half_n, half_ratio, ratio, n_z = ufunc_constants(
+        -0.5 * k * width * math.log(2.0 * math.pi * var_w) - 0.5 * n * width * LOG_2PI
+        - 0.5 * (n * (width - k) * math.log(var_obs) + float(np.trace(S)) / var_obs),
+        var_z, var_w, var_obs, 0.5 / var_w, 0.5 * n, 0.5 * var_z / var_obs, var_z / var_obs,
+        n * var_z)
 
     if k == 1:
         def target(theta: np.ndarray):
             theta = theta if theta.ndim == 2 else np.atleast_2d(theta)
-            r2 = np.add.reduce(theta * theta, axis=1)
-            M = var_z * r2 + var_obs
-            B = theta / M[:, None]
+            r2 = np.add.reduce(np.multiply(theta, theta), 1)
+            M = np.add(np.multiply(var_z, r2), var_obs)
+            B = np.divide(theta, M[:, None])
             BS = B @ S
-            q = np.add.reduce(BS * theta, axis=1)
-            values = (const - (0.5 / var_w) * r2 - (0.5 * n) * np.log(M)
-                      + (0.5 * var_z / var_obs) * q)
-            grad_w = ((var_z / var_obs) * (BS - (var_z * q)[:, None] * B)
-                      - (n * var_z) * B - theta / var_w)
-            return values, grad_w
+            q = np.add.reduce(np.multiply(BS, theta), 1)
+            values = np.subtract(const, np.multiply(half_w, r2, r2), r2)
+            np.subtract(values, np.multiply(half_n, np.log(M, M), M), values)
+            np.add(values, np.multiply(half_ratio, q), values)
+            grad_w = np.subtract(BS, np.multiply(np.multiply(var_z, q, q)[:, None], B), BS)
+            np.subtract(np.multiply(ratio, grad_w, grad_w), np.multiply(n_z, B), grad_w)
+            return values, np.subtract(grad_w, np.divide(theta, var_w, B), grad_w)
 
         return target, width
-
-    noise = var_obs * np.eye(k)
 
     def target(theta: np.ndarray):
         theta = np.atleast_2d(theta)
@@ -346,11 +350,10 @@ def make_collapsed_target(S, n: int, spec: ConfoundedModelSpec):
         BS = B @ S
         BSW_t = BS @ W.transpose(0, 2, 1)
         values = (const
-                  - (0.5 / var_w) * np.add.reduce(theta * theta, axis=1)
-                  - (0.5 * n) * np.linalg.slogdet(M)[1]
-                  + (0.5 * var_z / var_obs) * np.trace(BSW_t, axis1=1, axis2=2))
-        grad_w = ((var_z / var_obs) * (BS - var_z * (BSW_t @ B))
-                  - (n * var_z) * B - W / var_w)
+                  - half_w * np.add.reduce(theta * theta, axis=1)
+                  - half_n * np.linalg.slogdet(M)[1]
+                  + half_ratio * np.trace(BSW_t, axis1=1, axis2=2))
+        grad_w = ratio * (BS - var_z * (BSW_t @ B)) - n_z * B - W / var_w
         return values, grad_w.reshape(theta.shape)
 
     return target, k * width
@@ -448,16 +451,20 @@ def confounded_evidence_k1(S, n: int, spec: ConfoundedModelSpec) -> float:
              - 0.5 * float(np.trace(S)) / var_obs)
 
     def log_radial(r):
-        r2 = r * r
-        kappa = var_z * r2 / (2.0 * var_obs * (var_obs + var_z * r2))
-        return ((p - 1) * np.log(r) - r2 / (2.0 * var_w)
-                - 0.5 * n * np.log1p(var_z * r2 / var_obs) + kappa * lam[0]
-                + log_bingham_constant(kappa[:, None] * gaps))
+        with np.errstate(all="ignore"):  # an overflow shows as a non-finite value
+            r2 = r * r
+            kappa = var_z * r2 / (2.0 * var_obs * (var_obs + var_z * r2))
+            return ((p - 1) * np.log(r) - r2 / (2.0 * var_w)
+                    - 0.5 * n * np.log1p(var_z * r2 / var_obs) + kappa * lam[0]
+                    + log_bingham_constant(kappa[:, None] * gaps))
 
     # log_radial rises below e^t_lo and falls above e^t_hi (bound its
     # derivative with kappa' <= 1 / (4 sigma_obs^2 r) and lambda_p >= 0)
-    t_lo = 0.5 * math.log((p - 1) / (1.0 / var_w + n * var_z / var_obs))
-    t_hi = 0.5 * math.log(var_w * (p - 1 + max(lam[0], 0.0) / (4.0 * var_obs)))
+    r2_lo = (p - 1) / (1.0 / var_w + n * var_z / var_obs)
+    r2_hi = var_w * (p - 1 + max(float(lam[0]), 0.0) / (4.0 * var_obs))
+    if not (r2_lo > 0.0 and r2_hi < math.inf):
+        raise QuadratureError("non-finite bound of the radial sweep")
+    t_lo, t_hi = 0.5 * math.log(r2_lo), 0.5 * math.log(r2_hi)
     t = np.linspace(t_lo, t_hi, max(math.ceil((t_hi - t_lo) / _SWEEP_STEP) + 1, 3))
     for zoom in range(_ZOOMS + 1):
         values = log_radial(np.exp(t))
@@ -468,9 +475,10 @@ def confounded_evidence_k1(S, n: int, spec: ConfoundedModelSpec) -> float:
     # a parabola through the best point and its neighbours, in log r
     step = t[1] - t[0]
     below, peak, above = values[i - 1:i + 2]
-    curvature = (2.0 * peak - below - above) / step ** 2
-    if not curvature > 0.0:
+    curvature = 2.0 * peak - below - above
+    if not (curvature > 0.0 and step > 0.0):
         raise QuadratureError("radial integrand has no interior peak")
+    curvature /= step ** 2
     r_peak = math.exp(t[i] + 0.5 * (above - below) / (step * curvature))
     width = r_peak / math.sqrt(curvature)  # d2/dr2 = d2/dt2 / r^2 at a peak
 

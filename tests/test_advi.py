@@ -391,6 +391,12 @@ def _loop_cases():
         values, grads = normalized(theta)
         return values - 30.0, grads
 
+    normalized_1d = gaussian_target([0.0], [[1.0]])
+
+    def gauss_1d(theta):
+        values, grads = normalized_1d(theta)
+        return values - 30.0, grads
+
     return [
         ("gaussian", lambda: gauss, 3, None),
         ("patchy", lambda: _patchy(gauss), 3, None),
@@ -403,6 +409,9 @@ def _loop_cases():
              family, _ppca_start(S, V.n, ConfoundedModelSpec(k=1)).mean, 1.0 / np.sqrt(V.n))),
         ("gaussian_start", lambda: gauss, 3,
          lambda family: VariationalPosterior.isotropic(family, np.array([0.5, 0.0, -1.0]), 0.3)),
+        # numpy sums one column of draws pairwise, several columns in row order;
+        # a posterior mean and log-SD near 0 keep a last-bit change visible
+        ("gaussian_1d", lambda: gauss_1d, 1, None),
     ]
 
 
@@ -416,7 +425,9 @@ class TestLoopMatchesReference:
         # 6 draws a step: a division by it is inexact, unlike one by 8
         FitConfig(seed=31, max_iterations=700, relative_tolerance=1e-12, mc_samples=6),
         FitConfig(seed=32),
-    ], ids=["fixed_budget", "default_tolerance"])
+        # one draw a step, and a learning rate with no exact binary form
+        FitConfig(seed=34, max_iterations=1000, mc_samples=1, learning_rate=0.03),
+    ], ids=["fixed_budget", "default_tolerance", "one_draw_inexact_rate"])
     def test_bit_identical_to_reference_loop(self, case, family, config):
         _, make_target, d, make_start = case
         start = (lambda: make_start(family)) if make_start else (lambda: None)

@@ -1004,6 +1004,40 @@ def test_closed_form_score_at_extreme_bingham_arguments(runner, tmp_path):
     assert payload["records"][0]["L_co"] == pytest.approx(-want, abs=1e-8)
 
 
+@pytest.mark.parametrize("setting, error", [
+    ("sigma_w = 1.3e154", "non-finite bound of the radial sweep"),
+    ("sigma_obs = 1e100", "radial integrand has no interior peak"),
+    ("sigma_obs = 1.3e154", "radial integrand has no interior peak"),
+    ("sigma_obs = 1e-150", "non-finite radial integrand in the peak search"),
+    ("sigma_obs = 1e-154", "non-finite bound of the radial sweep"),
+    ("sigma_z = 1.3e154", "non-finite bound of the radial sweep"),
+], ids=["sigma_w_1.3e154_upper_bound_inf", "sigma_obs_1e100", "sigma_obs_1.3e154",
+        "sigma_obs_1e-150", "sigma_obs_1e-154_lower_bound_zero", "sigma_z_1.3e154_lower_bound_zero"])
+def test_exact_evidence_at_extreme_scales_fails_each_pair_with_the_cli_lines_alone(
+        runner, tmp_path, setting, error):
+    # an accepted scale whose square is near a float's limits: each pair fails
+    # as a QuadratureError, and stderr holds no traceback and no numpy warning
+    invoke(runner, ["simulate", "--out", str(tmp_path), "--name", "sim", "--n", "60",
+                    "--seed", "2"])
+    (tmp_path / "scale.cfg").write_text(setting + "\n", encoding="utf-8")
+    out = tmp_path / "o"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH", "")])
+    result = subprocess.run(
+        [sys.executable, "-m", "biasaudit.cli", "score", "--input", str(tmp_path / "sim.csv"),
+         "--out", str(out), "--config", str(tmp_path / "scale.cfg"), "--causes", "vol_x1",
+         "--targets", "vol_y,vol_x2", "--method", "closed-form"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 3, result.stderr
+    assert result.stdout == f"scored 0 pairs (2 failures) -> {out}\n"
+    assert result.stderr.splitlines() == [
+        f"  failed (sim, vol_y): QuadratureError: {error}",
+        f"  failed (sim, vol_x2): QuadratureError: {error}",
+        "dataset sim: no scored pair, left out of aggregate.csv",
+        "error: every (dataset, target) fit failed"]
+
+
 # Runs each command line of a JSON list in one process, then prints which
 # of the named modules are imported: a module loaded on the way counts
 # toward every command's peak RSS.
@@ -1041,7 +1075,9 @@ def test_commands_import_neither_numpy_ma_nor_numpy_polynomial(tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH", "")])
-    result = subprocess.run([sys.executable, "-c", MODULES_AFTER, json.dumps(commands)],
+    # a numpy warning on any command's path fails here, as pyproject.toml makes it fail in-process
+    result = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", MODULES_AFTER,
+                             json.dumps(commands)],
                             env=env, capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     assert json.loads(result.stdout.splitlines()[-1]) == []

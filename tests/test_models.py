@@ -455,6 +455,94 @@ def test_k1_collapsed_target_matches_batched_form(rng, scales, width, batch):
     np.testing.assert_allclose(grads, want_grads, rtol=1e-12, atol=0)
 
 
+# ---------------------------------------------------------------------------
+# The scoring targets as they stood with Python numbers for operands, kept as
+# the reference the closures, which hold their constants as 0-d arrays and
+# write into their own temporaries, must match bit for bit.
+# ---------------------------------------------------------------------------
+
+def _python_scalar_causal_target(X, y, spec: CausalModelSpec):
+    n, m = np.shape(X)
+    P, b, yty = models._regression_terms(X, y, spec)
+    var_w, var_y = spec.sigma_w ** 2, spec.sigma_y ** 2
+    const = (-0.5 * m * math.log(2.0 * math.pi * var_w)
+             - 0.5 * n * math.log(2.0 * math.pi * var_y)
+             - 0.5 * yty / var_y)
+
+    def target(weights: np.ndarray):
+        weights = weights if weights.ndim == 2 else np.atleast_2d(weights)
+        Pw = weights @ P
+        return const + weights @ b - 0.5 * np.add.reduce(weights * Pw, axis=1), b - Pw
+
+    return target
+
+
+def _python_scalar_collapsed_target(S, n: int, spec: ConfoundedModelSpec):
+    width, k = S.shape[0], spec.k
+    var_z, var_w, var_obs = spec.sigma_z ** 2, spec.sigma_w ** 2, spec.sigma_obs ** 2
+    const = (-0.5 * k * width * math.log(2.0 * math.pi * var_w)
+             - 0.5 * n * width * LOG_2PI
+             - 0.5 * (n * (width - k) * math.log(var_obs) + float(np.trace(S)) / var_obs))
+
+    if k == 1:
+        def target(theta: np.ndarray):
+            theta = theta if theta.ndim == 2 else np.atleast_2d(theta)
+            r2 = np.add.reduce(theta * theta, axis=1)
+            M = var_z * r2 + var_obs
+            B = theta / M[:, None]
+            BS = B @ S
+            q = np.add.reduce(BS * theta, axis=1)
+            values = (const - (0.5 / var_w) * r2 - (0.5 * n) * np.log(M)
+                      + (0.5 * var_z / var_obs) * q)
+            grad_w = ((var_z / var_obs) * (BS - (var_z * q)[:, None] * B)
+                      - (n * var_z) * B - theta / var_w)
+            return values, grad_w
+
+        return target
+
+    noise = var_obs * np.eye(k)
+
+    def target(theta: np.ndarray):
+        theta = np.atleast_2d(theta)
+        W = theta.reshape(-1, k, width)
+        M = var_z * (W @ W.transpose(0, 2, 1)) + noise
+        B = np.linalg.inv(M) @ W
+        BS = B @ S
+        BSW_t = BS @ W.transpose(0, 2, 1)
+        values = (const
+                  - (0.5 / var_w) * np.add.reduce(theta * theta, axis=1)
+                  - (0.5 * n) * np.linalg.slogdet(M)[1]
+                  + (0.5 * var_z / var_obs) * np.trace(BSW_t, axis1=1, axis2=2))
+        grad_w = ((var_z / var_obs) * (BS - var_z * (BSW_t @ B))
+                  - (n * var_z) * B - W / var_w)
+        return values, grad_w.reshape(theta.shape)
+
+    return target
+
+
+@pytest.mark.parametrize("scales", [(1.0, 1.0, 1.0), (0.7, 1.9, 0.45)], ids=["unit", "scaled"])
+@pytest.mark.parametrize("n", [12, 500])
+@pytest.mark.parametrize("width", [2, 4, 7])
+def test_targets_match_their_python_scalar_forms_bit_for_bit(rng, scales, n, width):
+    sigma_a, sigma_w, sigma_b = scales
+    data = rng.standard_normal((n, width)) @ rng.standard_normal((width, width))
+    X, y, S = data[:, :-1], data[:, -1], data.T @ data
+    causal = CausalModelSpec(sigma_w=sigma_w, sigma_y=sigma_b)
+    pairs = [(make_causal_target(X, y, causal)[0], _python_scalar_causal_target(X, y, causal),
+              width - 1)]
+    for k in (1, 2, 3):
+        spec = ConfoundedModelSpec(k=k, sigma_z=sigma_a, sigma_w=sigma_w, sigma_obs=sigma_b)
+        pairs.append((make_collapsed_target(S, n, spec)[0],
+                      _python_scalar_collapsed_target(S, n, spec), k * width))
+    for target, reference, d in pairs:
+        for batch in (1, 8, 33):
+            theta = 3.0 * rng.standard_normal((batch, d))
+            got, want = target(theta), reference(theta)
+            for got_array, want_array in zip(got, want):
+                assert got_array.shape == want_array.shape
+                assert got_array.tobytes() == want_array.tobytes()
+
+
 def _log_posterior_k1(V: JointVector, spec: ConfoundedModelSpec, w1, w2):
     """log p(V, W) of the m=1, k=1 model on a grid of loadings, written out.
 
