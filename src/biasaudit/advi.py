@@ -29,6 +29,7 @@ from .gaussmath import LOG_2PI
 MEAN_FIELD = "mean_field"
 FULL_RANK = "full_rank"
 
+_FACTOR_SHAPE = {MEAN_FIELD: "diagonal", FULL_RANK: "lower-triangular"}
 _DIVERGENCE_PATIENCE = 50
 _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
 
@@ -78,50 +79,36 @@ class FitTrace:
 
 
 class VariationalPosterior:
-    """Gaussian variational distribution, mean-field or full-rank.
+    """Gaussian variational distribution ``N(mean, L L^T)``, mean-field or full-rank.
 
-    Held as the flat vector :func:`fit` optimises: the mean, then the
-    log-scales (log-SD for mean-field, log of the factor diagonal for
-    full-rank), then, for full-rank only, the strict lower triangle of
-    the covariance factor.
+    ``scale_tril`` is the d x d factor L with a positive diagonal:
+    diagonal for mean-field, lower-triangular for full-rank.  Held as the
+    flat vector :func:`fit` optimises: the mean, then the log of L's
+    diagonal, then, for full-rank only, L's strict lower triangle.
     """
 
-    def __init__(self, family: str, mean: np.ndarray,
-                 log_sd: np.ndarray | None = None,
-                 scale_tril: np.ndarray | None = None):
-        if family not in (MEAN_FIELD, FULL_RANK):
+    def __init__(self, family: str, mean: np.ndarray, scale_tril: np.ndarray):
+        if family not in _FACTOR_SHAPE:
             raise ValueError(f"unknown family {family!r}")
-        mean = np.asarray(mean, dtype=float)
+        mean, scale_tril = np.asarray(mean, dtype=float), np.asarray(scale_tril, dtype=float)
         d = mean.size
-        if family == MEAN_FIELD:
-            if log_sd is None or np.asarray(log_sd).shape != (d,):
-                raise ValueError("mean_field posterior needs a log_sd vector")
-            self._tril = np.zeros(0, dtype=int)
-            scales = [np.asarray(log_sd, dtype=float)]
-        else:
-            if scale_tril is None or np.asarray(scale_tril).shape != (d, d):
-                raise ValueError("full_rank posterior needs a d x d factor")
-            scale_tril = np.asarray(scale_tril, dtype=float)
-            if np.any(np.diag(scale_tril) <= 0):
-                raise ValueError("factor diagonal must be positive")
-            if np.any(np.triu(scale_tril, k=1)):
-                raise ValueError("factor must be lower-triangular")
-            # flat positions of the strict lower triangle, row by row
-            self._tril = np.ravel_multi_index(np.tril_indices(d, k=-1), (d, d))
-            scales = [np.log(np.diag(scale_tril)), scale_tril.take(self._tril)]
-        self.family = family
-        self.dim = d
-        self.flat = np.concatenate([mean, *scales])
+        free = np.tri(d, dtype=bool) if family == FULL_RANK else np.eye(d, dtype=bool)
+        if (scale_tril.shape != (d, d) or not np.all(np.diag(scale_tril) > 0)
+                or np.any(scale_tril[~free])):
+            raise ValueError(f"a {family} posterior needs a {d} x {d} "
+                             f"{_FACTOR_SHAPE[family]} factor with a positive diagonal")
+        # flat positions of the free entries below the diagonal, row by row
+        self._tril = np.flatnonzero(np.tril(free, -1))
+        self.family, self.dim = family, d
+        self.flat = np.concatenate([mean, np.log(np.diag(scale_tril)),
+                                    scale_tril.take(self._tril)])
         if not np.all(np.isfinite(self.flat)):
             raise ValueError("posterior parameters must be finite")
 
     @classmethod
     def isotropic(cls, family: str, mean: np.ndarray, sd: float) -> "VariationalPosterior":
-        """``N(mean, sd^2 I)``, held as ``family``."""
-        d = np.size(mean)
-        if family == MEAN_FIELD:
-            return cls(family, mean, log_sd=np.full(d, np.log(sd)))
-        return cls(family, mean, scale_tril=sd * np.eye(d))
+        """``N(mean, sd^2 I)``: the factor ``sd I`` suits both families."""
+        return cls(family, mean, sd * np.eye(np.size(mean)))
 
     @property
     def mean(self) -> np.ndarray:
@@ -209,68 +196,73 @@ def fit(log_joint, d: int, config: FitConfig,
     nonfinite_streak = adam_steps = 0
 
     t = 0
-    for t in range(config.max_iterations):
-        row, col = divmod(t, window)
-        row %= 2
-        rng.standard_normal(out=eps)
-        np.exp(log_scale, scale)
-        # a diagonal factor skips the matmul, which costs more at these sizes
-        if full_rank:
-            factor_flat[tril] = off_diagonal
-            np.matmul(eps, factor_t, theta)
-        else:
-            np.multiply(scale, eps, theta)
-        np.add(theta, mean, theta)
-        values, grads = log_joint(theta)
-        elbo_t = float(np.add.reduce(values)) / S + (entropy0 + float(np.add.reduce(log_scale)))
-
-        if math.isfinite(elbo_t) and np.logical_and.reduce(np.isfinite(grads, finite), None):
-            nonfinite_streak = 0
-            # reparameterized gradient; the +1 is the entropy's, wrt the log-scales
+    with np.errstate(all="ignore"):  # the loop judges each step's finiteness itself
+        for t in range(config.max_iterations):
+            row, col = divmod(t, window)
+            row %= 2
+            rng.standard_normal(out=eps)
+            np.exp(log_scale, scale)
+            # a diagonal factor skips the matmul, which costs more at these sizes
             if full_rank:
-                np.add.reduce(grads, 0, out=grad_mean)
-                np.matmul(grads.T, eps, cross)  # S E[g_i eps_j]
-                np.take(cross_flat, scale_then_off, out=grad_rest)
+                factor_flat[tril] = off_diagonal
+                np.matmul(eps, factor_t, theta)
             else:
-                np.copyto(draw_grads, grads)
-                np.multiply(grads, eps, draw_weighted)
-                np.add.reduce(draw_terms, 0, out=grad)
-            np.divide(grad, draws, grad)
-            np.multiply(grad_scale, scale, grad_scale)
-            np.add(grad_scale, one, grad_scale)
-            adam_steps += 1
-            np.square(grad, grad_sq)
-            np.multiply(moments, decays, moments)
-            np.multiply(grad_pair, gains, grad_pair)
-            np.add(moments, grad_pair, moments)
-            # bias corrections as Python floats: numpy's ** can differ in the last bit
-            corrections[0, 0] = 1 - _ADAM_BETA1 ** adam_steps
-            corrections[1, 0] = 1 - _ADAM_BETA2 ** adam_steps
-            np.divide(moments, corrections, corrected)
-            np.sqrt(denom, denom)
-            np.add(denom, adam_eps, denom)
-            np.multiply(step, lr, step)
-            np.divide(step, denom, step)
-            np.add(flat, step, flat)
-            windows[row, col] = elbo_t
-        else:
-            nonfinite_streak += 1
-            windows[row, col] = np.nan
+                np.multiply(scale, eps, theta)
+            np.add(theta, mean, theta)
+            values, grads = log_joint(theta)
+            elbo_t = float(np.add.reduce(values)) / S + (entropy0 + float(np.add.reduce(log_scale)))
 
-        if nonfinite_streak >= _DIVERGENCE_PATIENCE:
-            raise DivergenceError(f"{_DIVERGENCE_PATIENCE} consecutive non-finite "
-                                  f"ELBO steps, the last at iteration {t + 1}")
+            if math.isfinite(elbo_t) and np.logical_and.reduce(np.isfinite(grads, finite), None):
+                nonfinite_streak = 0
+                # reparameterized gradient; the +1 is the entropy's, wrt the log-scales
+                if full_rank:
+                    np.add.reduce(grads, 0, out=grad_mean)
+                    np.matmul(grads.T, eps, cross)  # S E[g_i eps_j]
+                    np.take(cross_flat, scale_then_off, out=grad_rest)
+                else:
+                    np.copyto(draw_grads, grads)
+                    np.multiply(grads, eps, draw_weighted)
+                    np.add.reduce(draw_terms, 0, out=grad)
+                np.divide(grad, draws, grad)
+                np.multiply(grad_scale, scale, grad_scale)
+                np.add(grad_scale, one, grad_scale)
+                adam_steps += 1
+                np.square(grad, grad_sq)
+                np.multiply(moments, decays, moments)
+                np.multiply(grad_pair, gains, grad_pair)
+                np.add(moments, grad_pair, moments)
+                # bias corrections as Python floats: numpy's ** can differ in the last bit
+                corrections[0, 0] = 1 - _ADAM_BETA1 ** adam_steps
+                corrections[1, 0] = 1 - _ADAM_BETA2 ** adam_steps
+                np.divide(moments, corrections, corrected)
+                np.sqrt(denom, denom)
+                np.add(denom, adam_eps, denom)
+                np.multiply(step, lr, step)
+                np.divide(step, denom, step)
+                np.add(flat, step, flat)
+                windows[row, col] = elbo_t
+            else:
+                nonfinite_streak += 1
+                windows[row, col] = np.nan
 
-        done = t + 1
-        if done >= 2 * window and done % window == 0:
-            prev_window, recent_window = windows[1 - row], windows[row]
-            if np.any(np.isfinite(prev_window)) and np.any(np.isfinite(recent_window)):
-                prev = float(np.nanmean(prev_window))
-                recent = float(np.nanmean(recent_window))
-                change = abs(recent - prev)
-                if change / max(abs(prev), 1e-12) < config.relative_tolerance:
-                    converged = True
-                    break
+            if nonfinite_streak >= _DIVERGENCE_PATIENCE:
+                raise DivergenceError(f"{_DIVERGENCE_PATIENCE} consecutive non-finite "
+                                      f"ELBO steps, the last at iteration {t + 1}")
+
+            done = t + 1
+            if done >= 2 * window and done % window == 0:
+                prev_window, recent_window = windows[1 - row], windows[row]
+                if np.any(np.isfinite(prev_window)) and np.any(np.isfinite(recent_window)):
+                    prev = float(np.nanmean(prev_window))
+                    recent = float(np.nanmean(recent_window))
+                    change = abs(recent - prev)
+                    if change / max(abs(prev), 1e-12) < config.relative_tolerance:
+                        converged = True
+                        break
+
+    # an overflowed moment stays infinite under decay, so one check covers every step
+    if not np.all(np.isfinite(moments[1])):
+        raise EstimationError(f"the gradient overflowed Adam's second moment by iteration {t + 1}")
 
     return q, FitTrace(converged, t + 1)
 
@@ -293,6 +285,7 @@ def estimate_elbo(posterior: VariationalPosterior, log_joint,
     if n_bad > 0.01 * n_samples:
         raise EstimationError(
             f"{n_bad}/{n_samples} non-finite log-joint samples")
-    mean = float(np.mean(finite)) + posterior.entropy()
-    se = float(np.std(finite, ddof=1) / np.sqrt(finite.size))
+    with np.errstate(all="ignore"):  # an overflow is inf, which CodeLength refuses
+        mean = float(np.mean(finite)) + posterior.entropy()
+        se = float(np.std(finite, ddof=1) / np.sqrt(finite.size))
     return mean, se

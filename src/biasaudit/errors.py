@@ -26,7 +26,8 @@ class FactorizationError(BiasAuditError):
 
 
 class QuadratureError(BiasAuditError):
-    """A quadrature oracle hit a non-finite integrand value."""
+    """The k=1 evidence's radial quadrature, or a brute-force quadrature oracle,
+    met a non-finite value or an integrand it could not bracket."""
 
 
 class DivergenceError(BiasAuditError):

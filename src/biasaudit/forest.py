@@ -368,7 +368,7 @@ def train_tree(X, labels, seed: int) -> DecisionTree:
     in order before giving up, so a node only becomes an impure leaf
     when every feature is constant within it.
     """
-    X, y = _training_arrays(X, np.unique(labels, return_inverse=True)[1])
+    X, y = _training_arrays(X, _dense_codes(np.asarray(labels))[0])
     n = X.shape[0]
     return _grow_trees(X, y, [(np.arange(n), np.ones(n, dtype=np.int64))], [seed])[0]
 

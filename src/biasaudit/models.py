@@ -60,17 +60,20 @@ class ConfoundedModelSpec:
 
     def __post_init__(self):
         if self.k < 1:
-            raise ValueError("latent dimension k must be >= 1")
-        _require_scales(self, "sigma_z", "sigma_w", "sigma_obs")
+            raise ValueError(f"k must be >= 1, got {self.k}")
+        _require_scales(self, "sigma_z", divisor=False)
+        _require_scales(self, "sigma_w", "sigma_obs")
 
 
-def _require_scales(spec, *names: str) -> None:
-    """Each named scale positive and finite, and so its square, which the models use."""
+def _require_scales(spec, *names: str, divisor: bool = True) -> None:
+    """Positive finite scales with finite squares; a ``divisor``'s square has a finite inverse."""
     require_positive_finite(spec, *names)
     for name in names:
         value = getattr(spec, name)
-        if not math.isfinite(value * value):
+        if not math.isfinite(square := value * value):
             raise ValueError(f"{name} must have a finite square, got {value}")
+        if divisor and not (square > 0 and math.isfinite(1 / square)):
+            raise ValueError(f"{name} must have a finite 1/{name}^2, got {value}")
 
 
 class JointVector:
@@ -108,6 +111,8 @@ class CodeLength:
     def __post_init__(self):
         if not math.isfinite(self.nats):
             raise EstimationError(f"{self.method} code length is {self.nats}, not finite")
+        if not math.isfinite(self.elbo_se):
+            raise EstimationError(f"{self.method} elbo_se is {self.elbo_se}, not finite")
 
 
 # ---------------------------------------------------------------------------

@@ -157,6 +157,16 @@ class TestFit:
         with pytest.raises(DivergenceError, match="steps, the last at iteration 50$"):
             fit(explodes, 1, quick_fit_config(seed=9))
 
+    @pytest.mark.parametrize("family", [MEAN_FIELD, FULL_RANK])
+    def test_overflowing_gradient_is_an_estimation_error(self, family):
+        # a gradient of 1e200 squares to inf: Adam then freezes the posterior,
+        # which would otherwise pass for converged; numpy stays silent
+        def steep(theta):
+            return np.zeros(theta.shape[0]), np.full_like(theta, 1e200)
+
+        with pytest.raises(EstimationError, match="overflowed Adam's second moment"):
+            fit(steep, 2, quick_fit_config(seed=9), family=family)
+
 
 class TestEstimateElbo:
     def test_zero_kl_gives_zero_elbo(self, rng):
@@ -170,8 +180,7 @@ class TestEstimateElbo:
 
     def test_se_shrinks_with_samples(self):
         target = gaussian_target([0.0], [[1.0]])
-        q = VariationalPosterior(MEAN_FIELD, np.array([0.3]),
-                                 log_sd=np.array([0.2]))
+        q = VariationalPosterior(MEAN_FIELD, np.array([0.3]), np.exp([[0.2]]))
         ses = []
         for n in (1000, 4000):
             se_draws = [estimate_elbo(q, target, n_samples=n, seed=s)[1]
@@ -181,7 +190,7 @@ class TestEstimateElbo:
 
     def test_requires_min_samples(self):
         target = gaussian_target([0.0], [[1.0]])
-        q = VariationalPosterior(MEAN_FIELD, np.zeros(1), log_sd=np.zeros(1))
+        q = VariationalPosterior(MEAN_FIELD, np.zeros(1), np.eye(1))
         with pytest.raises(ValueError):
             estimate_elbo(q, target, 50, seed=0)
 
@@ -189,9 +198,15 @@ class TestEstimateElbo:
         def patchy(theta):
             values = np.where(theta[:, 0] > 0, np.nan, -1.0)
             return values, np.zeros_like(theta)
-        q = VariationalPosterior(MEAN_FIELD, np.zeros(1), log_sd=np.zeros(1))
+        q = VariationalPosterior(MEAN_FIELD, np.zeros(1), np.eye(1))
         with pytest.raises(EstimationError):
             estimate_elbo(q, patchy, 1000, seed=1)
+
+    def test_overflowing_spread_gives_an_infinite_se_silently(self):
+        def huge(theta):
+            return np.where(theta[:, 0] > 0, 1e300, -1e300), np.zeros_like(theta)
+        q = VariationalPosterior(MEAN_FIELD, np.zeros(1), np.eye(1))
+        assert estimate_elbo(q, huge, 1000, seed=1)[1] == np.inf
 
     def test_entropy_matches_monte_carlo(self, rng):
         L = np.array([[1.0, 0.0], [0.7, 0.5]])
@@ -211,7 +226,7 @@ class TestPosterior:
     def test_mean_field_logprob_matches_full_rank(self, rng):
         mean = np.array([0.5, -1.0])
         log_sd = np.array([0.1, -0.3])
-        mf = VariationalPosterior(MEAN_FIELD, mean, log_sd=log_sd)
+        mf = VariationalPosterior(MEAN_FIELD, mean, np.diag(np.exp(log_sd)))
         fr = VariationalPosterior(FULL_RANK, mean,
                                   scale_tril=np.diag(np.exp(log_sd)))
         theta = rng.standard_normal((6, 2))
@@ -220,7 +235,7 @@ class TestPosterior:
     def test_mean_field_samples_match_full_rank_bit_for_bit(self):
         mean = np.array([0.5, -1.0, 2.0])
         log_sd = np.array([0.1, -0.3, 0.7])
-        mf = VariationalPosterior(MEAN_FIELD, mean, log_sd=log_sd)
+        mf = VariationalPosterior(MEAN_FIELD, mean, np.diag(np.exp(log_sd)))
         fr = VariationalPosterior(FULL_RANK, mean,
                                   scale_tril=np.diag(np.exp(log_sd)))
         got = mf.sample(np.random.default_rng(5), 500)
@@ -232,7 +247,30 @@ class TestPosterior:
 
     def test_rejects_bad_family(self):
         with pytest.raises(ValueError):
-            VariationalPosterior("cauchy", np.zeros(1), log_sd=np.zeros(1))
+            VariationalPosterior("cauchy", np.zeros(1), np.eye(1))
+
+    @pytest.mark.parametrize("family, factor, shape", [
+        (MEAN_FIELD, [[1.0, 0.0], [0.5, 1.0]], "diagonal"),
+        (MEAN_FIELD, [[1.0, 0.5], [0.0, 1.0]], "diagonal"),
+        (FULL_RANK, [[1.0, 0.5], [0.0, 1.0]], "lower-triangular"),
+        (MEAN_FIELD, [[1.0, 0.0], [0.0, 0.0]], "diagonal"),
+        (FULL_RANK, [[-1.0, 0.0], [0.5, 1.0]], "lower-triangular"),
+        (FULL_RANK, [[1.0, 0.0], [np.nan, 1.0]], None),
+        (MEAN_FIELD, [1.0, 1.0], "diagonal"),
+        (FULL_RANK, np.eye(3), "lower-triangular")])
+    def test_factor_outside_its_family_rejected_naming_the_family(self, family, factor, shape):
+        message = (f"a {family} posterior needs a 2 x 2 {shape} factor with a positive diagonal"
+                   if shape else "posterior parameters must be finite")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            VariationalPosterior(family, np.zeros(2), np.array(factor))
+
+    @pytest.mark.parametrize("d", [1, 3, 4, 8, 12])
+    def test_isotropic_log_scales_are_the_log_of_sd_bit_for_bit(self, d):
+        for n in (1, 2, 3, 200, 1500, 20_000):
+            sd_n = 1.0 / np.sqrt(n)
+            for family in (MEAN_FIELD, FULL_RANK):
+                q = VariationalPosterior.isotropic(family, np.zeros(d), sd_n)
+                assert q.log_scale.tobytes() == np.full(d, np.log(sd_n)).tobytes()
 
 
 class TestGaussianKl:
@@ -249,8 +287,7 @@ class TestGaussianKl:
 def test_fit_optimises_the_given_start_and_checks_it():
     target = gaussian_target([3.0, -1.0], np.diag([0.01, 0.01]))
     config = quick_fit_config(seed=12, max_iterations=300)
-    start = VariationalPosterior(MEAN_FIELD, np.array([3.0, -1.0]),
-                                 log_sd=np.full(2, np.log(0.1)))
+    start = VariationalPosterior(MEAN_FIELD, np.array([3.0, -1.0]), 0.1 * np.eye(2))
     posterior, _ = fit(target, 2, config, family=MEAN_FIELD, start=start)
     assert posterior is start
     np.testing.assert_allclose(posterior.mean, [3.0, -1.0], atol=0.05)

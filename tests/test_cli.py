@@ -553,6 +553,7 @@ MALFORMED = {
                                     "from at least 2 datasets, got 1"),
     "bad_bool": (["score", "--input", "{csv}"], "controls_only = maybe", "controls_only"),
     "zero_k": (["score", "--input", "{csv}", "--k", "0"], None, "k must"),
+    "zero_k_value": (["score", "--input", "{csv}", "--k", "0"], None, "k must be >= 1, got 0"),
     "zero_trees": (["classify", "--input", "{csv}", "--trees", "0"], None, "n_trees"),
     "zero_repetitions": (["classify", "--input", "{csv}", "--repetitions", "0"], None,
                          "repetitions"),
@@ -579,6 +580,11 @@ MALFORMED = {
     "sigma_obs_square_overflows": (["score", "--input", "{twenty}", "--causes", "age"],
                                    "sigma_obs = 1e170",
                                    "sigma_obs must have a finite square, got 1e+170"),
+    # and divide by every square but sigma_z's, so its reciprocal must be finite too
+    **{f"{name}_reciprocal_square_overflows_at_{value}": (
+        ["score", "--input", "{twenty}", "--causes", "age"], f"{name} = {value}",
+        f"{name} must have a finite 1/{name}^2, got {value}")
+       for name in ("sigma_w", "sigma_y", "sigma_obs") for value in ("1e-160", "1e-170")},
     "missing_config_file": (["score", "--input", "{csv}", "--config", "{missing}"], None,
                             "missing.cfg"),
     "malformed_config_line": (["classify", "--input", "{csv}"], "just some words",
@@ -1017,18 +1023,8 @@ def test_exact_evidence_at_extreme_scales_fails_each_pair_with_the_cli_lines_alo
         runner, tmp_path, setting, error):
     # an accepted scale whose square is near a float's limits: each pair fails
     # as a QuadratureError, and stderr holds no traceback and no numpy warning
-    invoke(runner, ["simulate", "--out", str(tmp_path), "--name", "sim", "--n", "60",
-                    "--seed", "2"])
-    (tmp_path / "scale.cfg").write_text(setting + "\n", encoding="utf-8")
     out = tmp_path / "o"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH", "")])
-    result = subprocess.run(
-        [sys.executable, "-m", "biasaudit.cli", "score", "--input", str(tmp_path / "sim.csv"),
-         "--out", str(out), "--config", str(tmp_path / "scale.cfg"), "--causes", "vol_x1",
-         "--targets", "vol_y,vol_x2", "--method", "closed-form"],
-        env=env, capture_output=True, text=True, timeout=120)
+    result = _score_in_subprocess(runner, tmp_path, setting, "vol_y,vol_x2", "closed-form")
     assert result.returncode == 3, result.stderr
     assert result.stdout == f"scored 0 pairs (2 failures) -> {out}\n"
     assert result.stderr.splitlines() == [
@@ -1036,6 +1032,42 @@ def test_exact_evidence_at_extreme_scales_fails_each_pair_with_the_cli_lines_alo
         f"  failed (sim, vol_x2): QuadratureError: {error}",
         "dataset sim: no scored pair, left out of aggregate.csv",
         "error: every (dataset, target) fit failed"]
+
+
+def test_advi_gradient_overflow_fails_its_pair_with_the_cli_lines_alone(runner, tmp_path):
+    # sigma_obs = 1e-150 is accepted (1/sigma_obs^2 = 1e300), but the confounded
+    # fit's gradient squares past a float: no score, no numpy warning, and a
+    # scores.json that strict JSON reads
+    out = tmp_path / "o"
+    result = _score_in_subprocess(runner, tmp_path, "sigma_obs = 1e-150", "vol_y", "advi")
+    assert result.returncode == 3, result.stderr
+    assert result.stdout == f"scored 0 pairs (1 failures) -> {out}\n"
+    assert result.stderr.splitlines() == [
+        "  failed (sim, vol_y): EstimationError: the gradient overflowed Adam's second "
+        "moment by iteration 1600",
+        "dataset sim: no scored pair, left out of aggregate.csv",
+        "error: every (dataset, target) fit failed"]
+
+    def refuse(name):
+        raise ValueError(f"not strict JSON: {name}")
+    payload = json.loads((out / "scores.json").read_text(), parse_constant=refuse)
+    assert payload["records"] == [] and len(payload["failures"]) == 1
+
+
+def _score_in_subprocess(runner, tmp_path, setting, targets, method):
+    """``score`` in a fresh interpreter, so that any numpy warning reaches its
+    stderr, on a 60-row simulated file with ``setting`` as its config."""
+    invoke(runner, ["simulate", "--out", str(tmp_path), "--name", "sim", "--n", "60",
+                    "--seed", "2"])
+    (tmp_path / "scale.cfg").write_text(setting + "\n", encoding="utf-8")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH", "")])
+    return subprocess.run(
+        [sys.executable, "-m", "biasaudit.cli", "score", "--input", str(tmp_path / "sim.csv"),
+         "--out", str(tmp_path / "o"), "--config", str(tmp_path / "scale.cfg"), "--causes",
+         "vol_x1", "--targets", targets, "--method", method],
+        env=env, capture_output=True, text=True, timeout=120)
 
 
 # Runs each command line of a JSON list in one process, then prints which

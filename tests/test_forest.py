@@ -86,6 +86,15 @@ class TestTrainTree:
         with pytest.raises(ValueError):
             train_tree(np.zeros((0, 2)), np.array([]), seed=0)
 
+    @pytest.mark.parametrize("labels", [
+        np.array(["b", "a", "c", "a"]), np.array([3, -1, 3, 2]),
+        np.array(["b", "a", "c", "a"], dtype=object), np.array([2.5, -1.0, 2.5, 0.0])],
+        ids=["str", "int", "object", "float"])
+    def test_labels_are_coded_by_their_sorted_distinct_values(self, labels):
+        tree = train_tree(np.arange(4.0)[:, None], labels, seed=0)
+        np.testing.assert_array_equal(tree.predict_codes(np.arange(4.0)[:, None]),
+                                      _codes(labels))
+
     @pytest.mark.parametrize("lo, hi", EDGE_PAIRS)
     def test_growth_ends_where_the_midpoint_reaches_the_upper_value(
             self, bounded_growth, lo, hi):

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -7,10 +8,10 @@ from numpy.polynomial.legendre import leggauss
 
 from biasaudit import models
 from biasaudit.advi import FitConfig
-from biasaudit.errors import QuadratureError
+from biasaudit.errors import EstimationError, QuadratureError
 from biasaudit.gaussmath import (SpdMatrix, grid_quadrature_2d, mvn_logpdf,
                                  normal_logpdf)
-from biasaudit.models import (CausalModelSpec, ConfoundedModelSpec,
+from biasaudit.models import (CausalModelSpec, CodeLength, ConfoundedModelSpec,
                               JointVector, causal_code_length,
                               causal_evidence_closed_form, causal_log_joint,
                               code_length_X, confounded_code_length,
@@ -130,6 +131,29 @@ def test_a_scale_whose_square_overflows_is_refused(spec, name):
     spec(**{name: 1e154})  # its square, 1e308, is finite
     with pytest.raises(ValueError, match=f"{name} must have a finite square, got 1e\\+155"):
         spec(**{name: 1e155})
+
+
+@pytest.mark.parametrize("spec, name", [
+    (CausalModelSpec, "sigma_w"), (CausalModelSpec, "sigma_y"),
+    (ConfoundedModelSpec, "sigma_w"), (ConfoundedModelSpec, "sigma_obs")])
+@pytest.mark.parametrize("value", [1e-160, 1e-170], ids=["subnormal_square", "square_zero"])
+def test_a_scale_whose_square_has_no_finite_reciprocal_is_refused(spec, name, value):
+    spec(**{name: 1e-154})  # 1 / its square, about 1e308, is finite
+    with pytest.raises(ValueError, match=f"^{name} must have a finite 1/{name}\\^2, got {value}$"):
+        spec(**{name: value})
+
+
+@pytest.mark.parametrize("nats, elbo_se, error", [
+    (math.inf, 0.0, "advi code length is inf, not finite"),
+    (1.0, math.inf, "advi elbo_se is inf, not finite"),
+    (1.0, math.nan, "advi elbo_se is nan, not finite")])
+def test_code_length_refuses_a_non_finite_value_or_standard_error(nats, elbo_se, error):
+    with pytest.raises(EstimationError, match=f"^{re.escape(error)}$"):
+        CodeLength(nats, "advi", elbo_se=elbo_se)
+
+
+def test_sigma_z_is_never_divided_by_so_its_square_may_underflow():
+    assert ConfoundedModelSpec(sigma_z=1e-170).sigma_z == 1e-170
 
 
 def test_sigma_x_is_never_squared_so_any_finite_value_is_accepted():
@@ -263,7 +287,7 @@ class TestConfoundedCodeLength:
         assert b.nats > a.nats
 
     def test_zero_latent_dimension_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^k must be >= 1, got 0$"):
             ConfoundedModelSpec(k=0)
 
     def test_too_few_rows_rejected(self, rng):

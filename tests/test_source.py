@@ -44,6 +44,16 @@ def test_no_module_logs(path):
     assert "logging" not in modules
 
 
+@pytest.mark.parametrize("path", MODULES, ids=[path.stem for path in MODULES])
+def test_no_module_calls_np_unique(path):
+    # np.unique imports numpy.ma, which no command may load; forest._dense_codes
+    # ranks without it
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "unique"
+            and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")] == []
+
+
 # top-level definitions that no src module reads, each with the reason it stays
 UNREAD_ALLOWED = {
     "forest.train_tree": "perfbench/spans.py wraps it and test_trace_hooks calls it",
