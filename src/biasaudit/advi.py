@@ -161,7 +161,8 @@ def fit(log_joint, d: int, config: FitConfig,
     # views into q.flat, which every step updates in place
     flat = q.flat
     mean, log_scale, off_diagonal = flat[:d], flat[d:2 * d], flat[2 * d:]
-    value0, grad0 = log_joint(mean[None, :])
+    with np.errstate(all="ignore"):  # a non-finite start is refused just below
+        value0, grad0 = log_joint(mean[None, :])
     if not (np.all(np.isfinite(value0)) and np.all(np.isfinite(grad0))):
         raise ValueError("log_joint is not finite at the starting mean")
 

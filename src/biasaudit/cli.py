@@ -3,6 +3,9 @@
 Every run is driven by a resolved configuration (flags override a flat
 ``key = value`` config file, which overrides defaults; :data:`KEYS`
 declares each key, its flag and its parser once) and a master seed.
+The model scales, fit settings and CSV schema names are the fields of
+``CausalModelSpec``, ``ConfoundedModelSpec``, ``FitConfig`` and
+``SchemaConfig``, each read with its field's type and default.
 Reports embed the resolved configuration, the SHA-256 of the input
 file, and a fingerprint that names the audit: the configuration and
 input digest without the input path, the output path and the worker
@@ -22,6 +25,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import asdict, fields
 from pathlib import Path
+from typing import get_args, get_origin
 
 import click
 import numpy as np
@@ -111,29 +115,18 @@ KEYS = {
     "causes": (str, "age,age:square,sex", _SCORE, "Cause terms, e.g. 'age,age:square,sex'."),
     "targets": (str, None, _SCORE,
                 "Comma-separated target columns (default: all features not used as causes)."),
-    "sigma_x": (float, CausalModelSpec.sigma_x, _SCORE, None),
-    "sigma_w": (float, CausalModelSpec.sigma_w, _SCORE, None),  # both models' loadings
-    "sigma_y": (float, CausalModelSpec.sigma_y, _SCORE, None),
-    "sigma_z": (float, ConfoundedModelSpec.sigma_z, _SCORE, None),
-    "sigma_obs": (float, ConfoundedModelSpec.sigma_obs, _SCORE, None),
-    "mc_samples": (int, FitConfig.mc_samples, _SCORE, None),
-    "learning_rate": (float, FitConfig.learning_rate, _SCORE, None),
-    "max_iterations": (int, FitConfig.max_iterations, _SCORE, None),
-    "convergence_window": (int, FitConfig.convergence_window, _SCORE, None),
-    "relative_tolerance": (float, FitConfig.relative_tolerance, _SCORE, None),
-    "final_elbo_samples": (int, FitConfig.final_elbo_samples, _SCORE, None),
     "repetitions": (int, DEFAULT_REPETITIONS, _CLASSIFY, "Repetitions per fraction."),
     "trees": (int, RFConfig.n_trees, _CLASSIFY, "Trees per forest."),
     "fractions": (_comma_list(float), DEFAULT_FRACTIONS, _CLASSIFY, None),
-    # the CSV schema: one key per SchemaConfig field
-    "id_column": (str, SchemaConfig.id_column, _ALL, None),
-    "dataset_column": (str, SchemaConfig.dataset_column, _ALL, None),
-    "age_column": (str, SchemaConfig.age_column, _ALL, None),
-    "sex_column": (str, SchemaConfig.sex_column, _ALL, None),
-    "diagnosis_column": (str, SchemaConfig.diagnosis_column, _ALL, None),
-    "feature_prefixes": (_comma_list(str), SchemaConfig.feature_prefixes, _ALL, None),
-    "healthy_label": (str, SchemaConfig.healthy_label, _ALL, None),
 }
+# The model scales, fit settings and CSV schema: a file-only key per field of
+# these classes, parsed by its type, unless a row above holds the name (`seed`
+# is the master seed; `sigma_w` sets both models' loadings).
+for cls, commands in ((CausalModelSpec, _SCORE), (ConfoundedModelSpec, _SCORE),
+                      (FitConfig, _SCORE), (SchemaConfig, _ALL)):
+    for f in fields(cls):
+        parse = _comma_list(get_args(f.type)[0]) if get_origin(f.type) is tuple else f.type
+        KEYS.setdefault(f.name, (parse, f.default, commands, None))
 
 
 def _flag(name: str) -> str:

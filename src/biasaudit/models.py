@@ -126,8 +126,9 @@ def _regression_terms(X, y, spec: CausalModelSpec):
     if y.shape != (X.shape[0],):
         raise ValueError("y length does not match design rows")
     var_w, var_y = spec.sigma_w ** 2, spec.sigma_y ** 2
-    return (np.eye(X.shape[1]) / var_w + (X.T @ X) / var_y,
-            (X.T @ y) / var_y, float(y @ y))
+    with np.errstate(over="ignore"):  # a tiny sigma_y overflows to inf, which each caller refuses
+        return (np.eye(X.shape[1]) / var_w + (X.T @ X) / var_y,
+                (X.T @ y) / var_y, float(y @ y))
 
 
 def make_causal_target(X, y, spec: CausalModelSpec):

@@ -394,11 +394,13 @@ def summarize(table: Table) -> list[DatasetSummary]:
     out = []
     for label, rows in table.rows_by_dataset().items():
         ages = table.ages[rows]
+        with np.errstate(over="ignore"):  # ages near a float's limit summarize as inf
+            age_mean, age_sd = float(np.mean(ages)), float(np.std(ages))
         out.append(DatasetSummary(
             dataset=label,
             n=rows.size,
-            age_mean=float(np.mean(ages)),
-            age_sd=float(np.std(ages)),
+            age_mean=age_mean,
+            age_sd=age_sd,
             pct_male=float(100.0 * np.mean(table.sexes[rows])),
             n_diseased=int(np.sum(diseased[rows])),
         ))
@@ -479,7 +481,8 @@ def build_design(table: Table, spec: CauseSpec) -> np.ndarray:
     for term in spec.terms:
         raw = np.asarray(table.column(term.column), dtype=float)
         if term.transform == "square":
-            raw = raw ** 2
+            with np.errstate(over="ignore"):  # an inf square is refused as degenerate below
+                raw = raw ** 2
         cols.append(standardize_column(raw)[0])
     values = np.column_stack(cols)
     values.flags.writeable = False

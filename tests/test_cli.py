@@ -1054,6 +1054,73 @@ def test_advi_gradient_overflow_fails_its_pair_with_the_cli_lines_alone(runner, 
     assert payload["records"] == [] and len(payload["failures"]) == 1
 
 
+# (setting, method, k): accepted scales that overflow the fit's starting check
+# or the regression terms.  At k=2 closed-form still fits the confounded model by ADVI.
+START_OVERFLOWS = [
+    ("sigma_z = 1e-154", "advi", "1"), ("sigma_z = 1e-154", "advi", "2"),
+    ("sigma_z = 1e-154", "closed-form", "2"),
+    ("sigma_z = 1e-150", "advi", "2"), ("sigma_z = 1e-150", "closed-form", "2"),
+    ("sigma_z = 1.3e154", "advi", "2"), ("sigma_z = 1.3e154", "closed-form", "2"),
+    ("sigma_z = 1e-170", "advi", "1"),
+    ("sigma_obs = 1e-154", "advi", "1"), ("sigma_obs = 1e-154", "advi", "2"),
+    ("sigma_obs = 1e-154", "closed-form", "2"),
+    ("sigma_y = 1e-154", "advi", "1"), ("sigma_y = 1e-154", "advi", "2"),
+    ("sigma_y = 1e-154", "closed-form", "1"), ("sigma_y = 1e-154", "closed-form", "2"),
+]
+
+
+@pytest.mark.parametrize("setting, method, k", START_OVERFLOWS, ids=[
+    f"{setting.replace(' = ', '_')}_{method}_k{k}" for setting, method, k in START_OVERFLOWS])
+def test_scale_that_overflows_at_the_start_fails_its_pair_without_a_warning(
+        runner, tmp_path, setting, method, k):
+    # in process, where pyproject.toml turns a leaked numpy warning into an exit 1
+    invoke(runner, ["simulate", "--out", str(tmp_path), "--name", "sim", "--n", "60",
+                    "--seed", "1"])
+    (tmp_path / "scale.cfg").write_text(f"max_iterations = 400\n{setting}\n", encoding="utf-8")
+    result = runner.invoke(main, [
+        "score", "--input", str(tmp_path / "sim.csv"), "--out", str(tmp_path / "o"),
+        "--config", str(tmp_path / "scale.cfg"), "--causes", "vol_x1", "--targets", "vol_y",
+        "--method", method, "--k", k])
+    assert result.exception is None or isinstance(result.exception, SystemExit), result.exception
+    assert result.exit_code == 3, result.output
+    error = ("EstimationError: closed_form code length is nan, not finite"
+             if setting.startswith("sigma_y") and method == "closed-form"
+             else "ValueError: log_joint is not finite at the starting mean")
+    assert result.stderr.splitlines() == [
+        f"  failed (sim, vol_y): {error}",
+        "dataset sim: no scored pair, left out of aggregate.csv",
+        "error: every (dataset, target) fit failed"]
+
+
+def _huge_age_csv(path, age: float):
+    """Two datasets of 15 rows each, every age within a factor 2 of ``age``."""
+    path.write_text(VALID_CSV.split("\n", 1)[0] + "\n" + "".join(
+        f"h{i},{'AB'[i % 2]},{age * (1 + i / 30):.6e},{'MF'[i % 2]},control,{i % 7},{i % 5}\n"
+        for i in range(30)), encoding="utf-8")
+
+
+def test_validate_summarizes_ages_whose_square_overflows_as_inf(runner, tmp_path):
+    _huge_age_csv(tmp_path / "huge.csv", 1e200)
+    result = runner.invoke(main, ["validate", "--input", str(tmp_path / "huge.csv")])
+    assert result.exception is None or isinstance(result.exception, SystemExit), result.exception
+    assert result.exit_code == 0, result.output
+    rows = [line.split() for line in result.stdout.splitlines()[1:3]]
+    assert [(row[0], row[-3]) for row in rows] == [("A", "inf"), ("B", "inf")]  # age_sd
+    assert result.stderr == ""
+
+
+def test_squared_age_that_overflows_fails_each_pair_without_a_warning(runner, tmp_path):
+    _huge_age_csv(tmp_path / "huge.csv", 1e155)
+    result = runner.invoke(main, ["score", "--input", str(tmp_path / "huge.csv"),
+                                  "--out", str(tmp_path / "o"), "--causes", "age:square",
+                                  "--targets", "vol_a"])
+    assert result.exception is None or isinstance(result.exception, SystemExit), result.exception
+    assert result.exit_code == 3, result.output
+    failures = [line for line in result.stderr.splitlines() if line.startswith("  failed")]
+    assert [line.split(": ", 1)[1] for line in failures] == [
+        "DegenerateColumnError: non-finite mean or SD (mean=inf, sd=nan)"] * 2
+
+
 def _score_in_subprocess(runner, tmp_path, setting, targets, method):
     """``score`` in a fresh interpreter, so that any numpy warning reaches its
     stderr, on a 60-row simulated file with ``setting`` as its config."""

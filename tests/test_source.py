@@ -1,9 +1,14 @@
 """Static checks of the package source."""
 
 import ast
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
+
+from biasaudit.advi import FitConfig
+from biasaudit.models import CausalModelSpec, ConfoundedModelSpec
+from biasaudit.tabular import SchemaConfig
 
 SRC = Path(__file__).parents[1] / "src" / "biasaudit"
 MODULES = sorted(path for path in SRC.glob("*.py") if path.name != "__init__.py")
@@ -93,3 +98,15 @@ def test_guard_sees_an_unread_definition():
 def test_every_src_definition_is_read():
     sources = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
     assert sorted(_unread_definitions(sources)) == sorted(UNREAD_ALLOWED)
+
+
+def test_keys_table_restates_no_dataclass_field():
+    # cli.KEYS takes the model, fit and schema keys from the fields they fill;
+    # only `k` (a flag) and `seed` (the master seed) are written out
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    literal, = [node.value for node in tree.body if isinstance(node, ast.Assign)
+                and [ast.unparse(target) for target in node.targets] == ["KEYS"]]
+    written = {key.value for key in literal.keys if isinstance(key, ast.Constant)}
+    field_names = {f.name for cls in (CausalModelSpec, ConfoundedModelSpec, FitConfig, SchemaConfig)
+                   for f in fields(cls)}
+    assert sorted(written & field_names - {"k", "seed"}) == []
