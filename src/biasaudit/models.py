@@ -443,7 +443,8 @@ def confounded_evidence_k1(S, n: int, spec: ConfoundedModelSpec) -> float:
     c = -(p/2) log 2 pi sigma_w^2 - (np/2) log 2 pi sigma_obs^2 - tr S / 2 sigma_obs^2,
     and B is :func:`gaussmath.log_bingham_constant`'s.  The cost depends only on the
     eigenvalues, so it is the same at any n.  Raises
-    :class:`QuadratureError` when B or the radial integrand is not finite.
+    :class:`QuadratureError` when B or the radial integrand is not finite, or
+    when the quadrature sums to zero.
     """
     if spec.k != 1:
         raise ValueError("the exact evidence needs k=1")
@@ -506,7 +507,10 @@ def confounded_evidence_k1(S, n: int, spec: ConfoundedModelSpec) -> float:
     values = log_radial(r)
     _require_finite(values, "radial quadrature")
     top = float(values.max())
-    return const + top + math.log(float((half * weights).ravel() @ np.exp(values - top)))
+    total = float((half * weights).ravel() @ np.exp(values - top))
+    if not total > 0.0:  # a window narrower than a float's spacing at r_peak collapses
+        raise QuadratureError("radial quadrature sums to zero")
+    return const + top + math.log(total)
 
 
 def confounded_evidence_quadrature(V: JointVector, spec: ConfoundedModelSpec,

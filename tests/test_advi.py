@@ -420,6 +420,7 @@ def _loop_cases():
     S = V.values.T @ V.values
     collapsed, d_co = make_collapsed_target(S, V.n, ConfoundedModelSpec(k=2))
     collapsed_k1, d_k1 = make_collapsed_target(S, V.n, ConfoundedModelSpec(k=1))
+    collapsed_k3, d_k3 = make_collapsed_target(S, V.n, ConfoundedModelSpec(k=3))
     normalized = gaussian_target([1.0, -2.0, 0.5],
                                  [[1.0, 0.6, 0.1], [0.6, 2.0, -0.3], [0.1, -0.3, 0.5]])
 
@@ -449,6 +450,10 @@ def _loop_cases():
         # numpy sums one column of draws pairwise, several columns in row order;
         # a posterior mean and log-SD near 0 keep a last-bit change visible
         ("gaussian_1d", lambda: gauss_1d, 1, None),
+        # d = 9: each sum over the entries passes numpy's 8-wide pairwise block
+        ("collapsed_k3_ppca_start", lambda: collapsed_k3, d_k3,
+         lambda family: VariationalPosterior.isotropic(
+             family, _ppca_start(S, V.n, ConfoundedModelSpec(k=3)).mean, 1.0 / np.sqrt(V.n))),
     ]
 
 

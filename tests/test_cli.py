@@ -1017,8 +1017,10 @@ def test_closed_form_score_at_extreme_bingham_arguments(runner, tmp_path):
     ("sigma_obs = 1e-150", "non-finite radial integrand in the peak search"),
     ("sigma_obs = 1e-154", "non-finite bound of the radial sweep"),
     ("sigma_z = 1.3e154", "non-finite bound of the radial sweep"),
+    ("sigma_obs = 1e-30", "radial quadrature sums to zero"),
 ], ids=["sigma_w_1.3e154_upper_bound_inf", "sigma_obs_1e100", "sigma_obs_1.3e154",
-        "sigma_obs_1e-150", "sigma_obs_1e-154_lower_bound_zero", "sigma_z_1.3e154_lower_bound_zero"])
+        "sigma_obs_1e-150", "sigma_obs_1e-154_lower_bound_zero", "sigma_z_1.3e154_lower_bound_zero",
+        "sigma_obs_1e-30_window_below_float_spacing"])
 def test_exact_evidence_at_extreme_scales_fails_each_pair_with_the_cli_lines_alone(
         runner, tmp_path, setting, error):
     # an accepted scale whose square is near a float's limits: each pair fails
