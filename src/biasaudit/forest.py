@@ -15,14 +15,17 @@ occurs once, so the sort need not be stable.  Each tree draws its
 nodes' feature orders from its own seed, one block per depth.  A
 forest predicts each cell of its threshold grid once: rows that no
 split threshold of any tree separates take the same path in every tree.
-A tree holds only its node arrays; the forest builds each tree's walk
-tables just before that tree's walk, and a lone tree predicts as the
-forest of itself.
+A tree holds only its node arrays, stored in one place that the
+checked constructor and the grower share: the grower's trees skip the
+checks and the depth walk, since its level loop already knows both.
+The forest builds each tree's walk tables just before that tree's
+walk, and a lone tree predicts as the forest of itself.
 The membership harness ("which dataset does this row come from?")
 trains forests over a grid of training fractions and reports learning
 curves plus a confusion matrix at the largest fraction.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,34 +53,43 @@ class DecisionTree:
     ``feature[i] == -1`` marks a leaf; internal nodes route
     ``x[feature] <= threshold`` to ``left``.  Leaves keep their class
     counts.  A split node's children lie past it and are no other
-    split's, so no path cycles or merges; ValueError otherwise.
+    split's, so no path cycles or merges; ValueError otherwise.  A tree
+    is stored in one place, :meth:`_store`: this constructor checks its
+    arguments and finds the depth before it stores them, and the grower
+    stores its trees there directly, with the depth and leaf predictions
+    its level loop already has.
     """
 
     def __init__(self, feature, threshold, left, right, leaf_counts):
-        self.feature = np.asarray(feature, dtype=int)
-        self.threshold = np.asarray(threshold, dtype=float)
-        self.left = np.asarray(left, dtype=int)
-        self.right = np.asarray(right, dtype=int)
-        self.leaf_counts = np.asarray(leaf_counts, dtype=int)
-        arrays = (self.feature, self.threshold, self.left, self.right, self.leaf_counts)
+        feature, threshold, left, right, leaf_counts = arrays = (
+            np.asarray(feature, dtype=int), np.asarray(threshold, dtype=float),
+            np.asarray(left, dtype=int), np.asarray(right, dtype=int),
+            np.asarray(leaf_counts, dtype=int))
+        n_nodes = feature.size
         if ([a.ndim for a in arrays] != [1, 1, 1, 1, 2]
-                or {a.shape[0] for a in arrays} != {self.n_nodes} or not self.n_nodes):
+                or {a.shape[0] for a in arrays} != {n_nodes} or not n_nodes):
             raise ValueError(f"need a node, and one threshold, left, right and leaf-count row "
                              f"per node: feature, threshold, left, right and leaf_counts have "
                              f"shapes {[a.shape for a in arrays]}")
-        self._leaf_pred = np.argmax(self.leaf_counts, axis=1)
-        leaf = self.feature < 0
+        leaf = feature < 0
         inner = np.flatnonzero(~leaf)
-        child = np.concatenate([self.left[inner], self.right[inner]])
-        if (not np.all((np.tile(inner, 2) < child) & (child < self.n_nodes))
+        child = np.concatenate([left[inner], right[inner]])
+        if (not np.all((np.tile(inner, 2) < child) & (child < n_nodes))
                 or np.any(np.bincount(child) > 1)):
             raise ValueError("each split node's children must lie past it, inside the tree, "
                              "and be no other split's")
         # the most splits on any root-to-leaf path
-        self.depth, level = 0, np.zeros(1, dtype=int)
+        depth, level = 0, np.zeros(1, dtype=int)
         while (level := level[~leaf[level]]).size:
-            self.depth += 1
-            level = np.concatenate([self.left[level], self.right[level]])
+            depth += 1
+            level = np.concatenate([left[level], right[level]])
+        self._store(*arrays, np.argmax(leaf_counts, axis=1), depth)
+
+    def _store(self, feature, threshold, left, right, leaf_counts, leaf_pred, depth):
+        """Set the tree's arrays, each node's leaf prediction (the first
+        class of most counts) and its depth, all as given."""
+        self.feature, self.threshold, self.left, self.right = feature, threshold, left, right
+        self.leaf_counts, self._leaf_pred, self.depth = leaf_counts, leaf_pred, depth
 
     @property
     def n_nodes(self) -> int:
@@ -134,11 +146,11 @@ def _segment_splits(flat, rank, at, y, copies, sizes):
     integers.
     """
     n = at.size
-    starts = np.cumsum(sizes) - sizes
-    seg = np.repeat(np.arange(sizes.size), sizes)
+    starts = sizes.cumsum() - sizes
+    seg = np.arange(sizes.size).repeat(sizes)
     key = seg * rank.size
     key += rank[at]
-    order = np.argsort(key)
+    order = key.argsort()
     del key  # each rows-long temporary goes as soon as it is used up
     y, copies = y[order], copies[order]
     x = flat[at[order]]
@@ -153,13 +165,13 @@ def _segment_splits(flat, rank, at, y, copies, sizes):
     # left entries' sum of c (2a + c - 2 T_k), where sum_k T_k^2 is the
     # left sum over the segment.
     n_classes = int(y.max()) + 1
-    by_class = np.argsort(y.astype(np.min_scalar_type(n_classes)), kind="stable")
+    by_class = y.astype(np.min_scalar_type(n_classes)).argsort(kind="stable")
     new_run = _heads((seg * n_classes + y)[by_class])
     c = copies[by_class]
     w = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(c, out=w[1:])
-    bound = 2 * w[np.concatenate([[0], np.flatnonzero(new_run), [n]])]
-    run = np.cumsum(new_run)  # 1 + the run's number: bound[run] = 2 w_start
+    c.cumsum(out=w[1:])
+    bound = 2 * w[np.concatenate([[0], new_run.nonzero()[0], [n]])]
+    run = new_run.cumsum()  # 1 + the run's number: bound[run] = 2 w_start
     del new_run
     twice_mid = w[:-1] + w[1:]  # 2 w_i + c
     del w
@@ -168,16 +180,16 @@ def _segment_splits(flat, rank, at, y, copies, sizes):
     left[1:][by_class] = c * (twice_mid - bound[run])
     right[1:][by_class] = c * (twice_mid - bound[1:][run])
     del by_class, run, twice_mid, c
-    np.cumsum(left, out=left)
-    np.cumsum(right, out=right)
+    left.cumsum(out=left)
+    right.cumsum(out=right)
     cum_rows = np.zeros(n + 1, dtype=np.int64)  # rows before each sorted entry
-    np.cumsum(copies, out=cum_rows[1:])
+    copies.cumsum(out=cum_rows[1:])
     del copies
 
     valid = np.empty(n, dtype=bool)
     np.greater(x[1:], x[:-1], out=valid[:-1])
     valid[starts + sizes - 1] = False  # a segment's last entry has no boundary
-    at = np.flatnonzero(valid)
+    at = valid.nonzero()[0]
     del valid
     seg = seg[at]
     after, ends = at + 1, starts + sizes
@@ -193,10 +205,11 @@ def _segment_splits(flat, rank, at, y, copies, sizes):
     weighted = (size_left * gini_left + size_right * gini_right) / size
 
     # each segment's first minimum, inf where it has no boundary
-    gini = np.full(n, np.inf)
+    gini = np.empty(n)
+    gini.fill(np.inf)
     gini[at] = weighted
     gini = np.minimum.reduceat(gini, starts)
-    hit = np.flatnonzero(weighted == gini[seg])
+    hit = (weighted == gini[seg]).nonzero()[0]
     hit = hit[_heads(seg[hit])]
     at, seg = at[hit], seg[hit]
     # the midpoint, unless it rounds onto the upper value (adjacent
@@ -218,7 +231,7 @@ def _feature_scan(flat, rank, m, rows, y, copies, sizes, features):
     """
     n_nodes, width = features.shape
     # segment (k, j) holds node j's rows on its k-th listed feature
-    at = features.T.take(np.repeat(np.arange(n_nodes), sizes), axis=1)
+    at = features.T.take(np.arange(n_nodes).repeat(sizes), axis=1)
     at += m * rows
     gini, threshold = _segment_splits(flat, rank, at.ravel(), np.concatenate([y] * width),
                                       np.concatenate([copies] * width),
@@ -233,21 +246,22 @@ def _choose_splits(flat, rank, m, rows, y, copies, sizes, feature_order):
     keeps the first strict minimum.  If none of them admits a split,
     it takes the first of its remaining features, in order, that does.
     """
-    n_candidates = int(np.ceil(np.sqrt(m)))
+    n_candidates = math.isqrt(m - 1) + 1  # ceil(sqrt(m))
     candidates = feature_order[:, :n_candidates]
     gini, threshold = _feature_scan(flat, rank, m, rows, y, copies, sizes, candidates)
     nodes = np.arange(sizes.size)
-    pick = np.argmin(gini, axis=1)
+    pick = gini.argmin(axis=1)
     feature = np.where(np.isfinite(gini[nodes, pick]), candidates[nodes, pick], -1)
     threshold = threshold[nodes, pick]
-    stuck = np.flatnonzero(feature < 0)
+    is_stuck = feature < 0
+    stuck = is_stuck.nonzero()[0]
     if stuck.size and m > n_candidates:
-        in_stuck = np.repeat(feature < 0, sizes)
+        in_stuck = is_stuck.repeat(sizes)
         rest = feature_order[stuck, n_candidates:]
         gini, rest_threshold = _feature_scan(flat, rank, m, rows[in_stuck], y[in_stuck],
                                              copies[in_stuck], sizes[stuck], rest)
         admits = np.isfinite(gini)
-        pick = np.argmax(admits, axis=1)
+        pick = admits.argmax(axis=1)
         found = admits[np.arange(stuck.size), pick]
         feature[stuck[found]] = rest[found, pick[found]]
         threshold[stuck[found]] = rest_threshold[found, pick[found]]
@@ -268,7 +282,11 @@ def _grow_trees(X, y, samples, seeds, widths=None):
     depth, not with node count.  Tree ``t`` draws one uniform (open
     nodes x m) block per depth from ``default_rng(seeds[t])``; each
     row's argsort is that node's feature order.  Every depth's scan
-    reads one ranking of the columns of ``X``.
+    reads one ranking of the columns of ``X``.  The per-depth path calls
+    no numpy function written in Python, such as ``np.cumsum``: each
+    costs 0.5-1.6 us a call more than the array method.  Each tree is
+    stored as grown, with the depth and leaf predictions that the
+    checked :class:`DecisionTree` would find.
 
     The layout follows from the level order.  Level 0 lists the roots
     0..T-1; each later level lists the two children of each split node
@@ -287,43 +305,47 @@ def _grow_trees(X, y, samples, seeds, widths=None):
     codes = y[rows]
     sizes = np.array([tree_rows.size for tree_rows, _ in samples])
     tree_of = np.arange(n_trees)
+    depth = np.zeros(n_trees, dtype=int)  # each tree's last level so far
     # every node's count row is kept to the end: the narrowest type that holds a sample
     count_type = np.min_scalar_type(max(int(tree_copies.sum()) for _, tree_copies in samples))
     levels = []
     while sizes.size:
         n_level = sizes.size
-        node_of = np.repeat(np.arange(n_level), sizes)
+        depth[tree_of] = len(levels)
+        node_of = np.arange(n_level).repeat(sizes)
         # float sums of integer counts are exact
         counts = np.bincount(node_of * n_classes + codes, weights=copies,
                              minlength=n_level * n_classes).astype(count_type)
         counts = counts.reshape(n_level, n_classes)
         is_open = counts.max(axis=1) < counts.sum(axis=1)  # impure: 2+ distinct rows
-        feature = np.full(n_level, -1)
+        feature = np.empty(n_level, dtype=int)
+        feature.fill(-1)
         threshold = np.zeros(n_level)
-        opened = np.flatnonzero(is_open)
+        opened = is_open.nonzero()[0]
         if opened.size:
             per_tree = np.bincount(tree_of[opened], minlength=n_trees)
             keys = np.concatenate([rngs[t].random((per_tree[t], m))
-                                   for t in np.flatnonzero(per_tree)])
+                                   for t in per_tree.nonzero()[0]])
             in_open = is_open[node_of]
             feature[opened], threshold[opened] = _choose_splits(
                 flat, rank, m, rows[in_open], codes[in_open], copies[in_open], sizes[opened],
-                np.argsort(keys, axis=1, kind="stable"))
-        split = np.flatnonzero(feature >= 0)
+                keys.argsort(axis=1, kind="stable"))
+        is_split = feature >= 0
+        split = is_split.nonzero()[0]
         counts[split] = 0  # only leaves keep their class counts
         levels.append((tree_of, feature, threshold, counts))
 
         # rows of split nodes move to their children: node j's children
         # are entries 2j and 2j + 1 of the next level
-        in_split = feature[node_of] >= 0
+        in_split = is_split[node_of]
         rows, codes, copies = rows[in_split], codes[in_split], copies[in_split]
         node_of = node_of[in_split]
         go_left = flat[rows * m + feature[node_of]] <= threshold[node_of]
-        child = 2 * (np.cumsum(feature >= 0) - 1)[node_of] + ~go_left
+        child = 2 * (is_split.cumsum() - 1)[node_of] + ~go_left
         sizes = np.bincount(child, minlength=2 * split.size)
-        order = np.argsort(child, kind="stable")
+        order = child.argsort(kind="stable")
         rows, codes, copies = rows[order], codes[order], copies[order]
-        tree_of = np.repeat(tree_of[split], 2)
+        tree_of = tree_of[split].repeat(2)
 
     tree_of, feature, threshold, leaf_counts = (np.concatenate(part) for part in zip(*levels))
     del levels
@@ -336,11 +358,19 @@ def _grow_trees(X, y, samples, seeds, widths=None):
     left = np.full(feature.size, -1)
     left[split] = place[n_trees + 2 * np.arange(split.size)] - offsets[tree_of[split]]
     right = left + (feature >= 0)
+    # a node's counts past its tree's width are 0, so the first maximum
+    # lies inside it, as DecisionTree's argmax finds it
+    leaf_pred = np.argmax(leaf_counts, axis=1)[order]
     leaf_counts = leaf_counts[order].astype(int)  # the trees' dtype, so each holds a view
-    trees = zip(*(np.split(whole, offsets[1:]) for whole in (
-        feature[order], threshold[order], left[order], right[order], leaf_counts)))
-    return [DecisionTree(*arrays, counts[:, :width]) for (*arrays, counts), width
-            in zip(trees, widths or [n_classes] * n_trees)]
+    wholes = feature[order], threshold[order], left[order], right[order]
+    trees = []
+    for start, stop, width, tree_depth in zip(offsets.tolist(), (offsets + n_nodes).tolist(),
+                                              widths or [n_classes] * n_trees, depth.tolist()):
+        tree = DecisionTree.__new__(DecisionTree)  # valid as grown: no checks, no depth walk
+        tree._store(*(whole[start:stop] for whole in wholes), leaf_counts[start:stop, :width],
+                    leaf_pred[start:stop], tree_depth)
+        trees.append(tree)
+    return trees
 
 
 def _training_arrays(X, y):
@@ -545,9 +575,10 @@ def _run_repetition(args):
     for batch in batches:
         forests = train_forest([part for part, _ in batch], rf_config)
         for forest, (_, (test_X, test_codes)) in zip(forests, batch):
-            confusion = np.zeros((n_codes, n_codes), dtype=int)
-            np.add.at(confusion, (test_codes, forest.predict_codes(test_X)), 1)
-            confusions.append(confusion)
+            # the codes widen first: a uint8 code times n_codes can pass 255
+            pairs = test_codes.astype(np.intp) * n_codes + forest.predict_codes(test_X)
+            confusions.append(np.bincount(pairs, minlength=n_codes * n_codes)
+                              .reshape(n_codes, n_codes))
         del forests, forest  # a tree's arrays are views of its whole batch's
     return confusions
 

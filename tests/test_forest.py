@@ -294,6 +294,16 @@ class TestNameThatDataset:
         np.testing.assert_array_equal(confusion.counts.sum(axis=1),
                                       [reps * heldout_per_dataset] * 3)
 
+    def test_confusion_counts_codes_past_uint8(self):
+        # 17 datasets have uint8 codes, and code 16 times 17 would pass 255
+        table = gen_multidataset(MultiDatasetSpec(
+            n_per_dataset=40, shifts=tuple(float(d) for d in range(17)), seed=3))
+        assert table.dataset_codes.dtype == np.uint8
+        results = name_that_dataset(
+            table, {"vol": ["vol_f1", "vol_f2"]}, fractions=(0.5,),
+            repetitions=1, seed=4, rf_config=RFConfig(n_trees=5))
+        np.testing.assert_array_equal(results["vol"].confusion.counts.sum(axis=1), [20] * 17)
+
     def test_curve_non_decreasing_on_separable_data(self):
         # moderate shift so accuracy still grows with training data
         table = gen_multidataset(MultiDatasetSpec(
@@ -788,6 +798,44 @@ def _lexsort_segment_splits(x, y, sizes):
         mid = 0.5 * lo + 0.5 * hi
     threshold[seg[hit]] = np.where(mid < hi, mid, lo)
     return gini, threshold
+
+
+def _assert_equals_checked_rebuild(tree):
+    """``tree`` holds what :class:`DecisionTree` builds from its node arrays:
+    the same arrays and dtypes, the same depth and leaf predictions."""
+    rebuilt = DecisionTree(tree.feature, tree.threshold, tree.left, tree.right, tree.leaf_counts)
+    for name in ("feature", "threshold", "left", "right", "leaf_counts", "_leaf_pred"):
+        got, want = getattr(tree, name), getattr(rebuilt, name)
+        assert got.dtype == want.dtype, name
+        np.testing.assert_array_equal(got, want, err_msg=name)
+    assert type(tree.depth) is int and tree.depth == rebuilt.depth
+
+
+class TestGrownTreesEqualTheirCheckedRebuild:
+    # the grower stores its trees without DecisionTree's checks and depth walk
+    @pytest.mark.parametrize("n_classes", [2, 15])
+    @pytest.mark.parametrize("layout", ORACLE_LAYOUTS)
+    def test_train_tree(self, layout, n_classes):
+        X, labels = _oracle_layout(layout, 4, n_classes)
+        for seed in (0, 1):
+            _assert_equals_checked_rebuild(train_tree(X, labels, seed))
+
+    def test_root_only_train_tree(self):
+        tree = train_tree(np.zeros((3, 2)), ["a"] * 3, 0)
+        assert tree.depth == 0
+        _assert_equals_checked_rebuild(tree)
+
+    def test_two_part_train_forest(self):
+        # the second part lacks the top two class codes, so its trees are
+        # narrower than the call's counts
+        X, labels = _oracle_data(60, 120, 4, 5)
+        narrow_X, narrow_labels = _oracle_data(61, 40, 4, 3)
+        forests = train_forest([(X, _codes(labels), 62), (narrow_X, _codes(narrow_labels), 63)],
+                               RFConfig(n_trees=6))
+        trees = [tree for forest in forests for tree in forest.trees]
+        assert [tree.leaf_counts.shape[1] for tree in trees] == [5] * 6 + [3] * 6
+        for tree in trees:
+            _assert_equals_checked_rebuild(tree)
 
 
 class TestRankKeyedScan:

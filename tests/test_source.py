@@ -2,6 +2,7 @@
 
 import ast
 import itertools
+import types
 from dataclasses import fields
 from pathlib import Path
 
@@ -114,26 +115,56 @@ def test_keys_table_restates_no_dataclass_field():
     assert sorted(written & field_names - {"k", "seed"}) == []
 
 
+def _numpy_calls(path, flagged) -> list[str]:
+    """Each ``np.<name>(...)`` or ``np.<name>.<method>(...)`` call under the
+    statements ``path`` for which ``flagged(np.<name>)`` holds."""
+    found = []
+    for node in (node for stmt in path for node in ast.walk(stmt)):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+            continue
+        func = node.func.value if isinstance(node.func.value, ast.Attribute) else node.func
+        if (isinstance(func.value, ast.Name) and func.value.id == "np"
+                and flagged(getattr(np, func.attr))):
+            found.append(f"np.{func.attr} (line {node.lineno})")
+    return found
+
+
+def _python_level(f) -> bool:
+    """True for a numpy function written in Python, such as ``np.cumsum`` or
+    ``np.full``: its call goes through Python code before the C work, where
+    a ufunc, an array method or a C function such as ``np.concatenate``
+    (dispatched, but implemented in C) does not."""
+    return isinstance(getattr(f, "_implementation", f), types.FunctionType)
+
+
+def _functions(source: str) -> dict[str, ast.FunctionDef]:
+    return {node.name: node for node in ast.parse(source).body if isinstance(node, ast.FunctionDef)}
+
+
 def _step_calls_off_ufuncs(source: str) -> list[str]:
     """Each ``np.<name>(...)`` call on ``fit``'s per-step path, the body of its
     loop up to the statement that holds the stop rule's ``break``, whose name is
     not a ufunc: a ufunc, or a ufunc's method, dispatches in C, where a numpy
     function such as ``np.take`` or ``np.copyto`` first calls a Python-level
     dispatcher."""
-    tree = ast.parse(source)
-    fit, = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "fit"]
-    loop, = [node for node in ast.walk(fit) if isinstance(node, ast.For)]
+    loop, = [node for node in ast.walk(_functions(source)["fit"]) if isinstance(node, ast.For)]
     step = itertools.takewhile(
         lambda stmt: not any(isinstance(node, ast.Break) for node in ast.walk(stmt)), loop.body)
-    found = []
-    for node in (node for stmt in step for node in ast.walk(stmt)):
-        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
-            continue
-        func = node.func.value if isinstance(node.func.value, ast.Attribute) else node.func
-        if (isinstance(func.value, ast.Name) and func.value.id == "np"
-                and not isinstance(getattr(np, func.attr), np.ufunc)):
-            found.append(f"np.{func.attr} (line {node.lineno})")
-    return found
+    return _numpy_calls(step, lambda f: not isinstance(f, np.ufunc))
+
+
+# the grower's per-depth path: the body of _grow_trees' level loop and the
+# whole of the functions it calls once or twice a depth
+DEPTH_PATH_FUNCTIONS = ("_choose_splits", "_feature_scan", "_segment_splits", "_heads")
+
+
+def _depth_calls_to_python_numpy(source: str) -> list[str]:
+    """Each call of a Python-level numpy function (:func:`_python_level`) on
+    the grower's per-depth path."""
+    functions = _functions(source)
+    loop, = [node for node in ast.walk(functions["_grow_trees"]) if isinstance(node, ast.While)]
+    return _numpy_calls([*loop.body, *(functions[name] for name in DEPTH_PATH_FUNCTIONS)],
+                        _python_level)
 
 
 def test_guard_sees_a_numpy_function_on_the_step_path():
@@ -147,3 +178,24 @@ def test_fit_steps_call_only_ufuncs():
     # np.take and np.copyto cost 0.2-0.7 us a call more than the array's
     # .take and a slice assignment, which the step uses in their place
     assert _step_calls_off_ufuncs((SRC / "advi.py").read_text(encoding="utf-8")) == []
+
+
+def test_guard_sees_a_python_level_numpy_function_on_the_depth_path():
+    source = ("def _grow_trees(a):\n    b = np.cumsum(a)\n    while a.size:\n"
+              "        a = np.concatenate([np.flatnonzero(a), np.zeros(1)])\n"
+              "        a = np.minimum.reduceat(np.where(a, a, 0), np.arange(1))\n"
+              "    return np.full(3, b)\n\n\n"
+              "def _choose_splits(a):\n    return np.argmin(np.sqrt(a), axis=1)\n\n\n"
+              "def _feature_scan(a):\n    return a.cumsum(out=np.empty(a.size))\n\n\n"
+              "def _segment_splits(a):\n    return np.bincount(a)\n\n\n"
+              "def _heads(a):\n    return np.repeat(a, 2)\n\n\n"
+              "def _dense_codes(a):\n    return np.argsort(a)\n")
+    assert _depth_calls_to_python_numpy(source) == [
+        "np.flatnonzero (line 4)", "np.argmin (line 10)", "np.repeat (line 22)"]
+
+
+def test_grower_depth_path_calls_no_python_level_numpy_function():
+    # np.cumsum, np.flatnonzero, np.argsort, np.repeat, np.full and np.argmin
+    # each cost 0.5-1.6 us a call more than the array method, or np.empty and
+    # .fill, in its place (small arrays, numpy 2.4, 2-core x86-64 host)
+    assert _depth_calls_to_python_numpy((SRC / "forest.py").read_text(encoding="utf-8")) == []
