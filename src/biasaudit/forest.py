@@ -13,13 +13,14 @@ column is ranked once per grower call, so that scan orders all its
 segments with one integer sort per depth; each (segment, rank) key
 occurs once, so the sort need not be stable.  Each tree draws its
 nodes' feature orders from its own seed, one block per depth.  A
-forest predicts each cell of its threshold grid once: rows that no
-split threshold of any tree separates take the same path in every tree.
+forest predicts from threshold grids: rows that no split threshold
+separates take one path, so a grid of fewer cells than rows is walked
+once per cell instead.
 A tree holds only its node arrays, stored in one place that the
 checked constructor and the grower share: the grower's trees skip the
 checks and the depth walk, since its level loop already knows both.
-The forest builds each tree's walk tables just before that tree's
-walk, and a lone tree predicts as the forest of itself.
+Each walk builds its tree's walk tables, and a lone tree predicts as
+the forest of itself.
 The membership harness ("which dataset does this row come from?")
 trains forests over a grid of training fractions and reports learning
 curves plus a confusion matrix at the largest fraction.
@@ -416,62 +417,122 @@ class Forest:
     def predict_codes(self, X: np.ndarray) -> np.ndarray:
         """Majority-vote class codes; ties go to the lowest class code.
 
-        Rows that no split threshold of any tree separates share a cell
-        of the forest's threshold grid and are walked once.  A row's
-        place in column j is its ``searchsorted(T_j, x, "left")`` among
-        the sorted distinct thresholds T_j of the splits on j, and
-        ``x <= T_j[k]`` exactly when that place is at most k: NaN sorts
-        past every threshold and goes right, as the walk sends it, and
-        +-0 compare equal.  So every row of a cell takes its cell's path
-        in every tree.  A cell is coded by its places in mixed radix,
-        re-ranked to dense codes before the product could pass 2**62.
-        Each tree's walk tables are built here, just before its walk,
-        and go with it.  ValueError unless ``X`` is 2-D with a column for
-        every feature the trees split on.
+        A tree's grid has one cell per combination of places among its
+        distinct thresholds on each column.  A tree with at least as many
+        leaves as ``X`` has rows walks the rows, since each leaf of a grown
+        tree holds a cell of its grid.  The others whose grid has fewer
+        cells than rows are grid trees, and T_j holds the sorted distinct
+        thresholds of their splits on column j.  A row's place in column j
+        is its ``searchsorted(T_j, x, "left")``, and ``x <= T_j[k]`` exactly
+        when that place is at most k (NaN sorts past every threshold and
+        goes right, as the walk sends it; +-0 compare equal).  So the rows
+        of one cell of the grid of places take one path in every grid tree,
+        as do those of one cell of a tree's own grid, where a row's place
+        counts the tree's thresholds below ``T_j[place]``.  A grid is walked
+        at one point per cell: the threshold above it, or NaN in the top
+        cell, which only NaN rows reach (+inf would go left at a threshold
+        of +inf).  If every tree is a grid tree and the grid of places has
+        fewer cells than rows, its points stand in for the rows, each row
+        taking its cell's vote, and the grid trees are those whose grid has
+        fewer cells than points.  Each grid tree walks its grid; every other
+        tree walks the rows or points.  Places are found once, in the
+        columns grid trees split.  ValueError unless ``X`` is 2-D with a
+        column for every feature the trees split on.
         """
         X = np.ascontiguousarray(X, dtype=float)
-        feature = np.concatenate([tree.feature for tree in self.trees])
-        threshold = np.concatenate([tree.threshold for tree in self.trees])
+        trees = self.trees
+        feature = np.concatenate([tree.feature for tree in trees])
         need = 1 + int(feature.max())
         if X.ndim != 2 or X.shape[1] < need:
             raise ValueError(f"need a 2-D feature matrix of at least {need} columns, "
                              f"got shape {X.shape}")
         n, m = X.shape
-        cell, size = np.zeros(n, dtype=np.int64), 1
-        for j in range(m):
-            T = np.sort(threshold[feature == j])
-            T = T[_heads(T)]
-            if size * (T.size + 1) > 2 ** 62:
-                cell, size = _dense_codes(cell)
-            cell *= T.size + 1
-            cell += np.searchsorted(T, X[:, j], side="left")
-            size *= T.size + 1
-        del feature, threshold
-        cell, n_cells = _dense_codes(cell)
-        walked = np.empty(n_cells, dtype=np.intp)  # one row of each cell
-        walked[cell] = np.arange(n)
+        n_trees, n_classes = len(trees), trees[0].leaf_counts.shape[1]
+        # a tree of as many leaves as rows walks the rows: each leaf of a
+        # grown tree holds a cell of its grid, so the grid is no smaller
+        tree_of = np.arange(n_trees).repeat([tree.n_nodes for tree in trees])
+        leaf = feature < 0
+        walks = np.bincount(tree_of[leaf], minlength=n_trees) >= n
+        # the other trees' distinct splits, sorted by (tree, column, threshold)
+        kept = (~leaf & ~walks[tree_of]).nonzero()[0]
+        group = tree_of[kept] * m + feature[kept]
+        value = np.concatenate([tree.threshold for tree in trees])[kept]
+        order = value.argsort()
+        order = order[group.astype(np.min_scalar_type(n_trees * m))[order].argsort(kind="stable")]
+        group, value = group[order], value[order]
+        distinct = _heads(group) | _heads(value)
+        group, value = group[distinct], value[distinct]
+        tree_lines = np.bincount(group, minlength=n_trees * m).reshape(n_trees, m)
+        on_grid = ~walks & ((tree_lines + 1.0).prod(axis=1) < n)
+        # T_j: the grid trees' sorted distinct thresholds on column j
+        line_tree, column = np.divmod(group, m)
+        lined = on_grid[line_tree]
+        T = {}
+        for j in tree_lines[on_grid].any(axis=0).nonzero()[0]:
+            T_j = np.sort(value[lined & (column == j)])
+            T[j] = T_j[_heads(T_j)]
 
-        n_classes = self.trees[0].leaf_counts.shape[1]
-        votes = np.zeros(n_cells * n_classes, dtype=np.min_scalar_type(len(self.trees)))
-        vote_start = np.arange(n_cells) * n_classes
-        flat, row_start = X.ravel(), walked * m
-        for tree in self.trees:
-            # walk tables, which name node i by 2i: entries 2i and 2i + 1 of
-            # ``feature`` and ``threshold`` hold node i's test, and entry
-            # 2i + go of ``child`` is the doubled id of where node i sends a
-            # row, go = (x <= threshold), so NaN goes right; a leaf reads
-            # feature 0 and sends a row back to itself whatever the test
-            leaf = tree.feature < 0
-            feature = np.repeat(np.where(leaf, 0, tree.feature), 2)
-            threshold = np.repeat(tree.threshold, 2)
-            nodes = np.arange(tree.n_nodes)
-            child = 2 * np.column_stack([np.where(leaf, nodes, tree.right),
-                                         np.where(leaf, nodes, tree.left)]).ravel()
-            node = np.zeros(n_cells, dtype=np.intp)  # doubled ids
-            for _ in range(tree.depth):
-                node = child[node + (flat[row_start + feature[node]] <= threshold[node])]
-            votes[vote_start + tree._leaf_pred[node >> 1]] += 1
-        return np.argmax(votes.reshape(n_cells, n_classes), axis=1)[cell]
+        cell = None
+        places = {j: T_j.searchsorted(X[:, j]) for j, T_j in T.items()}
+        if on_grid.all() and math.prod(T_j.size + 1 for T_j in T.values()) < n:
+            X, cell, places = _grid([(j, T_j, np.arange(T_j.size)) for j, T_j in T.items()],
+                                    places, n, m)
+            n = X.shape[0]
+            on_grid = (tree_lines + 1.0).prod(axis=1) < n
+        votes = np.zeros(n * n_classes, dtype=np.min_scalar_type(n_trees))
+        vote_start = np.arange(n) * n_classes
+        line_end = tree_lines.ravel().cumsum()
+        for t, tree in enumerate(trees):
+            if not on_grid[t]:
+                votes[vote_start + _walk(tree, X)] += 1
+                continue
+            axes = []
+            for j in tree_lines[t].nonzero()[0]:
+                end = line_end[t * m + j]
+                axes.append((j, T[j], T[j].searchsorted(value[end - tree_lines[t, j]:end])))
+            points, tree_cell, _ = _grid(axes, places, n, m)
+            votes[vote_start + _walk(tree, points)[tree_cell]] += 1
+        codes = votes.reshape(n, n_classes).argmax(axis=1)
+        return codes if cell is None else codes[cell]
+
+
+def _grid(axes, places, n, m):
+    """``(points, cell, digits)``: a point per cell of the grid that cuts each
+    column ``j`` of ``axes`` at ``T_j[k]`` (``k`` sorted), each of ``n``
+    rows' cell, and each point's digit per axis.  A row at place p of T_j
+    (``places[j]``) has digit ``searchsorted(k, p)``; cells count in mixed
+    radix, the first axis fastest; the point of digit d is ``T_j[k[d]]``,
+    NaN past the last line, and 0 in each other of the ``m`` columns.
+    """
+    n_cells = math.prod(k.size + 1 for _, _, k in axes)
+    points, at = np.zeros((n_cells, m)), np.arange(n_cells)
+    cell, stride, digits = np.zeros(n, dtype=np.intp), 1, {}
+    for j, T_j, k in axes:
+        digits[j] = at // stride % (k.size + 1)
+        points[:, j] = np.append(T_j[k], np.nan)[digits[j]]
+        cell += (k.searchsorted(np.arange(T_j.size + 1)) * stride)[places[j]]
+        stride *= k.size + 1
+    return points, cell, digits
+
+
+def _walk(tree, X):
+    """Each row's leaf prediction in ``tree``: every row steps ``tree.depth`` times."""
+    # walk tables, which name node i by 2i: entries 2i and 2i + 1 of
+    # ``feature`` and ``threshold`` hold node i's test, and entry
+    # 2i + go of ``child`` is the doubled id of where node i sends a
+    # row, go = (x <= threshold), so NaN goes right; a leaf reads
+    # feature 0 and sends a row back to itself whatever the test
+    leaf = tree.feature < 0
+    feature = np.repeat(np.where(leaf, 0, tree.feature), 2)
+    threshold = np.repeat(tree.threshold, 2)
+    nodes = np.arange(tree.n_nodes)
+    child = 2 * np.column_stack([np.where(leaf, nodes, tree.right),
+                                 np.where(leaf, nodes, tree.left)]).ravel()
+    flat, row_start = X.ravel(), np.arange(X.shape[0]) * X.shape[1]
+    node = np.zeros(X.shape[0], dtype=np.intp)  # doubled ids
+    for _ in range(tree.depth):
+        node = child[node + (flat[row_start + feature[node]] <= threshold[node])]
+    return tree._leaf_pred[node >> 1]
 
 
 def train_forest(parts, config: RFConfig) -> list[Forest]:

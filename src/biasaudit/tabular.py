@@ -232,10 +232,12 @@ def load_csv(path, schema: SchemaConfig | None = None) -> tuple[Table, Rejection
     at a time, by :func:`_parse_block`.  A UTF-8 byte-order mark is
     skipped.  The report carries the SHA-256 of the file's bytes, hashed
     as they are read; the caller reports the rejections, as nothing here
-    logs.  Raises :class:`SchemaError` when a required column is missing
-    or a column it reads is named twice, and :class:`EmptyTableError`
-    when no row survives validation, with the rejected count and the
-    first rejection when there were rows to reject.
+    logs.  Raises :class:`SchemaError` when a required column is missing,
+    a column it reads is named twice or the csv module cannot parse a
+    record (a field past ``csv.field_size_limit()``, say), naming the
+    line it stopped on, and :class:`EmptyTableError` when no row survives
+    validation, with the rejected count and the first rejection when
+    there were rows to reject.
     """
     schema = schema or SchemaConfig()
     with open(path, "rb", buffering=0) as raw:
@@ -243,7 +245,7 @@ def load_csv(path, schema: SchemaConfig | None = None) -> tuple[Table, Rejection
         fh = io.TextIOWrapper(io.BufferedReader(hashing, 1 << 16), encoding="utf-8-sig",
                               newline="")
         reader = csv.reader(fh)
-        header = next(reader, None)
+        header = next(_records(reader, path), None)
         if header is None:
             raise SchemaError(f"{path}: empty file, no header row")
         required = (schema.id_column, schema.dataset_column,
@@ -265,7 +267,7 @@ def load_csv(path, schema: SchemaConfig | None = None) -> tuple[Table, Rejection
         reasons = []
         parts = [_parse_block(records, starts, header, schema, feature_cols, has_diagnosis,
                               reasons)
-                 for starts, records in _record_blocks(reader)]
+                 for starts, records in _record_blocks(reader, path)]
 
     if not sum(part[0].size for part in parts):
         detail = f" ({len(reasons)} rejected; {reasons[0]})" if reasons else ""
@@ -281,11 +283,19 @@ def load_csv(path, schema: SchemaConfig | None = None) -> tuple[Table, Rejection
     return table, report
 
 
-def _record_blocks(reader):
+def _records(reader, path):
+    """``reader``'s records; one it cannot parse is a SchemaError naming its line."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise SchemaError(f"{path}: line {reader.line_num}: {exc}") from None
+
+
+def _record_blocks(reader, path):
     """Non-blank records in blocks of :data:`BLOCK_RECORDS`, with the line each starts on."""
     starts, records = [], []
     line = reader.line_num
-    for record in reader:
+    for record in _records(reader, path):
         if record:  # a blank line reads as []
             starts.append(line + 1)
             records.append(record)

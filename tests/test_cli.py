@@ -614,6 +614,11 @@ MALFORMED = {
     "missing_flag_value": (["score", "--input", "{csv}", "--k"], None, "--k"),
     "unknown_command": (["frobnicate"], None, "frobnicate"),
     "simulate_int_flag": (["simulate", "--out", "{missing}", "--n", "abc"], None, "--n"),
+    # a field past the csv module's field_size_limit() (131,072 characters)
+    "validate_oversized_field": (["validate", "--input", "{oversized}"], None,
+                                 "oversized.csv: line 2: field larger than field limit"),
+    "classify_oversized_field": (["classify", "--input", "{oversized}"], None,
+                                 "oversized.csv: line 2: field larger than field limit"),
 }
 
 
@@ -623,7 +628,7 @@ def test_malformed_input_exits_2_naming_the_culprit(runner, tmp_path, args, conf
              "latin1": tmp_path / "latin1.csv", "twenty": tmp_path / "twenty.csv",
              "uneven": tmp_path / "uneven.csv", "repeated": tmp_path / "repeated.csv",
              "one_control": tmp_path / "one_control.csv", "missing": tmp_path / "missing.cfg",
-             "rejected": tmp_path / "rejected.csv"}
+             "rejected": tmp_path / "rejected.csv", "oversized": tmp_path / "oversized.csv"}
     paths["csv"].write_text(TWO_DATASET_CSV, encoding="utf-8")
     paths["one_control"].write_text(ONE_CONTROL_DATASET_CSV, encoding="utf-8")
     paths["repeated"].write_text(REPEATED_COLUMN_CSV, encoding="utf-8")
@@ -631,6 +636,8 @@ def test_malformed_input_exits_2_naming_the_culprit(runner, tmp_path, args, conf
     paths["uneven"].write_text(UNEVEN_CSV, encoding="utf-8")
     paths["dup"].write_text(DUPLICATE_ID_CSV, encoding="utf-8")
     paths["rejected"].write_text(ALL_REJECTED_CSV, encoding="utf-8")
+    paths["oversized"].write_text(VALID_CSV.replace("control,1.0,", f"control,{'x' * 140_000},"),
+                                  encoding="utf-8")
     paths["latin1"].write_bytes(VALID_CSV.replace("s3,", "s\xe9,").encode("latin-1"))
     args = [arg.format(**paths) for arg in args]
     if config is not None:

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import re
 from functools import partial
 
@@ -948,6 +949,9 @@ def _held_out_codes(columns):
                  "a870efdc7813b77b443196ecb39f50a163df6dc49e576f95109b97f682e080ed", id="age_sex"),
     pytest.param(["age", "sex", "vol_f1", "vol_f2", "thick_f1", "thick_f2"],
                  "352f06b355685aa4ddbbb6733e887ca354df9259d8936cdeba832de6108b3b8b", id="all"),
+    pytest.param(["vol_f1", "vol_f2"],
+                 "258d489524e5a6264647294d3fe9a5b6c6c17a17508eec6c7a257e169e2f65fc",
+                 id="volume"),
 ])
 def test_pinned_held_out_codes(columns, digest):
     codes = _held_out_codes(columns)
@@ -984,6 +988,27 @@ def _walk_probes(tree, X, rng):
 def _split_thresholds(forest, column):
     """Every threshold at which some tree of ``forest`` splits ``column``."""
     return np.concatenate([tree.threshold[tree.feature == column] for tree in forest.trees])
+
+
+def _grid_sizes(forest, m):
+    """Cells of the threshold grid of ``forest`` over ``m`` columns, and of each tree's."""
+    def cells(trees):
+        return math.prod(np.unique(_split_thresholds(Forest(trees=trees), j)).size + 1
+                         for j in range(m))
+    return cells(forest.trees), [cells((tree,)) for tree in forest.trees]
+
+
+def _chain_tree(splits, classes, n_classes):
+    """A hand-built tree whose split node i tests ``splits[i]``, a (column,
+    threshold) pair, and sends a row left to a leaf of class ``classes[i]``
+    and right on to node i + 1; the last one's right leaf has ``classes[-1]``."""
+    n = len(splits)  # internal nodes 0..n-1; node i's left leaf is n + i
+    leaves = [-1] * (n + 1)
+    leaf_counts = np.zeros((2 * n + 1, n_classes), dtype=int)
+    leaf_counts[np.arange(n, 2 * n + 1), classes] = 1
+    return DecisionTree([f for f, _ in splits] + leaves, [t for _, t in splits] + [0.0] * (n + 1),
+                        list(range(n, 2 * n)) + leaves, list(range(1, n)) + [2 * n] + leaves,
+                        leaf_counts)
 
 
 def _every_tree_probes(forest, X, rng):
@@ -1031,8 +1056,8 @@ def _walk_case_many_rows_per_cell(rng):
 
 
 def _walk_case_wide_rerank(rng):
-    # 40 columns whose threshold grid has more than 2**62 cells, so the
-    # cell codes are re-ranked on the way
+    # 40 columns whose threshold grid has more than 2**62 cells, far more
+    # than the probes, as every tree's grid is: every tree walks the rows
     X, labels = _oracle_data(6, 300, 40, 5)
     forest = _forest(X, _codes(labels), RFConfig(n_trees=12), seed=3)
     grid = 1
@@ -1046,22 +1071,112 @@ def _walk_case_codes_wrap_without_rerank(rng):
     # one hand-built 40-column tree: column 0 at 0 sends a row to class 0
     # (left) or on to column 1 at 0, class 1 (left) or a chain of splits
     # that end in class 2 on either side and put thresholds 0, 1 and 2 on
-    # columns 1 to 39.  The grid has 2 * 4**39 cells: codes wrapped modulo
-    # 2**64 would merge rows that differ in column 0 alone, and column 1's
-    # threshold 0 equals column 0's
+    # columns 1 to 39.  The grid has 2 * 4**39 cells, far more than the
+    # 125 probes, so the tree walks the rows; column 1's threshold 0
+    # equals column 0's
     splits = [(0, 0.0), (1, 0.0), (1, 1.0), (1, 2.0)] + [
         (j, t) for j in range(2, 40) for t in (0.0, 1.0, 2.0)]
-    n = len(splits)  # internal nodes 0..n-1; node i's left leaf is n + i
-    leaves = [-1] * (n + 1)
-    leaf_counts = np.zeros((2 * n + 1, 3), dtype=int)
-    leaf_counts[np.arange(n, 2 * n + 1), [0, 1] + [2] * (n - 1)] = 1
-    tree = DecisionTree([f for f, _ in splits] + leaves, [t for _, t in splits] + [0.0] * (n + 1),
-                        list(range(n, 2 * n)) + leaves, list(range(1, n)) + [2 * n] + leaves,
-                        leaf_counts)
+    tree = _chain_tree(splits, [0, 1] + [2] * (len(splits) - 1), 3)
     # every (column 0, column 1, all other columns) triple of these values
     values = [-1.0, 0.0, 0.5, 1.5, 3.0]
     triples = np.array(np.meshgrid(values, values, values)).reshape(3, -1).T
     return Forest(trees=(tree,)), triples[:, [0, 1] + [2] * 38]
+
+
+def _infinite_threshold_forest():
+    """Seven hand-built 4-column trees that split at -inf, -0.0, +0.0 and +inf."""
+    inf = np.inf
+    return Forest(trees=tuple(_chain_tree(splits, classes, 3) for splits, classes in [
+        ([(0, inf)], [0, 1]),
+        ([(0, -inf)], [2, 1]),
+        ([(1, -0.0), (1, 0.0)], [0, 1, 2]),
+        ([(2, -inf), (2, 0.0), (2, inf)], [1, 0, 2, 1]),
+        ([(3, 0.0)], [2, 0]),
+        ([(0, -0.0), (1, inf), (2, 0.0), (3, -inf)], [1, 2, 0, 1, 2]),
+        ([(3, inf), (1, -inf)], [0, 2, 1]),
+    ]))
+
+
+def _infinite_threshold_probes():
+    """Every 4-tuple of NaN, -inf, -1, -0.0, +0.0, 1 and +inf: 2,401 rows."""
+    values = [np.nan, -np.inf, -1.0, -0.0, 0.0, 1.0, np.inf]
+    return np.array(np.meshgrid(*[values] * 4)).reshape(4, -1).T
+
+
+def _walk_case_infinite_thresholds_forest_grid(rng):
+    # each column's grid lines are -inf, 0 and +inf; only NaN lies past
+    # +inf, so a top cell that stood in for its rows with +inf instead of
+    # NaN would send them left at +inf
+    forest, probes = _infinite_threshold_forest(), _infinite_threshold_probes()
+    grid, tree_grids = _grid_sizes(forest, 4)
+    assert grid == 4 ** 4 < probes.shape[0]
+    assert max(tree_grids) == 16
+    return forest, probes
+
+
+def _walk_case_infinite_thresholds_tree_grids(rng):
+    # more probes than any tree's grid has cells, and no more than the
+    # forest's grid has
+    forest, probes = _infinite_threshold_forest(), _infinite_threshold_probes()
+    probes = probes[rng.choice(probes.shape[0], size=200, replace=False)]
+    grid, tree_grids = _grid_sizes(forest, 4)
+    assert max(tree_grids) < probes.shape[0] <= grid
+    return forest, probes
+
+
+def _walk_case_nan_thresholds(rng):
+    # hand-built trees that split at NaN, which sends every row right, one
+    # of them twice on one column; the 49 probes outnumber the grid's cells
+    forest = Forest(trees=(_chain_tree([(0, np.nan), (0, 1.0), (0, np.nan)], [0, 1, 2, 1], 3),
+                           _chain_tree([(0, 1.0), (1, np.nan)], [2, 0, 1], 3),
+                           _chain_tree([(1, 0.0)], [1, 2], 3)))
+    probes = _infinite_threshold_probes()[::49, :2]
+    grid, _ = _grid_sizes(forest, 2)
+    assert grid < probes.shape[0]
+    return forest, probes
+
+
+def _walk_case_forest_grid(rng):
+    # fewer cells in the forest's grid than probes
+    X, labels = _oracle_data(5, 60, 2, 4)
+    forest = _forest(X, _codes(labels), RFConfig(n_trees=15), seed=2)
+    probes = _every_tree_probes(forest, X, rng)
+    grid, _ = _grid_sizes(forest, 2)
+    assert grid < probes.shape[0]
+    return forest, probes
+
+
+def _walk_case_tree_grids(rng):
+    # more cells in the forest's grid than probes, but fewer in every tree's
+    X, labels = _oracle_data(4, 40, 3, 3)
+    forest = _forest(X, _codes(labels), RFConfig(n_trees=9), seed=1)
+    probes = _every_tree_probes(forest, X, rng)
+    grid, tree_grids = _grid_sizes(forest, 3)
+    assert max(tree_grids) < probes.shape[0] <= grid
+    return forest, probes
+
+
+def _walk_case_row_walks(rng):
+    # no more probes than the cells of any tree's grid, or of the forest's
+    X, labels = _oracle_data(6, 150, 4, 5)
+    forest = _forest(X, _codes(labels), RFConfig(n_trees=9), seed=3)
+    probes = _walk_probes(forest.trees[0], X, rng)
+    grid, tree_grids = _grid_sizes(forest, 4)
+    assert probes.shape[0] <= min(tree_grids) <= grid
+    return forest, probes
+
+
+def _walk_case_more_leaves_than_rows(rng):
+    # a hand-built tree of 12 leaves, 10 of them empty, whose grid has 2
+    # cells: its leaves outnumber the 10 probes, so it walks them, and the
+    # other tree walks its grid
+    values = np.array([np.nan, -np.inf, 0.5, 1.0, 2.0, np.inf])
+    forest = Forest(trees=(_chain_tree([(0, 1.0)] * 11, [0] + [1] * 10 + [2], 3),
+                           _chain_tree([(1, 0.0)], [1, 2], 3)))
+    probes = rng.choice(values, size=(10, 2))
+    _, tree_grids = _grid_sizes(forest, 2)
+    assert tree_grids[0] < probes.shape[0] <= np.count_nonzero(forest.trees[0].feature < 0)
+    return forest, probes
 
 
 def _walk_case_unsplit_column(rng):
@@ -1089,6 +1204,13 @@ FOREST_WALK_CASES = {
     "many_rows_per_cell": _walk_case_many_rows_per_cell,
     "wide_rerank": _walk_case_wide_rerank,
     "codes_wrap_without_rerank": _walk_case_codes_wrap_without_rerank,
+    "infinite_thresholds_forest_grid": _walk_case_infinite_thresholds_forest_grid,
+    "infinite_thresholds_tree_grids": _walk_case_infinite_thresholds_tree_grids,
+    "nan_thresholds": _walk_case_nan_thresholds,
+    "forest_grid": _walk_case_forest_grid,
+    "tree_grids": _walk_case_tree_grids,
+    "row_walks": _walk_case_row_walks,
+    "more_leaves_than_rows": _walk_case_more_leaves_than_rows,
     "unsplit_column": _walk_case_unsplit_column,
     "root_only": _walk_case_root_only,
 }
@@ -1122,3 +1244,10 @@ class TestFixedDepthWalkOracle:
         for tree in forest.trees:
             votes[np.arange(probes.shape[0]), _reference_predict_codes(tree, probes)] += 1
         np.testing.assert_array_equal(forest.predict_codes(probes), np.argmax(votes, axis=1))
+
+
+@pytest.mark.parametrize("case", FOREST_WALK_CASES)
+def test_forest_gives_one_code_per_row(rng, case):
+    forest, probes = FOREST_WALK_CASES[case](rng)
+    codes = forest.predict_codes(probes)
+    assert codes.shape == (probes.shape[0],) and codes.dtype == np.intp

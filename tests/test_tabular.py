@@ -110,6 +110,18 @@ class TestLoadCsv:
                                   "line 6: non-numeric value in 'vol_a'",
                                   "line 8: non-numeric value in 'vol_a'")
 
+    @pytest.mark.parametrize("header, body, line", [
+        (HEADER, "s1,A,30,M,control,{big},2.0\ns2,A,40,F,control,1.5,2.5\n", 2),
+        (HEADER, "s1,A,30,M,control,1.0,2.0\n\ns2,A,40,F,control,1.5,\"{big}\"\n", 4),
+        ("subject_id,dataset,age,sex,{big}\n", "s1,A,30,M,1.0\n", 1),
+    ], ids=["record", "quoted_field_after_a_blank_line", "header"])
+    def test_field_past_the_csv_size_limit_names_its_line(self, tmp_path, header, body, line):
+        big = "x" * (csv.field_size_limit() + 1)
+        path = write_csv(tmp_path, body.format(big=big), header=header.format(big=big))
+        with pytest.raises(SchemaError, match=rf"data\.csv: line {line}: field larger than "
+                                              rf"field limit \({csv.field_size_limit()}\)$"):
+            load_csv(path)
+
     def test_repeated_column_name_rejected(self, tmp_path):
         path = write_csv(tmp_path, "s1,A,30,M,1,100,5\n",
                          header="subject_id,dataset,age,sex,vol_a,vol_a,vol_b\n")
@@ -257,7 +269,7 @@ def _reference_load_csv(path):
         reasons = []
         parts = [_parse_records(records, starts, header, schema, feature_cols,
                                 has_diagnosis, reasons)
-                 for starts, records in tabular._record_blocks(reader)]
+                 for starts, records in tabular._record_blocks(reader, path)]
     ids, labels, ages, sexes, feats, diags = (np.concatenate(field) for field in zip(*parts))
     table = Table(ids=ids, dataset_labels=labels, ages=ages, sexes=sexes, features=feats,
                   feature_names=feature_cols, diagnosis_labels=diags,
